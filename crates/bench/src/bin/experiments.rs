@@ -5,32 +5,64 @@
 //!   experiments e4 e5              # run selected experiments
 //!   experiments --quick            # smaller scales (CI-friendly)
 //!   experiments --threads N        # force N eval workers for the tables
-//!   experiments --bench-json FILE  # perf baselines -> FILE (JSON), no tables
-//!   experiments --bench-compare FILE  # re-measure engine_delta rows vs FILE, exit 1 on >30% regression
 //!   experiments --verify-parallel  # seq vs parallel divergence check, exit 1 on mismatch
+//!
+//! An unknown experiment name or flag prints this usage to stderr and
+//! exits 2.
 
 use dco::prelude::{set_eval_config, EvalConfig};
 use dco_bench::experiments as ex;
 use dco_bench::experiments::print_table;
-use dco_bench::perf;
+use dco_bench::verify;
+
+const USAGE: &str = "usage: experiments [--quick] [--threads N] [--verify-parallel] [e1 … e9]";
+
+const EXPERIMENTS: [&str; 9] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"];
+
+/// What the command line asks for.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Args {
+    quick: bool,
+    threads: Option<usize>,
+    verify_parallel: bool,
+    /// Experiments to run; empty means all of them.
+    selected: Vec<String>,
+}
+
+/// Parse the arguments after the program name, rejecting anything
+/// unknown with a one-line reason.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => out.quick = true,
+            "--verify-parallel" => out.verify_parallel = true,
+            "--threads" => {
+                let value = it.next().ok_or("--threads needs a value")?;
+                let n = value
+                    .parse()
+                    .map_err(|_| format!("--threads: not a thread count: {value:?}"))?;
+                out.threads = Some(n);
+            }
+            name if EXPERIMENTS.contains(&name) => out.selected.push(name.to_string()),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(out)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let quick = args.quick;
 
-    if args.iter().any(|a| a == "--verify-parallel") {
-        let n = threads.unwrap_or(4).max(2);
-        match perf::verify_parallel(n) {
+    if args.verify_parallel {
+        let n = args.threads.unwrap_or(4).max(2);
+        match verify::verify_parallel(n) {
             Ok(()) => {
                 println!("verify-parallel: sequential and {n}-thread results identical");
                 return;
@@ -42,42 +74,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--bench-compare")
-        .and_then(|i| args.get(i + 1))
-    {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        match perf::bench_compare(&baseline) {
-            Ok(report) => {
-                for line in report {
-                    println!("{line}");
-                }
-                println!("bench-compare: within 30% of {path}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(path) = bench_json {
-        let n = threads.unwrap_or(4).max(2);
-        let records = perf::run_perf(quick, n);
-        let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let json = perf::write_json(&records, host);
-        std::fs::write(&path, &json).expect("write bench json");
-        println!(
-            "wrote {} records to {path} (host threads: {host})",
-            records.len()
-        );
-        return;
-    }
-
-    if let Some(n) = threads {
+    if let Some(n) = args.threads {
         set_eval_config(EvalConfig {
             threads: n,
             parallel_threshold: if n > 1 { 1 } else { 192 },
@@ -85,19 +82,7 @@ fn main() {
         });
     }
 
-    let selected: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            let is_flag_value = *i > 0
-                && (args[i - 1] == "--threads"
-                    || args[i - 1] == "--bench-json"
-                    || args[i - 1] == "--bench-compare");
-            !a.starts_with("--") && !is_flag_value
-        })
-        .map(|(_, s)| s.as_str())
-        .collect();
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
+    let want = |name: &str| args.selected.is_empty() || args.selected.iter().any(|s| s == name);
 
     let small: &[usize] = if quick {
         &[2, 4, 8]
@@ -160,5 +145,51 @@ fn main() {
             "E9  §4 — integer-only homeomorphism is harmless",
             &ex::e9(if quick { &[2, 4] } else { &[2, 4, 8, 16] }),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_arguments_select_everything() {
+        assert_eq!(parse(&[]).unwrap(), Args::default());
+    }
+
+    #[test]
+    fn experiments_and_flags_mix_in_any_order() {
+        let args = parse(&["e4", "--quick", "--threads", "3", "e1"]).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                quick: true,
+                threads: Some(3),
+                verify_parallel: false,
+                selected: vec!["e4".into(), "e1".into()],
+            }
+        );
+        let args = parse(&["--verify-parallel", "--threads", "4"]).unwrap();
+        assert!(args.verify_parallel);
+        assert_eq!(args.threads, Some(4));
+        assert!(args.selected.is_empty());
+    }
+
+    #[test]
+    fn unknown_input_is_rejected() {
+        for bad in [
+            &["e99"][..],
+            &["E1"],
+            &["--json", "out.json"],
+            &["--threads"],
+            &["--threads", "many"],
+            &["e1", "--quick", "--verbose"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Instance generators shared by the experiments and the Criterion benches.
+//! Instance generators shared by the experiments and the parallel check.
 
 use dco::prelude::*;
 
@@ -48,65 +48,6 @@ pub fn box_db(n: usize) -> Database {
         .expect("box tuple is satisfiable")
     });
     Database::new(Schema::new().with("R", 2)).with("R", GeneralizedRelation::from_tuples(2, tuples))
-}
-
-/// A four-relation star join whose cost is dominated by conjunct order.
-///
-/// * `hub` — `n` vertical strips `[3i, 3i+1] × (-∞, ∞)`;
-/// * `wing1` — `n` horizontal strips `(-∞, ∞) × [3i, 3i+1]`;
-/// * `wing2` — `⌈n/2⌉` coarser vertical strips `[6i, 6i+2] × (-∞, ∞)`;
-/// * `pin` — the single unit box `[0, 1]²`.
-///
-/// Every hub strip crosses every wing1 strip (different axes are never
-/// box-disjoint), so the syntactic left-to-right intersection of
-/// `hub(x,y) & wing1(x,y) & wing2(x,y) & pin(x,y)` materialises the full
-/// `n × n` grid before `pin` collapses it. A cost-based order starts
-/// from `pin` and keeps the accumulator at a single box throughout — the
-/// adversarial instance behind the `join_order` bench rows.
-pub fn star_join_db(n: usize) -> Database {
-    let strip = |axis: u32, lo: i128, hi: i128| {
-        GeneralizedTuple::from_raw(
-            2,
-            vec![
-                RawAtom::new(Term::cst(rat(lo, 1)), RawOp::Le, Term::var(axis)),
-                RawAtom::new(Term::var(axis), RawOp::Le, Term::cst(rat(hi, 1))),
-            ],
-        )
-        .pop()
-        .expect("strip is satisfiable")
-    };
-    let hub = GeneralizedRelation::from_tuples(
-        2,
-        (0..n).map(|i| strip(0, 3 * i as i128, 3 * i as i128 + 1)),
-    );
-    let wing1 = GeneralizedRelation::from_tuples(
-        2,
-        (0..n).map(|i| strip(1, 3 * i as i128, 3 * i as i128 + 1)),
-    );
-    let wing2 = GeneralizedRelation::from_tuples(
-        2,
-        (0..n.div_ceil(2)).map(|i| strip(0, 6 * i as i128, 6 * i as i128 + 2)),
-    );
-    let pin = GeneralizedRelation::from_raw(
-        2,
-        vec![
-            RawAtom::new(Term::cst(rat(0, 1)), RawOp::Le, Term::var(0)),
-            RawAtom::new(Term::var(0), RawOp::Le, Term::cst(rat(1, 1))),
-            RawAtom::new(Term::cst(rat(0, 1)), RawOp::Le, Term::var(1)),
-            RawAtom::new(Term::var(1), RawOp::Le, Term::cst(rat(1, 1))),
-        ],
-    );
-    Database::new(
-        Schema::new()
-            .with("hub", 2)
-            .with("wing1", 2)
-            .with("wing2", 2)
-            .with("pin", 2),
-    )
-    .with("hub", hub)
-    .with("wing1", wing1)
-    .with("wing2", wing2)
-    .with("pin", pin)
 }
 
 /// A directed path graph `1 → 2 → … → n` as a finite edge relation.

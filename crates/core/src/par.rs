@@ -93,8 +93,10 @@ impl EvalConfig {
     }
 
     /// The seed kernel: batch satisfiability (memoized order-graph rebuild
-    /// per decision) and no bounding-box pruning. Used by the benchmark
-    /// harness as the "before" configuration of the before/after pair.
+    /// per decision) and no bounding-box pruning. The reference side of
+    /// the kernel property tests (`crates/core/tests/kernel_properties.rs`,
+    /// `crates/fo/tests/properties.rs`), which require the fast paths of
+    /// [`EvalConfig::interned_kernel`] to give identical relations.
     pub fn seed_kernel() -> EvalConfig {
         EvalConfig {
             incremental_sat: false,
@@ -104,7 +106,8 @@ impl EvalConfig {
     }
 
     /// The interned kernel: incremental [`crate::sat::SatState`]
-    /// satisfiability plus bounding-box pruning (the default).
+    /// satisfiability plus bounding-box pruning (the default). The kernel
+    /// property tests check it against [`EvalConfig::seed_kernel`].
     pub fn interned_kernel() -> EvalConfig {
         EvalConfig::default()
     }

@@ -26,9 +26,9 @@
 //! ## The kill switch
 //!
 //! [`set_enabled`]`(false)` turns every counter increment, gauge store,
-//! histogram record, and trace begin into an early return. The
-//! `obs_overhead` benchmark pairs an enabled run against a disabled run
-//! of the same workload to bound the cost of the default configuration.
+//! histogram record, and trace begin into an early return — the way to
+//! measure the cost of the default configuration against a run of the
+//! same workload with recording off.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
@@ -64,8 +64,7 @@ pub const PROBE_SITES: [&str; 10] = [
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enable or disable all recording (metrics, traces, slow-query
-/// log). Used by the `obs_overhead` benchmark to measure the cost of the
-/// default-on configuration.
+/// log).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -161,15 +161,19 @@ impl WakeReader {
         -1
     }
 
-    /// Consume pending wakeups. Clears the dirty flag *before* reading
-    /// so a notify racing with the drain writes a fresh byte (an extra
-    /// wakeup) rather than being lost; the invariant "bytes in pipe ≤
-    /// undrained dirty transitions" keeps the bounded read from ever
-    /// blocking.
+    /// Consume one pending wakeup; call only when `POLLIN` reports the
+    /// pipe readable. Every false→true flip of the dirty flag writes
+    /// exactly one byte, so clearing the flag and reading exactly one
+    /// byte keeps "bytes in pipe = undrained flips". A notify racing
+    /// with the drain — landing between the clear and the read — sets
+    /// the flag again and leaves its own byte in the pipe, so the next
+    /// poll wakes at once instead of the wakeup being swallowed (which
+    /// would leave the flag set over an empty pipe and mute every later
+    /// notify). With a byte known to be present the read never blocks.
     pub fn drain(&mut self, token: &WakeToken) {
         if token.dirty.swap(false, Ordering::SeqCst) {
-            let mut buf = [0u8; 64];
-            let _ = self.rx.read(&mut buf);
+            let mut byte = [0u8; 1];
+            let _ = self.rx.read(&mut byte);
         }
     }
 }
@@ -211,6 +215,36 @@ mod tests {
         let mut fds = [PollFd::new(reader.fd(), POLLIN)];
         #[cfg(unix)]
         assert_eq!(poll(&mut fds, 50).unwrap(), 0);
+    }
+
+    /// A notify landing between the drain's clear and its read must not
+    /// be swallowed: the drain runs as one call here, so the racing
+    /// notifier's two steps are placed around it — its byte is in the
+    /// pipe when the drain reads, and its flag flip lands after the
+    /// drain's clear.
+    #[cfg(unix)]
+    #[test]
+    fn notify_racing_a_drain_is_not_lost() {
+        let (token, mut reader) = wake_pair().unwrap();
+        let readable = |reader: &WakeReader| {
+            let mut fds = [PollFd::new(reader.fd(), POLLIN)];
+            poll(&mut fds, 50).unwrap() == 1
+        };
+        token.notify();
+        assert!(readable(&reader));
+        token.tx.lock().unwrap().write_all(&[1]).unwrap(); // racer's byte
+        reader.drain(&token); // clear, then read
+        token.dirty.store(true, Ordering::SeqCst); // racer's flip, after the clear
+                                                   // The racer's wakeup is still pending.
+        assert!(readable(&reader), "racing wakeup was swallowed");
+        reader.drain(&token);
+        assert!(!readable(&reader));
+        // And the token still works afterwards.
+        token.notify();
+        assert!(
+            readable(&reader),
+            "notify after the race must wake the poller"
+        );
     }
 
     #[test]
