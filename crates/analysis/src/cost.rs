@@ -16,8 +16,8 @@ use dco_logic::datalog::{Literal, Rule};
 use dco_logic::{ArgTerm, Formula, LinExpr};
 use std::collections::BTreeSet;
 
-/// Limits a query must stay within to be evaluated by `checked_*` entry
-/// points.
+/// Limits a query must stay within to pass the preflight (DCO501,
+/// DCO502).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostBudget {
     /// Maximum quantifier alternation depth (number of maximal ∃/∀ groups

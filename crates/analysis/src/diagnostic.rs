@@ -9,7 +9,8 @@ pub enum Severity {
     Info,
     /// Suspicious but evaluable (dead code, likely mistakes).
     Warning,
-    /// The query/program is rejected by `checked_*` entry points.
+    /// The query/program is rejected before evaluation (by
+    /// [`preflight_formula`](crate::preflight_formula) and the store).
     Error,
 }
 
@@ -125,7 +126,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Whether any diagnostic is error severity (the `checked_*` gate).
+/// Whether any diagnostic is error severity (the preflight gate).
 pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }

@@ -3,12 +3,11 @@
 //! evaluator has run the same shape — an actual one.
 //!
 //! The estimated side is produced here from [`DbStats`] alone (a pure
-//! static analysis); the actual side is filled in by the engines'
-//! instrumented evaluators (`dco_fo::explain`), which mirror their
-//! evaluation recursion and record the width of every intermediate
-//! relation. [`PlanNode::render`] prints the tree with `est=` and `act=`
-//! on every line, which is also the payload of the store's `EXPLAIN`
-//! protocol verb.
+//! static analysis); the actual side is recorded by the FO evaluator
+//! itself (`dco_fo::explain`), which, with plan capture on, notes the
+//! width of every intermediate relation it builds. [`PlanNode::render`]
+//! prints the tree with `est=` and `act=` on every line, which is also
+//! the payload of the store's `EXPLAIN` protocol verb.
 
 use crate::planner::estimate_formula;
 use crate::stats::DbStats;
@@ -121,8 +120,8 @@ impl QueryPlan {
 }
 
 /// Build the estimates-only plan of `formula` under `stats` — no
-/// evaluation, no actuals. Engines overlay actuals by re-walking the same
-/// shape.
+/// evaluation, no actuals. The slow-query log sets the root's actual on
+/// it; a full measured plan comes from `dco_fo::explain`.
 pub fn explain_formula(formula: &Formula, stats: &DbStats) -> QueryPlan {
     QueryPlan {
         planned: formula.to_string(),
@@ -130,30 +129,36 @@ pub fn explain_formula(formula: &Formula, stats: &DbStats) -> QueryPlan {
     }
 }
 
-fn node_of(formula: &Formula, stats: &DbStats) -> PlanNode {
-    let est = estimate_formula(formula, stats);
+/// The operator label and detail a plan node shows for the connective at
+/// the root of `formula` — shared by the static plan and the evaluator's
+/// recorded one, so the two always name nodes alike.
+pub fn operator(formula: &Formula) -> (&'static str, String) {
     match formula {
-        Formula::True => PlanNode::new("true", "", est),
-        Formula::False => PlanNode::new("false", "", est),
-        Formula::Compare(..) => PlanNode::new("compare", formula.to_string(), est),
-        Formula::Pred(name, _) => PlanNode::new("pred", name.clone(), est),
-        Formula::Not(f) => PlanNode::new("not", "", est).with_children(vec![node_of(f, stats)]),
-        Formula::And(parts) => PlanNode::new("and", "", est)
-            .with_children(parts.iter().map(|p| node_of(p, stats)).collect()),
-        Formula::Or(parts) => PlanNode::new("or", "", est)
-            .with_children(parts.iter().map(|p| node_of(p, stats)).collect()),
-        Formula::Implies(a, b) => PlanNode::new("implies", "", est)
-            .with_children(vec![node_of(a, stats), node_of(b, stats)]),
-        Formula::Iff(a, b) => {
-            PlanNode::new("iff", "", est).with_children(vec![node_of(a, stats), node_of(b, stats)])
-        }
-        Formula::Exists(vs, body) => {
-            PlanNode::new("exists", vs.join(", "), est).with_children(vec![node_of(body, stats)])
-        }
-        Formula::Forall(vs, body) => {
-            PlanNode::new("forall", vs.join(", "), est).with_children(vec![node_of(body, stats)])
-        }
+        Formula::True => ("true", String::new()),
+        Formula::False => ("false", String::new()),
+        Formula::Compare(..) => ("compare", formula.to_string()),
+        Formula::Pred(name, _) => ("pred", name.clone()),
+        Formula::Not(_) => ("not", String::new()),
+        Formula::And(_) => ("and", String::new()),
+        Formula::Or(_) => ("or", String::new()),
+        Formula::Implies(..) => ("implies", String::new()),
+        Formula::Iff(..) => ("iff", String::new()),
+        Formula::Exists(vs, _) => ("exists", vs.join(", ")),
+        Formula::Forall(vs, _) => ("forall", vs.join(", ")),
     }
+}
+
+fn node_of(formula: &Formula, stats: &DbStats) -> PlanNode {
+    let (label, detail) = operator(formula);
+    let children = match formula {
+        Formula::True | Formula::False | Formula::Compare(..) | Formula::Pred(..) => Vec::new(),
+        Formula::Not(f) | Formula::Exists(_, f) | Formula::Forall(_, f) => vec![node_of(f, stats)],
+        Formula::And(parts) | Formula::Or(parts) => {
+            parts.iter().map(|p| node_of(p, stats)).collect()
+        }
+        Formula::Implies(a, b) | Formula::Iff(a, b) => vec![node_of(a, stats), node_of(b, stats)],
+    };
+    PlanNode::new(label, detail, estimate_formula(formula, stats)).with_children(children)
 }
 
 #[cfg(test)]

@@ -20,9 +20,9 @@
 //!    predicted cell-decomposition size are checked against a
 //!    [`CostBudget`] (DCO501, DCO502).
 //!
-//! The `dco-fo` and `dco-datalog` evaluators expose `checked_*` entry
-//! points that run these passes and refuse to evaluate when any
-//! error-severity diagnostic is present.
+//! [`preflight_formula`] runs these passes on a query and refuses it when
+//! any error-severity diagnostic is present; the store calls it before
+//! every evaluation, ahead of the [`planner`] and the guarded evaluator.
 //!
 //! ```
 //! use dco_analysis::{analyze_program, has_errors, AnalysisOptions};
@@ -61,8 +61,8 @@ use dco_logic::Formula;
 /// Knobs for the analyzer. The defaults make every structural problem an
 /// error (the strictest useful setting); evaluators relax individual
 /// severities to match their own semantics — e.g. the inflationary engine
-/// does not need stratification, so its `checked_run` downgrades DCO301 to
-/// a warning.
+/// does not need stratification, so [`AnalysisOptions::inflationary`]
+/// downgrades DCO301 to a warning.
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
     /// Report unstratifiable programs (DCO301) as errors rather than

@@ -6,7 +6,7 @@
 //! KKR90) but can differ by orders of magnitude in the *intermediate* DNF
 //! width. This module picks better orders statically:
 //!
-//! * [`estimate_formula`] propagates [`DbStats`](crate::stats::DbStats)
+//! * [`estimate_formula`] propagates [`DbStats`]
 //!   through a formula by interval-arithmetic abstract interpretation —
 //!   DUNLO atom selectivity from histogram overlap, conjunction
 //!   cardinality from box-intersection volume — yielding an estimated

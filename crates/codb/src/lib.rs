@@ -39,34 +39,43 @@
 //! assert!(q.relation.contains_point(&[rat(3, 1)]));
 //! ```
 //!
-//! ## Checked evaluation
+//! ## Analyze, plan, then evaluate under a guard
 //!
-//! Every evaluator has a `checked_*` variant that runs the [`analysis`]
-//! lint pass first and rejects bad queries with span-carrying diagnostics
-//! instead of panicking or failing mid-evaluation:
+//! The [`analysis`] passes run before evaluation and reject bad queries
+//! with span-carrying diagnostics instead of panicking or failing
+//! mid-evaluation. The store chains the same steps for every query:
+//! preflight, plan against the database's statistics, guarded run.
 //!
 //! ```
 //! use dco::prelude::*;
-//! use dco::fo::CheckedEvalError;
 //!
-//! let db = Database::new(Schema::new().with("e", 2));
+//! let e = GeneralizedRelation::from_points(2, vec![vec![rat(1, 1), rat(2, 1)]]);
+//! let db = Database::new(Schema::new().with("e", 2)).with("e", e);
+//! let opts = AnalysisOptions::default();
 //!
 //! // Arity mismatch: rejected up front, never evaluated.
-//! let err = checked_eval_str(&db, "e(x, y, z)").unwrap_err();
-//! let CheckedEvalError::Rejected(diags) = err else { unreachable!() };
+//! let bad = parse_formula("e(x, y, z)").unwrap();
+//! let diags = preflight_formula(&bad, Some(db.schema()), &opts).unwrap_err();
 //! assert_eq!(diags[0].code, "DCO102");
 //!
-//! // A statically-dead rule body is pruned before the fixpoint runs.
+//! // A clean query: preflight, plan, then the guarded evaluator.
+//! let q = parse_formula("exists y . (e(x, y) & x < y)").unwrap();
+//! preflight_formula(&q, Some(db.schema()), &opts).unwrap();
+//! let planned = plan_formula(&q, &DbStats::of_database(&db));
+//! let out = try_eval_with(&db, &planned, GuardLimits::none()).unwrap();
+//! assert!(out.value.relation.contains_point(&[rat(1, 1)]));
+//!
+//! // A statically-dead rule body is reported before the fixpoint runs.
 //! let p = parse_program(
 //!     "tc(x,y) :- e(x,y).\n\
 //!      tc(x,y) :- e(x,y), x < y, y < x.\n").unwrap();
-//! let out = checked_run(&p, &db).unwrap();
-//! assert_eq!(out.pruned_rules, 1); // warning DCO401, line 2
+//! let diags = analyze_program(&p, Some(db.schema()), &AnalysisOptions::inflationary());
+//! assert!(diags.iter().any(|d| d.code == "DCO401" && d.severity == Severity::Warning));
 //! ```
 //!
 //! ## Fault-tolerant evaluation
 //!
-//! Every evaluator also has a `try_*` variant that runs under a runtime
+//! Every evaluator has a `try_*` variant that runs under a runtime
 //! guard ([`core::guard`]): deadlines, tuple/atom budgets, cooperative
 //! cancellation, checked arithmetic, and panic containment. A fault-free
 //! guarded run returns exactly the unguarded result plus
@@ -113,17 +122,17 @@ pub use dco_store as store;
 /// One-stop import surface for applications.
 pub mod prelude {
     pub use dco_analysis::{
-        analyze_formula, analyze_program, has_errors, AnalysisOptions, Diagnostic, Severity,
+        analyze_formula, analyze_program, has_errors, plan_formula, preflight_formula,
+        AnalysisOptions, DbStats, Diagnostic, Severity,
     };
     pub use dco_core::prelude::*;
     pub use dco_datalog::{
-        checked_run, checked_run_stratified, parse_program, run as run_datalog,
-        try_run as try_run_datalog, try_run_stratified, try_run_stratified_with,
-        try_run_with as try_run_datalog_with, TryRunError,
+        parse_program, run as run_datalog, try_run as try_run_datalog, try_run_stratified,
+        try_run_stratified_with, try_run_with as try_run_datalog_with, TryRunError,
     };
     pub use dco_fo::{
-        checked_eval, checked_eval_str, eval as eval_fo, eval_str as eval_fo_str, try_eval,
-        try_eval_str, try_eval_with, CheckedEvalError, EvalError, TryEvalError,
+        eval as eval_fo, eval_str as eval_fo_str, try_eval, try_eval_str, try_eval_with, EvalError,
+        TryEvalError,
     };
     pub use dco_linear::{
         eval_linear, eval_linear_str, try_eval_linear, try_eval_linear_str, try_eval_linear_with,

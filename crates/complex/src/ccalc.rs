@@ -3,7 +3,7 @@
 //! Syntax: first-order logic extended with typed set variables and set
 //! terms `{(x̄) | φ}`. Semantics: the paper's **active-domain semantics** —
 //! "the range of each set variable consists of a finite number of
-//! c-objects [which] depend on the input database". Concretely, a set
+//! c-objects \[which\] depend on the input database". Concretely, a set
 //! variable of type `{Q^k}` ranges over the unions of k-cells of the input
 //! database's constant set (quantifying over "cells" in the spirit of
 //! \[Col75, KY85\], as the paper notes), and a height-2 variable over finite

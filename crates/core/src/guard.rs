@@ -693,7 +693,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Deterministic, seeded fault injection for chaos testing.
 ///
-/// A [`FaultPlan`] arms exactly one synthetic fault — overflow, panic,
+/// A [`FaultPlan`](faults::FaultPlan) arms exactly one synthetic fault — overflow, panic,
 /// delay, or cancellation — at the `at`-th probe hit matching its site
 /// filter. Plans are one-shot: after firing, the evaluation continues (or
 /// unwinds) exactly as a real fault of that class would, which lets the

@@ -7,7 +7,7 @@
 //! * dense-order atomic constraints and their normal form ([`atom`]);
 //! * generalized tuples — conjunctions with a complete satisfiability
 //!   procedure, witness construction, and single-variable quantifier
-//!   elimination for `Th(Q, <)` ([`tuple`]);
+//!   elimination for `Th(Q, <)` ([`mod@tuple`]);
 //! * generalized relations — finite unions of tuples with the closed-form
 //!   constraint algebra (union/intersection/complement/projection) the
 //!   paper's query languages compile to ([`relation`]);

@@ -16,8 +16,8 @@
 //! Configuration is resolved in this order:
 //!
 //! 1. a thread-local override installed by [`with_eval_config`] (used by
-//!    the `checked_*` entry points, whose static cost pass picks a config
-//!    per query);
+//!    the sequential-vs-parallel and kernel property tests to pin one
+//!    configuration per evaluation);
 //! 2. the process-wide default, set by [`set_eval_config`].
 //!
 //! Worker threads never parallelize further ([`should_parallelize`] is
@@ -110,19 +110,6 @@ impl EvalConfig {
     /// property tests check it against [`EvalConfig::seed_kernel`].
     pub fn interned_kernel() -> EvalConfig {
         EvalConfig::default()
-    }
-
-    /// Pick a configuration from a static cost estimate (the analyzer's
-    /// predicted cell-decomposition size, or any comparable work measure):
-    /// cheap queries run sequentially so they never pay fork overhead,
-    /// expensive ones get the full machine.
-    pub fn for_predicted_cost(cost: u128) -> EvalConfig {
-        let base = eval_config();
-        if cost < 10_000 {
-            EvalConfig { threads: 1, ..base }
-        } else {
-            EvalConfig { threads: 0, ..base }
-        }
     }
 
     /// The concrete worker count this configuration resolves to.

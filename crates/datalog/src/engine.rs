@@ -72,9 +72,6 @@ pub struct EngineStats {
 pub struct EngineConfig {
     /// Hard cap on stages (safety valve; default 10 000).
     pub max_stages: usize,
-    /// Simplify IDB relations after each stage (keeps representations
-    /// small at some per-stage cost; default true).
-    pub simplify: bool,
     /// Restrict rule evaluation to the previous stage's deltas
     /// (semi-naive, default true). Applied only when the program is
     /// negation-free: the inflationary same-stage semantics of §4 makes
@@ -88,7 +85,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             max_stages: 10_000,
-            simplify: true,
             use_deltas: true,
         }
     }
@@ -305,7 +301,7 @@ pub fn run_with(
                 // workloads it dominates the fixpoint wall clock. Union's
                 // insert still prunes syntactic subsumption between old and
                 // fresh in both directions.
-                let fresh = if config.simplify && fresh.as_points().is_none() {
+                let fresh = if fresh.as_points().is_none() {
                     fresh.simplify()
                 } else {
                     fresh
@@ -329,7 +325,7 @@ pub fn run_with(
                 }
                 changed = true;
                 let merged = old.union(&delta);
-                let merged = if config.simplify && merged.as_points().is_none() {
+                let merged = if merged.as_points().is_none() {
                     merged.simplify()
                 } else {
                     merged

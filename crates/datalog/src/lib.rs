@@ -27,25 +27,18 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod checked;
 pub mod engine;
 pub mod guarded;
 pub mod parser;
 pub mod programs;
-pub mod seminaive;
 pub mod stratified;
 
 pub use ast::{Literal, Program, ProgramError, Rule};
-pub use checked::{
-    checked_run, checked_run_stratified, checked_run_stratified_with, checked_run_with,
-    CheckedFixpoint, CheckedRunError, CheckedStratified,
-};
 pub use engine::{run, run_with, EngineConfig, EngineError, EngineStats, FixpointResult};
 pub use guarded::{
     try_run, try_run_stratified, try_run_stratified_with, try_run_with, TryRunError,
 };
 pub use parser::{parse_program, DatalogParseError};
-pub use seminaive::{run_seminaive, SemiNaiveError};
 pub use stratified::{
     run_stratified, run_stratified_with, stratify, StratifiedResult, StratifyError,
 };

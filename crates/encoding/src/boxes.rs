@@ -2,7 +2,7 @@
 //!
 //! "It is important to note that these particular shaped objects can be
 //! represented by four constants along with a flag indicating the shape
-//! (and boundary conditions). This lead[s] to efficient encoding of
+//! (and boundary conditions). This lead\[s\] to efficient encoding of
 //! dense-order constraint databases."
 //!
 //! A binary generalized tuple whose constraints only bound each coordinate

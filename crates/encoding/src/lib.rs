@@ -8,7 +8,7 @@
 //!   ([`standard`]);
 //! * the **integer-only homeomorphism** — constants mapped to consecutive
 //!   integers respecting order, "zero is zero" — under which every query's
-//!   answer transfers by genericity ([`integerize()`][integerize]);
+//!   answer transfers by genericity ([`integerize()`](integerize::integerize));
 //! * the **compact rectangle encoding** — "four constants along with a
 //!   flag" — for the boxy relations of the motivating examples ([`boxes`]).
 //!

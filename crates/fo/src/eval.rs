@@ -14,6 +14,9 @@
 //! context temporarily and are projected away; quantifier shadowing is
 //! resolved by alpha-renaming.
 
+use dco_analysis::explain::{operator, PlanNode};
+use dco_analysis::planner::estimate_formula;
+use dco_analysis::stats::DbStats;
 use dco_core::prelude::*;
 use dco_logic::{ArgTerm, Formula, LinExpr};
 use std::collections::BTreeSet;
@@ -109,8 +112,62 @@ pub fn eval_in_ctx(
     formula: &Formula,
     ctx: &[String],
 ) -> Result<GeneralizedRelation, EvalError> {
+    eval_node(db, formula, ctx, None)
+}
+
+/// Where an evaluation with plan capture on records its [`PlanNode`]s:
+/// the statistics the estimates come from, and the nodes recorded so far
+/// under one parent, in evaluation order.
+pub(crate) struct PlanSink<'s> {
+    pub(crate) stats: &'s DbStats,
+    pub(crate) nodes: Vec<PlanNode>,
+}
+
+impl<'s> PlanSink<'s> {
+    pub(crate) fn new(stats: &'s DbStats) -> PlanSink<'s> {
+        PlanSink {
+            stats,
+            nodes: Vec::new(),
+        }
+    }
+}
+
+/// The FO evaluator. With a `sink`, every connective it visits also
+/// records one [`PlanNode`] there: the planner's estimate, the width of
+/// the relation it produced, and the nodes its own operands recorded.
+/// Without one, the only extra work is this branch.
+pub(crate) fn eval_node(
+    db: &Database,
+    formula: &Formula,
+    ctx: &[String],
+    sink: Option<&mut PlanSink<'_>>,
+) -> Result<GeneralizedRelation, EvalError> {
+    let Some(sink) = sink else {
+        return eval_connective(db, formula, ctx, None);
+    };
+    let estimated = estimate_formula(formula, sink.stats);
+    let mut operands = PlanSink::new(sink.stats);
+    let r = eval_connective(db, formula, ctx, Some(&mut operands))?;
+    let (label, detail) = operator(formula);
+    sink.nodes.push(
+        PlanNode::new(label, detail, estimated)
+            .with_actual(r.len() as u64)
+            .with_children(operands.nodes),
+    );
+    Ok(r)
+}
+
+/// One bottom-up step: evaluate the operands of the connective at the root
+/// of `formula` (through [`eval_node`]) and combine them.
+fn eval_connective(
+    db: &Database,
+    formula: &Formula,
+    ctx: &[String],
+    mut sink: Option<&mut PlanSink<'_>>,
+) -> Result<GeneralizedRelation, EvalError> {
     let k = ctx.len() as u32;
     let col = |name: &str| -> Option<u32> { ctx.iter().position(|c| c == name).map(|i| i as u32) };
+    let mut sub = |f: &Formula, ctx: &[String]| eval_node(db, f, ctx, sink.as_deref_mut());
     match formula {
         Formula::True => Ok(GeneralizedRelation::universe(k)),
         Formula::False => Ok(GeneralizedRelation::empty(k)),
@@ -126,13 +183,13 @@ pub fn eval_in_ctx(
         }
         Formula::Pred(name, args) => eval_pred(db, name, args, ctx),
         Formula::Not(f) => {
-            let r = eval_in_ctx(db, f, ctx)?;
+            let r = sub(f, ctx)?;
             Ok(maybe_simplify(r.complement()))
         }
         Formula::And(fs) => {
             let mut acc = GeneralizedRelation::universe(k);
             for f in fs {
-                acc = acc.intersect(&eval_in_ctx(db, f, ctx)?);
+                acc = acc.intersect(&sub(f, ctx)?);
                 acc = maybe_simplify(acc);
                 if acc.is_empty() {
                     break;
@@ -143,18 +200,18 @@ pub fn eval_in_ctx(
         Formula::Or(fs) => {
             let mut acc = GeneralizedRelation::empty(k);
             for f in fs {
-                acc = acc.union(&eval_in_ctx(db, f, ctx)?);
+                acc = acc.union(&sub(f, ctx)?);
             }
             Ok(maybe_simplify(acc))
         }
         Formula::Implies(a, b) => {
-            let na = eval_in_ctx(db, a, ctx)?.complement();
-            let rb = eval_in_ctx(db, b, ctx)?;
+            let na = sub(a, ctx)?.complement();
+            let rb = sub(b, ctx)?;
             Ok(maybe_simplify(na.union(&rb)))
         }
         Formula::Iff(a, b) => {
-            let ra = eval_in_ctx(db, a, ctx)?;
-            let rb = eval_in_ctx(db, b, ctx)?;
+            let ra = sub(a, ctx)?;
+            let rb = sub(b, ctx)?;
             let both = ra.intersect(&rb);
             let neither = ra.complement().intersect(&rb.complement());
             Ok(maybe_simplify(both.union(&neither)))
@@ -164,22 +221,23 @@ pub fn eval_in_ctx(
             let (fresh_vs, body) = freshen(vs, body, ctx);
             let mut ctx2: Vec<String> = ctx.to_vec();
             ctx2.extend(fresh_vs.iter().cloned());
-            let mut r = eval_in_ctx(db, &body, &ctx2)?;
+            let mut r = sub(&body, &ctx2)?;
             for i in (ctx.len()..ctx2.len()).rev() {
                 r = r.project_out(Var(i as u32));
             }
             Ok(maybe_simplify(r.narrow(k)))
         }
         Formula::Forall(vs, body) => {
-            // ∀x.φ = ¬∃x.¬φ
+            // ∀x.φ = ¬∃x.¬φ; with capture on, the rewrite shows as the
+            // node's `exists` child.
             let inner = Formula::Exists(vs.clone(), Box::new(Formula::not((**body).clone())));
-            let r = eval_in_ctx(db, &inner, ctx)?;
+            let r = sub(&inner, ctx)?;
             Ok(maybe_simplify(r.complement()))
         }
     }
 }
 
-pub(crate) fn maybe_simplify(r: GeneralizedRelation) -> GeneralizedRelation {
+fn maybe_simplify(r: GeneralizedRelation) -> GeneralizedRelation {
     if r.len() > SIMPLIFY_THRESHOLD {
         r.simplify()
     } else {
@@ -188,7 +246,7 @@ pub(crate) fn maybe_simplify(r: GeneralizedRelation) -> GeneralizedRelation {
 }
 
 /// Convert a simple linear expression to a core term over context columns.
-pub(crate) fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Option<Term> {
+fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Option<Term> {
     if let Some(v) = e.as_simple_var() {
         // Free vars are always in ctx by construction; treat missing as a
         // caller bug surfaced as NotDenseOrder upstream.
@@ -201,7 +259,7 @@ pub(crate) fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Op
 ///
 /// The predicate's columns are appended as temporary columns, linked to the
 /// context (or pinned to constants), and projected away.
-pub(crate) fn eval_pred(
+fn eval_pred(
     db: &Database,
     name: &str,
     args: &[ArgTerm],
@@ -247,7 +305,7 @@ pub(crate) fn eval_pred(
 
 /// Alpha-rename quantified variables that collide with the enclosing
 /// context, rewriting the body accordingly.
-pub(crate) fn freshen(vs: &[String], body: &Formula, ctx: &[String]) -> (Vec<String>, Formula) {
+fn freshen(vs: &[String], body: &Formula, ctx: &[String]) -> (Vec<String>, Formula) {
     let mut taken: BTreeSet<String> = ctx.iter().cloned().collect();
     let mut out_vs = Vec::with_capacity(vs.len());
     let mut out_body = body.clone();

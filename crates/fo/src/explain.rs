@@ -1,19 +1,16 @@
-//! EXPLAIN for the FO evaluator: evaluate a formula while recording, for
-//! every connective, the estimated cardinality (from the static planner)
-//! and the *actual* width of the intermediate relation the evaluator
-//! produced at that node.
+//! EXPLAIN for the FO evaluator: plan a formula, then evaluate it with
+//! plan capture on, so every connective reports the planner's estimated
+//! cardinality next to the *actual* width of the relation the evaluator
+//! built there.
 //!
-//! [`explain`] plans the formula first (`dco_analysis::planner`), then runs
-//! an instrumented mirror of [`eval_in_ctx`](crate::eval::eval_in_ctx) over
-//! the planned formula. The mirror applies the same simplification
-//! thresholds, alpha-renaming, and ¬∃¬ rewriting as the real evaluator, so
-//! the measured cardinalities are the ones a `checked_eval` of the same
-//! query would have paid — a drift test asserts the result relations are
-//! identical.
+//! There is no second evaluator here: [`explain_planned`] runs the same
+//! recursion as [`eval_in_ctx`](crate::eval::eval_in_ctx), handing it a
+//! sink for the plan nodes, so the measured cardinalities are the ones a
+//! plain evaluation of the planned formula pays.
 
-use crate::eval::{eval_pred, freshen, maybe_simplify, simple_term, EvalError, QueryResult};
-use dco_analysis::explain::{PlanNode, QueryPlan};
-use dco_analysis::planner::{estimate_formula, plan_formula};
+use crate::eval::{eval_node, EvalError, PlanSink, QueryResult};
+use dco_analysis::explain::QueryPlan;
+use dco_analysis::planner::plan_formula;
 use dco_analysis::stats::DbStats;
 use dco_core::prelude::*;
 use dco_logic::Formula;
@@ -27,21 +24,28 @@ pub struct Explained {
     pub plan: QueryPlan,
 }
 
-/// Plan and evaluate `formula`, collecting stats from `db` on the fly.
+/// Plan `formula` under statistics collected from `db`, then evaluate the
+/// planned formula with plan capture on.
 pub fn explain(db: &Database, formula: &Formula) -> Result<Explained, EvalError> {
-    explain_with_stats(db, formula, &DbStats::of_database(db))
+    let stats = DbStats::of_database(db);
+    explain_planned(db, &plan_formula(formula, &stats), &stats)
 }
 
-/// Plan and evaluate `formula` under pre-computed statistics (the store
-/// passes its per-generation snapshot here instead of recomputing).
-pub fn explain_with_stats(
+/// Evaluate an already-planned formula as written, recording a plan node
+/// per connective with its estimate under `stats` (the store passes its
+/// per-generation snapshot, the one it planned with).
+pub fn explain_planned(
     db: &Database,
-    formula: &Formula,
+    planned: &Formula,
     stats: &DbStats,
 ) -> Result<Explained, EvalError> {
-    let planned = plan_formula(formula, stats);
     let columns: Vec<String> = planned.free_vars().into_iter().collect();
-    let (relation, root) = explain_in_ctx(db, &planned, &columns, stats)?;
+    let mut sink = PlanSink::new(stats);
+    let relation = eval_node(db, planned, &columns, Some(&mut sink))?;
+    let root = sink
+        .nodes
+        .pop()
+        .expect("an evaluation with capture on records its root node");
     Ok(Explained {
         result: QueryResult { columns, relation },
         plan: QueryPlan {
@@ -51,135 +55,10 @@ pub fn explain_with_stats(
     })
 }
 
-/// The instrumented mirror of `eval_in_ctx`: same recursion, same
-/// normalization calls, plus a [`PlanNode`] per connective.
-fn explain_in_ctx(
-    db: &Database,
-    formula: &Formula,
-    ctx: &[String],
-    stats: &DbStats,
-) -> Result<(GeneralizedRelation, PlanNode), EvalError> {
-    let k = ctx.len() as u32;
-    let est = estimate_formula(formula, stats);
-    let col = |name: &str| -> Option<u32> { ctx.iter().position(|c| c == name).map(|i| i as u32) };
-    match formula {
-        Formula::True => {
-            let r = GeneralizedRelation::universe(k);
-            let n = PlanNode::new("true", "", est).with_actual(r.len() as u64);
-            Ok((r, n))
-        }
-        Formula::False => {
-            let r = GeneralizedRelation::empty(k);
-            let n = PlanNode::new("false", "", est).with_actual(r.len() as u64);
-            Ok((r, n))
-        }
-        Formula::Compare(l, op, r) => {
-            let lt = simple_term(l, &col)
-                .ok_or_else(|| EvalError::NotDenseOrder(formula.to_string()))?;
-            let rt = simple_term(r, &col)
-                .ok_or_else(|| EvalError::NotDenseOrder(formula.to_string()))?;
-            let rel = GeneralizedRelation::from_raw(k, [RawAtom::new(lt, *op, rt)]);
-            let n =
-                PlanNode::new("compare", formula.to_string(), est).with_actual(rel.len() as u64);
-            Ok((rel, n))
-        }
-        Formula::Pred(name, args) => {
-            let rel = eval_pred(db, name, args, ctx)?;
-            let n = PlanNode::new("pred", name.clone(), est).with_actual(rel.len() as u64);
-            Ok((rel, n))
-        }
-        Formula::Not(f) => {
-            let (r, c) = explain_in_ctx(db, f, ctx, stats)?;
-            let out = maybe_simplify(r.complement());
-            let n = PlanNode::new("not", "", est)
-                .with_actual(out.len() as u64)
-                .with_children(vec![c]);
-            Ok((out, n))
-        }
-        Formula::And(fs) => {
-            let mut acc = GeneralizedRelation::universe(k);
-            let mut children = Vec::with_capacity(fs.len());
-            for f in fs {
-                let (r, c) = explain_in_ctx(db, f, ctx, stats)?;
-                children.push(c);
-                acc = maybe_simplify(acc.intersect(&r));
-                if acc.is_empty() {
-                    break;
-                }
-            }
-            let n = PlanNode::new("and", "", est)
-                .with_actual(acc.len() as u64)
-                .with_children(children);
-            Ok((acc, n))
-        }
-        Formula::Or(fs) => {
-            let mut acc = GeneralizedRelation::empty(k);
-            let mut children = Vec::with_capacity(fs.len());
-            for f in fs {
-                let (r, c) = explain_in_ctx(db, f, ctx, stats)?;
-                children.push(c);
-                acc = acc.union(&r);
-            }
-            let acc = maybe_simplify(acc);
-            let n = PlanNode::new("or", "", est)
-                .with_actual(acc.len() as u64)
-                .with_children(children);
-            Ok((acc, n))
-        }
-        Formula::Implies(a, b) => {
-            let (ra, ca) = explain_in_ctx(db, a, ctx, stats)?;
-            let (rb, cb) = explain_in_ctx(db, b, ctx, stats)?;
-            let out = maybe_simplify(ra.complement().union(&rb));
-            let n = PlanNode::new("implies", "", est)
-                .with_actual(out.len() as u64)
-                .with_children(vec![ca, cb]);
-            Ok((out, n))
-        }
-        Formula::Iff(a, b) => {
-            let (ra, ca) = explain_in_ctx(db, a, ctx, stats)?;
-            let (rb, cb) = explain_in_ctx(db, b, ctx, stats)?;
-            let both = ra.intersect(&rb);
-            let neither = ra.complement().intersect(&rb.complement());
-            let out = maybe_simplify(both.union(&neither));
-            let n = PlanNode::new("iff", "", est)
-                .with_actual(out.len() as u64)
-                .with_children(vec![ca, cb]);
-            Ok((out, n))
-        }
-        Formula::Exists(vs, body) => {
-            let (fresh_vs, body) = freshen(vs, body, ctx);
-            let mut ctx2: Vec<String> = ctx.to_vec();
-            ctx2.extend(fresh_vs.iter().cloned());
-            let (mut r, c) = explain_in_ctx(db, &body, &ctx2, stats)?;
-            for i in (ctx.len()..ctx2.len()).rev() {
-                r = r.project_out(Var(i as u32));
-            }
-            let out = maybe_simplify(r.narrow(k));
-            let n = PlanNode::new("exists", fresh_vs.join(", "), est)
-                .with_actual(out.len() as u64)
-                .with_children(vec![c]);
-            Ok((out, n))
-        }
-        Formula::Forall(vs, body) => {
-            // Mirror the evaluator's ¬∃¬ rewrite, keeping the rewrite
-            // visible as the node's child subtree.
-            let inner = Formula::Exists(vs.clone(), Box::new(Formula::not((**body).clone())));
-            let (r, c) = explain_in_ctx(db, &inner, ctx, stats)?;
-            let out = maybe_simplify(r.complement());
-            let n = PlanNode::new("forall", vs.join(", "), est)
-                .with_actual(out.len() as u64)
-                .with_children(vec![c]);
-            Ok((out, n))
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::eval::eval;
-    use dco_analysis::planner::plan_formula;
     use dco_logic::parse_formula;
 
     fn triangle_db() -> Database {
@@ -192,17 +71,6 @@ mod tests {
             ],
         );
         Database::new(Schema::new().with("R", 2)).with("R", tri)
-    }
-
-    #[test]
-    fn explain_matches_eval_of_planned_formula() {
-        let db = triangle_db();
-        let f = parse_formula("exists y . (R(x, y) & x < 5 & !R(y, x))").unwrap();
-        let ex = explain(&db, &f).unwrap();
-        let planned = plan_formula(&f, &DbStats::of_database(&db));
-        let direct = eval(&db, &planned).unwrap();
-        assert_eq!(ex.result.columns, direct.columns);
-        assert!(ex.result.relation.equivalent(&direct.relation));
     }
 
     #[test]

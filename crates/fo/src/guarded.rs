@@ -1,9 +1,9 @@
 //! Fault-tolerant FO evaluation: `try_*` entry points that run the
 //! bottom-up evaluator under a `dco_core::guard::EvalGuard`.
 //!
-//! Where [`crate::checked`] *predicts* (static analysis rejects queries
-//! whose estimated cost is absurd), this module *enforces*: the evaluation
-//! runs with a deadline, tuple/atom budgets, and a cancellation token, and
+//! Static analysis (`dco_analysis::preflight_formula`) *predicts* which
+//! queries are hopeless; this module *enforces*: the evaluation runs with
+//! a deadline, tuple/atom budgets, and a cancellation token, and
 //! every failure mode — budget trip, deadline, external cancellation,
 //! arithmetic overflow, even a worker panic — is contained at this
 //! boundary and returned as a typed [`GuardError`] carrying

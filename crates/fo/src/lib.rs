@@ -24,16 +24,12 @@
 
 #![warn(missing_docs)]
 
-pub mod checked;
 pub mod eval;
 pub mod explain;
 pub mod generic;
 pub mod guarded;
 
-pub use checked::{
-    checked_eval, checked_eval_str, checked_eval_with, CheckedEvalError, CheckedResult,
-};
 pub use eval::{eval, eval_in_ctx, eval_str, EvalError, QueryResult};
-pub use explain::{explain, explain_with_stats, Explained};
+pub use explain::{explain, explain_planned, Explained};
 pub use generic::{check_generic, check_generic_fixing, sample_automorphism, GenericityOutcome};
 pub use guarded::{default_limits, try_eval, try_eval_str, try_eval_with, TryEvalError, TryResult};

@@ -50,8 +50,8 @@ pub fn lin_atom_fingerprint(a: &LinAtom) -> u64 {
 /// per-atom hashes) so hashing is O(1) and equality fast-paths on one `u64`
 /// compare, plus per-column interval bounding boxes derived from
 /// single-variable atoms so join loops can skip box-disjoint pairs before
-/// running Fourier–Motzkin. Both are maintained incrementally by [`push`]
-/// (`LinTuple::push`).
+/// running Fourier–Motzkin. Both are maintained incrementally by
+/// [`LinTuple::push`].
 #[derive(Clone, Debug)]
 pub struct LinTuple {
     arity: u32,

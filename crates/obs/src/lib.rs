@@ -23,12 +23,11 @@
 //! seqs**. Bucket bounds are powers of two, so a quantile estimate is
 //! always within one bucket bound (a factor of two) of the true value.
 //!
-//! ## The kill switch
+//! ## Turning recording off
 //!
-//! [`set_enabled`]`(false)` turns every counter increment, gauge store,
-//! histogram record, and trace begin into an early return — the way to
-//! measure the cost of the default configuration against a run of the
-//! same workload with recording off.
+//! There is no process-wide switch: recording is always on. A store
+//! turns its own per-query tracing off with `Store::set_tracing(false)`,
+//! and a slow-log threshold of `Duration::MAX` keeps its log empty.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
@@ -41,7 +40,6 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use slowlog::{SlowLog, SlowQueryEntry};
 pub use trace::{ProbeAggs, TraceRecord, TraceRing};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Canonical names of the guard layer's probe sites, in the index order
@@ -60,19 +58,6 @@ pub const PROBE_SITES: [&str; 10] = [
     "group_commit_fsync",
     "shard_publish",
 ];
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enable or disable all recording (metrics, traces, slow-query
-/// log).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether recording is globally enabled (the default).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// The process-wide default registry, for instrumentation points with no
 /// natural owner (e.g. the datalog engine). Components with a lifecycle

@@ -58,7 +58,7 @@ fn shard_idx() -> usize {
 #[derive(Default, Debug)]
 struct PaddedCell(AtomicU64);
 
-/// A monotone counter striped over [`COUNTER_SHARDS`] padded atomic
+/// A monotone counter striped over `COUNTER_SHARDS` padded atomic
 /// cells: concurrent writers on different threads mostly touch different
 /// cache lines; reads sum the stripes.
 #[derive(Default, Debug)]
@@ -79,9 +79,6 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
         self.shards[shard_idx()].0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -108,9 +105,6 @@ impl Gauge {
 
     /// Set the current value.
     pub fn set(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
         self.v.store(v, Ordering::Relaxed);
     }
 
@@ -146,9 +140,6 @@ impl Histogram {
 
     /// Record one observation.
     pub fn record(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
         self.counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         // Saturating, not wrapping: a wrapped sum would make successive
         // snapshots regress, which the monotonicity property forbids.

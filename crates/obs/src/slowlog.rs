@@ -66,7 +66,7 @@ impl SlowLog {
 
     /// Whether a query of `total_ns` total latency qualifies.
     pub fn is_slow(&self, total_ns: u64) -> bool {
-        crate::enabled() && total_ns >= self.threshold_ns()
+        total_ns >= self.threshold_ns()
     }
 
     /// Append an entry, evicting the oldest past capacity.

@@ -193,12 +193,11 @@ pub fn note_queue_wait(d: Duration) {
 }
 
 /// Start a trace on this thread. Returns `false` — and records nothing —
-/// when tracing is globally disabled or a trace is already active (the
-/// outermost caller owns the trace). The owner must pair this with
+/// when a trace is already active (the outermost caller owns the trace). The owner must pair this with
 /// [`finish`].
 pub fn begin(label: &str) -> bool {
     let queue_wait_ns = PENDING_QUEUE_WAIT.with(|c| c.replace(0));
-    if !crate::enabled() || CURRENT.with(|c| c.borrow().is_some()) {
+    if CURRENT.with(|c| c.borrow().is_some()) {
         return false;
     }
     let probes = Arc::new(ProbeAggs::default());

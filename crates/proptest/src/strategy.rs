@@ -208,7 +208,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     elem: S,

@@ -52,8 +52,9 @@
 //!    `expired_deadline`). Otherwise the per-request guard deadline is
 //!    `min(client deadline − queue wait, `[`SERVER_DEADLINE_CAP`]`)`,
 //!    and the planner's cost estimate × a calibrated ns-per-cost-unit
-//!    EWMA projects completion: a query that cannot finish in time
-//!    (and is not already in the prepared cache) is shed here too.
+//!    EWMA projects completion: a request that cannot finish in time
+//!    (unless it is a `QUERY` whose answer already sits in the prepared
+//!    cache) is shed here too.
 //! 3. **Completion** — a successful reply that still slipped past the
 //!    client's deadline (scheduling skew) increments `served_late`.
 //!
@@ -945,17 +946,20 @@ fn respond_ctx(store: &Store, line: &str, serve: Option<&ServeCounters>) -> (Str
     respond_timed(store, line, serve, None)
 }
 
-/// Evaluate a `QUERY`/`EXPLAIN` under the request's deadline/budget
-/// options. `enqueued` (when known) is the queue-wait clock: a request
-/// whose deadline elapsed while queued is rejected without evaluating,
-/// and the evaluation guard gets the *remaining* deadline, capped by
-/// [`SERVER_DEADLINE_CAP`]. With calibrated cost data, a query whose
-/// projected evaluation cannot finish in the remainder is shed instead
-/// of started (unless the prepared cache already holds its answer).
+/// Evaluate a `QUERY` (or, with `explain`, an `EXPLAIN`) under the
+/// request's deadline/budget options; both run the same guarded
+/// [`Store::query_formula_limited`] pipeline. `enqueued` (when known) is
+/// the queue-wait clock: a request whose deadline elapsed while queued is
+/// rejected without evaluating, and the evaluation guard gets the
+/// *remaining* deadline, capped by [`SERVER_DEADLINE_CAP`]. With
+/// calibrated cost data, a request whose projected evaluation cannot
+/// finish in the remainder is shed instead of started (unless it is a
+/// `QUERY` whose answer the prepared cache already holds).
 fn run_read(
     store: &Store,
     opts: QueryOpts,
     src: &str,
+    explain: bool,
     serve: Option<&ServeCounters>,
     enqueued: Option<Instant>,
 ) -> Result<String, StoreError> {
@@ -981,7 +985,7 @@ fn run_read(
     let est = store.estimate_query_cost(&formula);
     if let Some(c) = serve {
         let rate = c.ewma_cost_ns.load(Ordering::Relaxed);
-        if rate > 0 && !store.has_prepared(&formula) {
+        if rate > 0 && (explain || !store.has_prepared(&formula)) {
             let projected = cost::projected_eval_time(est, rate);
             if projected > budget {
                 c.shed_overload.fetch_add(1, Ordering::Relaxed);
@@ -999,7 +1003,7 @@ fn run_read(
     if let Some(n) = opts.max_atoms {
         limits = limits.with_max_atoms(n);
     }
-    let out = store.query_formula_limited(&formula, limits)?;
+    let out = store.query_formula_limited(&formula, limits, explain)?;
     if let Some(c) = serve {
         if !out.cached {
             let per_unit = started.elapsed().as_nanos() as f64 / est.max(1.0);
@@ -1012,34 +1016,10 @@ fn run_read(
             }
         }
     }
-    Ok(wire::query_output_to_json(&out))
-}
-
-/// `EXPLAIN` under the same admission rules as [`run_read`] — deadline
-/// expiry is honored at dequeue, but the plan measurement itself runs
-/// unguarded (EXPLAIN is for inspection, not serving).
-fn run_explain(
-    store: &Store,
-    opts: QueryOpts,
-    src: &str,
-    serve: Option<&ServeCounters>,
-    enqueued: Option<Instant>,
-) -> Result<String, StoreError> {
-    let waited = enqueued.map_or(Duration::ZERO, |t| t.elapsed());
-    if let Some(d) = opts.deadline_ms {
-        if waited >= Duration::from_millis(d) {
-            if let Some(c) = serve {
-                c.expired_deadline.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(StoreError::DeadlineExceeded {
-                elapsed_ms: waited.as_millis() as u64,
-                limit_ms: d,
-            });
-        }
-    }
-    store
-        .query_explain(src)
-        .map(|out| wire::explain_output_to_json(&out))
+    Ok(match &out.plan {
+        Some(plan) => wire::explain_output_to_json(&out, plan),
+        None => wire::query_output_to_json(&out),
+    })
 }
 
 /// [`respond_ctx`] with the enqueue instant in scope — the full serving
@@ -1070,8 +1050,8 @@ fn respond_timed(
         }
         Request::Ping => Ok("pong".to_string()),
         Request::Close => return ("OK bye".to_string(), true),
-        Request::Query(opts, src) => run_read(store, opts, &src, serve, enqueued),
-        Request::Explain(opts, src) => run_explain(store, opts, &src, serve, enqueued),
+        Request::Query(opts, src) => run_read(store, opts, &src, false, serve, enqueued),
+        Request::Explain(opts, src) => run_read(store, opts, &src, true, serve, enqueued),
         Request::Create(name, arity) => store.create(&name, arity).map(|seq| seq.to_string()),
         Request::Drop(name) => store.drop_relation(&name).map(|seq| seq.to_string()),
         Request::Insert(name, body) => with_relation(&body, |rel| store.insert(&name, rel)),
@@ -1425,6 +1405,62 @@ mod tests {
             Some(Instant::now()),
         );
         assert!(r.starts_with("ERR DEADLINE_EXCEEDED"), "got {r}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn explain_runs_under_the_same_guard_as_query() {
+        let dir = tmpdir("explain-guard");
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let lt = GeneralizedRelation::from_raw(
+            2,
+            vec![RawAtom::new(Term::var(0), RawOp::Lt, Term::var(1))],
+        );
+        // 32 overlapping boxes: composing and complementing them takes
+        // far longer than a millisecond.
+        let boxes = GeneralizedRelation::from_tuples(
+            2,
+            (0..32i128).map(|i| {
+                let (a, b) = (2 * i, (7 * i) % 61);
+                GeneralizedTuple::from_raw(
+                    2,
+                    vec![
+                        RawAtom::new(Term::cst(rat(a, 1)), RawOp::Le, Term::var(0)),
+                        RawAtom::new(Term::var(0), RawOp::Le, Term::cst(rat(a + 5, 1))),
+                        RawAtom::new(Term::cst(rat(b, 1)), RawOp::Le, Term::var(1)),
+                        RawAtom::new(Term::var(1), RawOp::Le, Term::cst(rat(b + 9, 1))),
+                    ],
+                )
+                .pop()
+                .unwrap()
+            }),
+        );
+        for (name, rel) in [("r", &lt), ("s", &boxes)] {
+            store.create(name, 2).unwrap();
+            store.insert(name, rel.clone()).unwrap();
+        }
+        // A starved tuple budget trips EXPLAIN exactly as it trips QUERY.
+        for verb in ["QUERY", "EXPLAIN"] {
+            let (r, _) = respond(
+                &store,
+                &format!("{verb} @max_tuples=1 !(r(x, y) | r(y, x) | x < y)"),
+            );
+            assert!(r.starts_with("ERR"), "{verb}: got {r}");
+            assert!(r.contains("budget exceeded"), "{verb}: got {r}");
+        }
+        // A deadline that expires mid-evaluation, not in the queue.
+        let counters = ServeCounters::default();
+        let (r, _) = respond_timed(
+            &store,
+            "EXPLAIN @deadline_ms=1 !(exists z . (s(x, z) & s(z, y)) | s(y, x))",
+            Some(&counters),
+            Some(Instant::now()),
+        );
+        assert!(r.starts_with("ERR DEADLINE_EXCEEDED"), "got {r}");
+        assert_eq!(counters.expired_deadline.load(Ordering::Relaxed), 0);
+        // Within its limits, EXPLAIN still answers with the measured plan.
+        let (r, _) = respond(&store, "EXPLAIN @deadline_ms=60000 r(x, y) & x < y");
+        assert!(r.starts_with("OK {") && r.contains("\"act\":"), "got {r}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -58,10 +58,10 @@ use crate::wal::{apply_op, LogOp, Wal};
 use dco_analysis::explain::QueryPlan;
 use dco_analysis::stats::DbStats;
 use dco_analysis::{cost, plan_formula, preflight_formula, AnalysisOptions, Diagnostic};
-use dco_core::guard::{self, EvalErrorKind, GuardLimits, GuardStats, ProbeSite};
+use dco_core::guard::{self, EvalErrorKind, GuardLimits, GuardStats, Guarded, ProbeSite};
 use dco_core::intern::{fold, mix64};
 use dco_core::prelude::{Database, GeneralizedRelation, Schema};
-use dco_fo::{explain_with_stats, try_eval_with, TryEvalError};
+use dco_fo::{eval, explain_planned, QueryResult};
 use dco_logic::{parse_formula, Formula};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -144,6 +144,8 @@ pub struct QueryOutput {
     /// Guard statistics of the evaluation (`None` on cache hits — no
     /// evaluation happened).
     pub stats: Option<GuardStats>,
+    /// The measured plan, for an explained query (`None` otherwise).
+    pub plan: Option<QueryPlan>,
 }
 
 /// Observable store counters.
@@ -1431,7 +1433,7 @@ impl Store {
 
     /// [`Store::query`] for an already-parsed formula.
     pub fn query_formula(&self, formula: &Formula) -> Result<QueryOutput, StoreError> {
-        self.query_formula_limited(formula, GuardLimits::none())
+        self.query_formula_limited(formula, GuardLimits::none(), false)
     }
 
     /// The planner's cost estimate for `formula` against the current
@@ -1458,16 +1460,24 @@ impl Store {
         plock(&self.inner.prepared).get(key).is_some()
     }
 
-    /// [`Store::query_formula`] with extra per-request guard limits
-    /// (the wire's `@deadline_ms=…` options). The request's limits are
-    /// *intersected* with the statistics-derived defaults — a client
-    /// can tighten the budgets the server would enforce, never loosen
-    /// them. A deadline trip surfaces as the typed
-    /// [`StoreError::DeadlineExceeded`], not a generic fault.
+    /// The one query pipeline, behind both `QUERY` and `EXPLAIN`:
+    /// prepared cache → preflight → statistics-derived guard limits
+    /// tightened by `extra` (the wire's `@deadline_ms=…`/`@max_*`
+    /// options) → plan → guarded evaluation. A client can tighten the
+    /// budgets the server would enforce, never loosen them. A deadline
+    /// trip surfaces as the typed [`StoreError::DeadlineExceeded`], not a
+    /// generic fault.
+    ///
+    /// With `explain`, the evaluation also records the measured plan
+    /// ([`QueryOutput::plan`]): every node carries the planner's
+    /// estimated cardinality and the width the evaluator produced. An
+    /// explained query neither consults nor fills the prepared cache
+    /// (EXPLAIN is for inspection, not serving).
     pub fn query_formula_limited(
         &self,
         formula: &Formula,
         extra: GuardLimits,
+        explain: bool,
     ) -> Result<QueryOutput, StoreError> {
         let obs = &self.inner.obs;
         // The store owns the per-query trace; the serving layer hands
@@ -1483,7 +1493,12 @@ impl Store {
         let fp = formula_fingerprint(formula);
         let key = (fp, self.cache_epoch(formula, &generation));
 
-        if let Some(hit) = plock(&self.inner.prepared).get(key) {
+        let hit = if explain {
+            None
+        } else {
+            plock(&self.inner.prepared).get(key)
+        };
+        if let Some(hit) = hit {
             self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
             if traced {
                 dco_obs::trace::child("cache_hit", started.elapsed());
@@ -1495,6 +1510,7 @@ impl Store {
                 relation: hit.1.clone(),
                 cached: true,
                 stats: None,
+                plan: None,
             });
         }
         // Static preflight: reject before spending evaluation budget.
@@ -1517,7 +1533,9 @@ impl Store {
         // so the cache key — the *original* formula's fingerprint — still
         // identifies the answer). Only queries that reach evaluation
         // count as cache misses.
-        self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
+        if !explain {
+            self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
+        }
         let phase = Instant::now();
         let limits = cost::suggested_limits_with_stats(
             formula,
@@ -1530,38 +1548,50 @@ impl Store {
             dco_obs::trace::child("plan", phase.elapsed());
         }
         let phase = Instant::now();
-        let guarded = try_eval_with(&generation.db, &planned, limits);
+        let guarded = guard::run_guarded(limits, || {
+            if explain {
+                explain_planned(&generation.db, &planned, &generation.stats)
+                    .map(|e| (e.result, Some(e.plan)))
+            } else {
+                eval(&generation.db, &planned).map(|r| (r, None))
+            }
+        });
         let eval_elapsed = phase.elapsed();
         obs.h_eval.record_duration(eval_elapsed);
         if traced {
             dco_obs::trace::child("eval", eval_elapsed);
         }
-        let guarded = match guarded {
-            Ok(g) => g,
+        let outcome = match guarded {
+            Ok(Guarded {
+                value: Ok(value),
+                stats,
+            }) => Ok((value, stats)),
+            Ok(Guarded { value: Err(e), .. }) => Err(StoreError::Invalid(e.to_string())),
+            Err(f) => Err(match f.kind {
+                EvalErrorKind::DeadlineExceeded {
+                    elapsed_ms,
+                    limit_ms,
+                } => StoreError::DeadlineExceeded {
+                    elapsed_ms,
+                    limit_ms,
+                },
+                _ => StoreError::Fault(f.to_string()),
+            }),
+        };
+        let ((result, plan), stats) = match outcome {
+            Ok(done) => done,
             Err(e) => {
                 // A failed evaluation is still worth a slow-log entry
                 // (deadline trips are the classic slow query).
                 self.finish_query_trace(traced, started, Some((&planned, &generation, None)));
-                return Err(match e {
-                    TryEvalError::Parse(p) => StoreError::Parse(p.to_string()),
-                    TryEvalError::Invalid(i) => StoreError::Invalid(i.to_string()),
-                    TryEvalError::Fault(f) => match f.kind {
-                        EvalErrorKind::DeadlineExceeded {
-                            elapsed_ms,
-                            limit_ms,
-                        } => StoreError::DeadlineExceeded {
-                            elapsed_ms,
-                            limit_ms,
-                        },
-                        _ => StoreError::Fault(f.to_string()),
-                    },
-                });
+                return Err(e);
             }
         };
 
-        let columns = guarded.value.columns;
-        let relation = guarded.value.relation;
-        plock(&self.inner.prepared).put(key, Arc::new((columns.clone(), relation.clone())));
+        let QueryResult { columns, relation } = result;
+        if !explain {
+            plock(&self.inner.prepared).put(key, Arc::new((columns.clone(), relation.clone())));
+        }
         self.finish_query_trace(
             traced,
             started,
@@ -1572,7 +1602,8 @@ impl Store {
             columns,
             relation,
             cached: false,
-            stats: Some(guarded.stats),
+            stats: Some(stats),
+            plan,
         })
     }
 
@@ -1617,30 +1648,6 @@ impl Store {
             });
         }
         obs.traces.push(record);
-    }
-
-    /// Plan and evaluate a query, returning the measured plan instead of
-    /// the relation: every node carries the planner's estimated
-    /// cardinality and the actual intermediate width the evaluator
-    /// produced. Runs against the current generation's stats snapshot;
-    /// never consults or fills the prepared cache (EXPLAIN is for
-    /// inspection, not serving).
-    pub fn query_explain(&self, src: &str) -> Result<ExplainOutput, StoreError> {
-        let formula = parse_formula(src).map_err(|e| StoreError::Parse(e.to_string()))?;
-        let generation = self.read();
-        preflight_formula(
-            &formula,
-            Some(generation.db.schema()),
-            &AnalysisOptions::default(),
-        )
-        .map_err(StoreError::Rejected)?;
-        let explained = explain_with_stats(&generation.db, &formula, &generation.stats)
-            .map_err(|e| StoreError::Invalid(e.to_string()))?;
-        Ok(ExplainOutput {
-            generation: generation.seq,
-            columns: explained.result.columns,
-            plan: explained.plan,
-        })
     }
 
     /// Current counters.
@@ -1716,17 +1723,6 @@ impl Store {
         r.set_gauge("store.cache.entries", s.cache_entries as u64);
         r.render()
     }
-}
-
-/// An EXPLAIN answer: the measured plan tree, tagged with its generation.
-#[derive(Debug, Clone)]
-pub struct ExplainOutput {
-    /// Generation the plan was computed against.
-    pub generation: u64,
-    /// Output columns of the explained query.
-    pub columns: Vec<String>,
-    /// Plan tree with estimated and actual cardinality per node.
-    pub plan: QueryPlan,
 }
 
 /// Assemble the global catalog + stats + watermark vector from per-shard
@@ -1999,23 +1995,25 @@ mod tests {
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
         store.create("R", 2).unwrap();
         store.insert("R", triangle()).unwrap();
+        let formula = parse_formula("exists y . (R(x, y) & x < 5 & !R(y, x))").unwrap();
         let out = store
-            .query_explain("exists y . (R(x, y) & x < 5 & !R(y, x))")
+            .query_formula_limited(&formula, GuardLimits::none(), true)
             .unwrap();
         assert_eq!(out.generation, store.read().seq);
+        let plan = out.plan.unwrap();
         assert!(
-            out.plan.root.fully_measured(),
+            plan.root.fully_measured(),
             "unmeasured node:\n{}",
-            out.plan.render()
+            plan.render()
         );
-        for line in out.plan.render().lines().skip(1) {
+        for line in plan.render().lines().skip(1) {
             assert!(line.contains("est=") && line.contains("act="), "{line}");
         }
         // EXPLAIN result matches the serving path's relation width.
         let q = store
             .query("exists y . (R(x, y) & x < 5 & !R(y, x))")
             .unwrap();
-        assert_eq!(out.plan.root.actual, Some(q.relation.len() as u64));
+        assert_eq!(plan.root.actual, Some(q.relation.len() as u64));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

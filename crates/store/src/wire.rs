@@ -85,8 +85,8 @@
 //! The replica applies each frame and answers with a text frame
 //! `ACK <seq>`; the primary folds those into its `repl_lag` gauge.
 
-use crate::store::{ExplainOutput, QueryOutput};
-use dco_analysis::explain::PlanNode;
+use crate::store::QueryOutput;
+use dco_analysis::explain::{PlanNode, QueryPlan};
 use dco_encoding::{relation_from_json, relation_to_json, Json};
 use std::io::{self, Read, Write};
 
@@ -425,19 +425,20 @@ pub fn query_output_to_json(out: &QueryOutput) -> String {
     .compact()
 }
 
-/// Render an EXPLAIN output as the wire's JSON object: generation, the
-/// planned formula text, output columns, and the recursive plan tree.
-/// Every node carries `est` and `act`; an unmeasured `act` encodes as
-/// JSON `null` (before protocol 4 it was the sentinel `-1`).
-pub fn explain_output_to_json(out: &ExplainOutput) -> String {
+/// Render an explained query's output as the wire's EXPLAIN JSON
+/// object: generation, the planned formula text, output columns, and the
+/// recursive plan tree. Every node carries `est` and `act`; an unmeasured
+/// `act` encodes as JSON `null` (before protocol 4 it was the sentinel
+/// `-1`).
+pub fn explain_output_to_json(out: &QueryOutput, plan: &QueryPlan) -> String {
     Json::Obj(vec![
         ("generation".into(), Json::Num(out.generation as f64)),
-        ("planned".into(), Json::Str(out.plan.planned.clone())),
+        ("planned".into(), Json::Str(plan.planned.clone())),
         (
             "columns".into(),
             Json::Arr(out.columns.iter().map(|c| Json::Str(c.clone())).collect()),
         ),
-        ("plan".into(), plan_node_to_json(&out.plan.root)),
+        ("plan".into(), plan_node_to_json(&plan.root)),
     ])
     .compact()
 }
@@ -498,6 +499,7 @@ pub fn query_output_from_json(src: &str) -> Result<QueryOutput, String> {
         columns,
         relation,
         stats: None,
+        plan: None,
     })
 }
 
