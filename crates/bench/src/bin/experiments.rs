@@ -78,7 +78,6 @@ fn main() {
         set_eval_config(EvalConfig {
             threads: n,
             parallel_threshold: if n > 1 { 1 } else { 192 },
-            ..EvalConfig::default()
         });
     }
 

@@ -44,7 +44,6 @@ fn forced_parallel(threads: usize) -> EvalConfig {
     EvalConfig {
         threads,
         parallel_threshold: 1,
-        ..EvalConfig::default()
     }
 }
 

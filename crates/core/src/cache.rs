@@ -1,30 +1,31 @@
-//! Memoized satisfiability: a sharded concurrent cache keyed by canonical
-//! generalized tuples.
+//! Memoized decisions: a sharded concurrent cache keyed by canonical
+//! tuples.
 //!
-//! Tuples are kept in canonical form (sorted, deduplicated atom vectors —
-//! see [`crate::tuple::GeneralizedTuple`]), so structurally identical
-//! conjunctions arising in different operations hash to the same key and
-//! their satisfiability is decided by the order-graph solver exactly once.
-//! The cache is sharded 16 ways so parallel workers deciding different
-//! tuples rarely contend on the same lock, and the expensive computation
-//! always happens *outside* the lock (two workers may race to decide the
-//! same tuple; both get the same verdict, one write wins — benign).
+//! The cache backs the Fourier–Motzkin satisfiability decision of the
+//! linear fragment (`dco_linear::tuple::lin_sat_cache`). Dense-order
+//! tuples need none: their verdict is carried incrementally by
+//! [`crate::sat::SatState`]. Keys are kept in canonical form (sorted,
+//! deduplicated atom vectors), so structurally identical conjunctions
+//! arising in different operations hash to the same key and are decided
+//! exactly once. The cache is sharded 16 ways so parallel workers deciding
+//! different tuples rarely contend on the same lock, and the expensive
+//! computation always happens *outside* the lock (two workers may race to
+//! decide the same tuple; both get the same verdict, one write wins —
+//! benign).
 //!
-//! Tuples hash in O(1): `GeneralizedTuple::Hash` writes the precomputed
-//! fingerprint (see [`crate::intern`]) instead of rehashing the atom
-//! vector, and a fingerprint collision falls through to the full structural
-//! key compare inside the map — so a probe costs one mix and (almost
-//! always) one `u64` compare per bucket entry.
+//! Keys hash in O(1) when their `Hash` writes a precomputed fingerprint
+//! (see [`crate::intern`]); a fingerprint collision falls through to the
+//! full structural key compare inside the map — so a probe costs one mix
+//! and (almost always) one `u64` compare per bucket entry.
 //!
-//! Eviction honors [`crate::par::EvalConfig::cache_capacity`] exactly: each
-//! shard holds at most `cache_capacity / SHARDS` entries, and an insert
-//! into a full shard evicts every other entry in one sweep rather than
-//! clearing the shard. Satisfiability verdicts are cheap to recompute
-//! relative to the cost of an LRU chain, so victim choice is not worth
-//! tracking — but keeping half the hot set (instead of dropping a whole
-//! shard) matters to fixpoint workloads that straddle the capacity
-//! boundary, and the batched sweep keeps eviction amortized O(1) per
-//! insert.
+//! Eviction honors the capacity given to [`MemoCache::with_capacity`]
+//! exactly: each shard holds at most `capacity / SHARDS` entries, and an
+//! insert into a full shard evicts every other entry in one sweep rather
+//! than clearing the shard. Verdicts are cheap to recompute relative to
+//! the cost of an LRU chain, so victim choice is not worth tracking — but
+//! keeping half the hot set (instead of dropping a whole shard) matters to
+//! fixpoint workloads that straddle the capacity boundary, and the batched
+//! sweep keeps eviction amortized O(1) per insert.
 //!
 //! Shard locks are *poison-tolerant*: a worker unwinding through a guard
 //! abort (or any panic) while holding a shard lock leaves the shard in a
@@ -36,17 +37,13 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
-use std::sync::{Mutex, OnceLock};
-
-use crate::par::eval_config;
-use crate::tuple::GeneralizedTuple;
+use std::sync::Mutex;
 
 const SHARDS: usize = 16;
 
 /// Hit/miss/eviction counters for a [`MemoCache`], read via
-/// [`MemoCache::stats`] (or [`sat_cache_stats`] for the global tuple
-/// cache). Counters are approximate under concurrency but exact in
-/// single-threaded benchmarks.
+/// [`MemoCache::stats`]. Counters are approximate under concurrency but
+/// exact in single-threaded benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -91,21 +88,17 @@ impl<K, V> Default for Shard<K, V> {
 pub struct MemoCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     hasher: RandomState,
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Default for MemoCache<K, V> {
-    fn default() -> Self {
-        MemoCache::new()
-    }
+    per_shard_cap: usize,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> MemoCache<K, V> {
-    /// An empty cache; capacity is read from the live
-    /// [`EvalConfig`](crate::par::EvalConfig) at insert time.
-    pub fn new() -> Self {
+    /// An empty cache holding at most `capacity` entries (at least one per
+    /// shard).
+    pub fn with_capacity(capacity: usize) -> Self {
         MemoCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             hasher: RandomState::new(),
+            per_shard_cap: (capacity / SHARDS).max(1),
         }
     }
 
@@ -129,7 +122,6 @@ impl<K: Hash + Eq + Clone, V: Clone> MemoCache<K, V> {
             shard.misses += 1;
         }
         let value = compute();
-        let per_shard_cap = (eval_config().cache_capacity / SHARDS).max(1);
         let mut shard = self
             .shard(key)
             .lock()
@@ -138,9 +130,8 @@ impl<K: Hash + Eq + Clone, V: Clone> MemoCache<K, V> {
         // one `retain` sweep (amortized O(1) per insert). Evicting single
         // arbitrary victims instead would re-scan the table's growing
         // empty prefix on every insert at capacity — quadratic over a
-        // fixpoint run. The loop re-halves only if a capacity
-        // reconfiguration shrank the budget by more than half.
-        while shard.map.len() >= per_shard_cap {
+        // fixpoint run.
+        if shard.map.len() >= self.per_shard_cap {
             let before = shard.map.len();
             let mut i = 0u64;
             shard.map.retain(|_, _| {
@@ -200,22 +191,18 @@ impl<K: Hash + Eq + Clone, V: Clone> MemoCache<K, V> {
     }
 }
 
-/// The process-wide tuple-satisfiability cache used by
-/// [`GeneralizedTuple::is_satisfiable`](crate::tuple::GeneralizedTuple::is_satisfiable).
-pub fn tuple_sat_cache() -> &'static MemoCache<GeneralizedTuple, bool> {
-    static CACHE: OnceLock<MemoCache<GeneralizedTuple, bool>> = OnceLock::new();
-    CACHE.get_or_init(MemoCache::new)
-}
-
-/// Counters for the global tuple-satisfiability cache.
+/// Counters of the dense-order satisfiability memo cache, which no longer
+/// exists: the dense-order kernel keeps its verdict in
+/// [`crate::sat::SatState`] and memoizes nothing, so this always returns
+/// [`CacheStats::default()`]. It stays only because the `perfbench`
+/// harness reports it as `core.sat_cache.*`; the next benchmark change
+/// removes it together with those metrics.
 pub fn sat_cache_stats() -> CacheStats {
-    tuple_sat_cache().stats()
+    CacheStats::default()
 }
 
-/// Clear the global tuple-satisfiability cache and its counters.
-pub fn reset_sat_cache() {
-    tuple_sat_cache().reset()
-}
+/// Does nothing; see [`sat_cache_stats`] for why it remains.
+pub fn reset_sat_cache() {}
 
 #[cfg(test)]
 mod tests {
@@ -223,7 +210,7 @@ mod tests {
 
     #[test]
     fn memoizes_and_counts() {
-        let cache: MemoCache<u32, u32> = MemoCache::new();
+        let cache: MemoCache<u32, u32> = MemoCache::with_capacity(1024);
         let mut calls = 0;
         for _ in 0..3 {
             let v = cache.get_or_insert_with(&7, || {
@@ -241,7 +228,7 @@ mod tests {
 
     #[test]
     fn reset_clears_entries_and_counters() {
-        let cache: MemoCache<u32, u32> = MemoCache::new();
+        let cache: MemoCache<u32, u32> = MemoCache::with_capacity(1024);
         cache.get_or_insert_with(&1, || 1);
         assert_eq!(cache.len(), 1);
         cache.reset();
@@ -251,52 +238,34 @@ mod tests {
 
     #[test]
     fn capacity_is_honored_per_shard_exactly() {
-        use crate::par::{with_eval_config, EvalConfig};
         let capacity = 4 * SHARDS; // four entries per shard
-        with_eval_config(
-            EvalConfig {
-                cache_capacity: capacity,
-                ..EvalConfig::default()
-            },
-            || {
-                let cache: MemoCache<u64, u64> = MemoCache::new();
-                let inserts = 2000u64;
-                for i in 0..inserts {
-                    cache.get_or_insert_with(&i, || i);
-                    // Insert-count watermark: the cache never holds more
-                    // than its configured capacity, at any point.
-                    assert!(
-                        cache.len() <= capacity,
-                        "watermark exceeded at insert {i}: {} > {capacity}",
-                        cache.len()
-                    );
-                }
-                let stats = cache.stats();
-                assert_eq!(stats.misses, inserts);
-                // Every evicted entry is counted exactly once, so the
-                // resident count is inserts minus evictions — whole shards
-                // are never dropped.
-                assert_eq!(stats.evictions, inserts - cache.len() as u64);
-            },
-        );
+        let cache: MemoCache<u64, u64> = MemoCache::with_capacity(capacity);
+        let inserts = 2000u64;
+        for i in 0..inserts {
+            cache.get_or_insert_with(&i, || i);
+            // Insert-count watermark: the cache never holds more than its
+            // configured capacity, at any point.
+            assert!(
+                cache.len() <= capacity,
+                "watermark exceeded at insert {i}: {} > {capacity}",
+                cache.len()
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.misses, inserts);
+        // Every evicted entry is counted exactly once, so the resident
+        // count is inserts minus evictions — whole shards are never
+        // dropped.
+        assert_eq!(stats.evictions, inserts - cache.len() as u64);
     }
 
     #[test]
     fn eviction_keeps_cache_bounded() {
-        use crate::par::{with_eval_config, EvalConfig};
-        with_eval_config(
-            EvalConfig {
-                cache_capacity: SHARDS, // one entry per shard
-                ..EvalConfig::default()
-            },
-            || {
-                let cache: MemoCache<u64, u64> = MemoCache::new();
-                for i in 0..1000u64 {
-                    cache.get_or_insert_with(&i, || i);
-                }
-                assert!(cache.len() <= SHARDS);
-                assert!(cache.stats().evictions > 0);
-            },
-        );
+        let cache: MemoCache<u64, u64> = MemoCache::with_capacity(SHARDS); // one per shard
+        for i in 0..1000u64 {
+            cache.get_or_insert_with(&i, || i);
+        }
+        assert!(cache.len() <= SHARDS);
+        assert!(cache.stats().evictions > 0);
     }
 }

@@ -1,4 +1,4 @@
-//! Hash-consing: fingerprinted, `Arc`-backed handles for atoms and tuples.
+//! Fingerprints: deterministic 64-bit hashes of atoms and tuples.
 //!
 //! Every [`crate::tuple::GeneralizedTuple`] carries a precomputed 64-bit
 //! *fingerprint* — an order-independent combination of per-atom hashes that
@@ -6,23 +6,11 @@
 //! O(1) (the `Hash` impls write only the fingerprint) and give equality and
 //! subsumption checks a constant-time fast path; full structural comparison
 //! is kept behind the fingerprint compare, so a collision can never produce
-//! a wrong answer, only a slower one.
-//!
-//! On top of the fingerprints, an [`Interner`] deduplicates structurally
-//! equal values into shared [`Interned`] handles: equality between handles
-//! is a pointer compare first, then fingerprint, then (only on a genuine
-//! collision) the full value. Process-wide interners for atoms and tuples
-//! are provided ([`intern_atom`], [`intern_tuple`]); long-lived stores —
-//! the Datalog engine's accumulated facts — intern their tuples so repeated
-//! fixpoint stages share one allocation per distinct tuple.
+//! a wrong answer, only a slower one. A `HashSet` of tuples therefore
+//! deduplicates at the cost of one fingerprint probe per lookup.
 
 use crate::atom::{Atom, Term};
 use crate::rational::Rational;
-use crate::tuple::GeneralizedTuple;
-
-use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer.
 pub fn mix64(mut x: u64) -> u64 {
@@ -62,212 +50,16 @@ pub fn atom_fingerprint(a: &Atom) -> u64 {
     fold_term(h, &a.rhs())
 }
 
-/// Values that expose a precomputed fingerprint.
-pub trait Fingerprinted {
-    /// The 64-bit fingerprint (equal values have equal fingerprints).
-    fn fingerprint(&self) -> u64;
-}
-
-impl Fingerprinted for Atom {
-    fn fingerprint(&self) -> u64 {
-        atom_fingerprint(self)
-    }
-}
-
-impl Fingerprinted for GeneralizedTuple {
-    fn fingerprint(&self) -> u64 {
-        GeneralizedTuple::fingerprint(self)
-    }
-}
-
-/// A hash-consed handle: `Arc`-shared value plus its fingerprint.
-#[derive(Debug)]
-pub struct Interned<T>(Arc<Node<T>>);
-
-#[derive(Debug)]
-struct Node<T> {
-    fp: u64,
-    value: T,
-}
-
-impl<T> Interned<T> {
-    /// Wrap a value without consulting any interner (used for values that
-    /// are already known to be unique).
-    pub fn solitary(fp: u64, value: T) -> Interned<T> {
-        Interned(Arc::new(Node { fp, value }))
-    }
-
-    /// The precomputed fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        self.0.fp
-    }
-
-    /// The shared value.
-    pub fn get(&self) -> &T {
-        &self.0.value
-    }
-
-    /// Whether two handles share the same allocation (the hash-consing
-    /// fast path: interning the same value twice yields pointer-equal
-    /// handles).
-    pub fn ptr_eq(&self, other: &Interned<T>) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl<T> Clone for Interned<T> {
-    fn clone(&self) -> Self {
-        Interned(Arc::clone(&self.0))
-    }
-}
-
-impl<T> Deref for Interned<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0.value
-    }
-}
-
-impl<T: PartialEq> PartialEq for Interned<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.ptr_eq(other) || (self.0.fp == other.0.fp && self.0.value == other.0.value)
-    }
-}
-
-impl<T: Eq> Eq for Interned<T> {}
-
-impl<T> std::hash::Hash for Interned<T> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.fp);
-    }
-}
-
-const INTERNER_SHARDS: usize = 16;
-
-/// A sharded hash-consing table: structurally equal values intern to the
-/// same `Arc` allocation. Buckets are keyed by fingerprint; a bucket holds
-/// every distinct value sharing that fingerprint (in practice one).
-pub struct Interner<T> {
-    shards: Vec<Mutex<HashMap<u64, Vec<Interned<T>>>>>,
-}
-
-impl<T: Fingerprinted + Eq + Clone> Default for Interner<T> {
-    fn default() -> Self {
-        Interner::new()
-    }
-}
-
-impl<T: Fingerprinted + Eq + Clone> Interner<T> {
-    /// An empty interner.
-    pub fn new() -> Interner<T> {
-        Interner {
-            shards: (0..INTERNER_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Intern by reference: returns the shared handle, cloning the value
-    /// only when it is not present yet.
-    pub fn intern(&self, value: &T) -> Interned<T> {
-        let fp = value.fingerprint();
-        let shard = &self.shards[(fp as usize) % INTERNER_SHARDS];
-        let mut map = shard.lock().expect("interner shard poisoned");
-        let bucket = map.entry(fp).or_default();
-        if let Some(handle) = bucket.iter().find(|h| h.0.value == *value) {
-            return handle.clone();
-        }
-        let handle = Interned::solitary(fp, value.clone());
-        bucket.push(handle.clone());
-        handle
-    }
-
-    /// Number of distinct values interned.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("interner shard poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all interned values (existing handles stay valid — they own
-    /// their `Arc`s; only the consing table forgets them).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("interner shard poisoned").clear();
-        }
-    }
-}
-
-/// The process-wide tuple interner.
-pub fn tuple_interner() -> &'static Interner<GeneralizedTuple> {
-    static INTERNER: OnceLock<Interner<GeneralizedTuple>> = OnceLock::new();
-    INTERNER.get_or_init(Interner::new)
-}
-
-/// The process-wide atom interner.
-pub fn atom_interner() -> &'static Interner<Atom> {
-    static INTERNER: OnceLock<Interner<Atom>> = OnceLock::new();
-    INTERNER.get_or_init(Interner::new)
-}
-
-/// Intern a tuple in the process-wide interner.
-pub fn intern_tuple(t: &GeneralizedTuple) -> Interned<GeneralizedTuple> {
-    tuple_interner().intern(t)
-}
-
-/// Intern an atom in the process-wide interner.
-pub fn intern_atom(a: &Atom) -> Interned<Atom> {
-    atom_interner().intern(a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atom::{CompOp, RawAtom, RawOp};
     use crate::rational::rat;
+    use crate::tuple::GeneralizedTuple;
+    use std::collections::HashSet;
 
     fn atom(i: u32, op: CompOp, n: i64) -> Atom {
         Atom::normalized(Term::var(i), op, Term::cst(rat(n as i128, 1))).unwrap()[0]
-    }
-
-    #[test]
-    fn interning_same_value_shares_allocation() {
-        let interner: Interner<Atom> = Interner::new();
-        let a = atom(0, CompOp::Lt, 5);
-        let h1 = interner.intern(&a);
-        let h2 = interner.intern(&a.clone());
-        assert!(h1.ptr_eq(&h2));
-        assert_eq!(interner.len(), 1);
-        let b = atom(0, CompOp::Le, 5);
-        let h3 = interner.intern(&b);
-        assert!(!h1.ptr_eq(&h3));
-        assert_eq!(interner.len(), 2);
-    }
-
-    #[test]
-    fn handle_equality_and_hash_use_fingerprint() {
-        let a = atom(1, CompOp::Eq, 3);
-        let h1 = Interned::solitary(atom_fingerprint(&a), a);
-        let b = atom(1, CompOp::Eq, 3);
-        let h2 = Interned::solitary(atom_fingerprint(&b), b);
-        // Distinct allocations, equal values: equality holds via fp + value.
-        assert!(!h1.ptr_eq(&h2));
-        assert_eq!(h1, h2);
-        use std::hash::{BuildHasher, RandomState};
-        let s = RandomState::new();
-        assert_eq!(s.hash_one(&h1), s.hash_one(&h2));
     }
 
     #[test]
@@ -284,6 +76,9 @@ mod tests {
 
     #[test]
     fn tuple_interning_deduplicates_across_construction_paths() {
+        // The Datalog engine's per-evaluation `seen` set relies on this:
+        // one canonical tuple reached along two construction paths is one
+        // set entry.
         let mk = || {
             GeneralizedTuple::from_raw(
                 2,
@@ -295,11 +90,11 @@ mod tests {
             .pop()
             .unwrap()
         };
-        let h1 = intern_tuple(&mk());
         // Same atoms pushed in a different order → same canonical tuple.
         let t2 =
             GeneralizedTuple::from_atoms(2, mk().atoms().iter().rev().copied().collect::<Vec<_>>());
-        let h2 = intern_tuple(&t2);
-        assert!(h1.ptr_eq(&h2));
+        assert_eq!(mk().fingerprint(), t2.fingerprint());
+        let seen: HashSet<GeneralizedTuple> = [mk(), t2].into_iter().collect();
+        assert_eq!(seen.len(), 1);
     }
 }

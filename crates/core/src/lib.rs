@@ -18,8 +18,10 @@
 //!   ([`automorphism`]);
 //! * schemas and database instances ([`database`]);
 //! * a parallel evaluation layer — scoped-thread data parallelism gated by
-//!   an [`par::EvalConfig`] — and a memoized satisfiability cache ([`par`],
-//!   [`cache`]);
+//!   an [`par::EvalConfig`] ([`par`]); an incremental satisfiability
+//!   kernel with per-variable bounding boxes ([`sat`]); tuple fingerprints
+//!   ([`intern`]); and a sharded memo cache for costlier decision
+//!   procedures ([`cache`]);
 //! * a runtime resource governor — deadlines, tuple/atom budgets,
 //!   cooperative cancellation, panic containment, and a deterministic
 //!   fault-injection harness for chaos testing ([`guard`]).
@@ -76,7 +78,6 @@ pub mod prelude {
         run_guarded, BudgetKind, CancelToken, EvalError as GuardError,
         EvalErrorKind as GuardErrorKind, EvalGuard, GuardLimits, GuardStats, Guarded, ProbeSite,
     };
-    pub use crate::intern::{intern_atom, intern_tuple, Interned, Interner};
     pub use crate::interval::{Bound, Interval, IntervalSet};
     pub use crate::par::{eval_config, set_eval_config, with_eval_config, EvalConfig};
     pub use crate::rational::{rat, Rational};

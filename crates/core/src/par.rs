@@ -16,8 +16,8 @@
 //! Configuration is resolved in this order:
 //!
 //! 1. a thread-local override installed by [`with_eval_config`] (used by
-//!    the sequential-vs-parallel and kernel property tests to pin one
-//!    configuration per evaluation);
+//!    the sequential-vs-parallel property tests to pin one configuration
+//!    per evaluation);
 //! 2. the process-wide default, set by [`set_eval_config`].
 //!
 //! Worker threads never parallelize further ([`should_parallelize`] is
@@ -34,8 +34,7 @@
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 
 use crate::guard;
 
@@ -45,141 +44,70 @@ pub struct EvalConfig {
     /// Worker threads for data-parallel operations. `0` means "use
     /// [`std::thread::available_parallelism`]"; `1` disables parallelism.
     pub threads: usize,
-    /// Total entries a memo cache holds before eviction kicks in
-    /// (see [`crate::cache`]).
-    pub cache_capacity: usize,
     /// Minimum number of work units (tuple pairs, disjuncts) an operation
     /// must have before it forks; below this everything stays sequential.
     pub parallel_threshold: usize,
-    /// Carry the order-graph closure forward inside each tuple
-    /// ([`crate::sat::SatState`]), making satisfiability an O(1) flag read
-    /// instead of a per-call graph rebuild. Off reproduces the seed
-    /// kernel's batch decision procedure (with memoization).
-    pub incremental_sat: bool,
-    /// Skip tuple pairs with disjoint per-variable bounding boxes in
-    /// `intersect`/`difference`/`select` and the Datalog delta join before
-    /// any conjoin. Sound: disjoint boxes imply an unsatisfiable
-    /// conjunction, which the unpruned path would discard anyway.
-    pub prune_boxes: bool,
 }
+
+/// Automatic thread count, forking at 192 work units.
+const DEFAULT_CONFIG: EvalConfig = EvalConfig::with_threads(0);
 
 impl Default for EvalConfig {
     fn default() -> EvalConfig {
-        EvalConfig {
-            threads: 0,
-            cache_capacity: 1 << 16,
-            parallel_threshold: 192,
-            incremental_sat: true,
-            prune_boxes: true,
-        }
+        DEFAULT_CONFIG
     }
 }
 
 impl EvalConfig {
-    /// A configuration that never spawns threads (caching still applies).
-    pub fn sequential() -> EvalConfig {
-        EvalConfig {
-            threads: 1,
-            ..EvalConfig::default()
-        }
+    /// A configuration that never spawns threads.
+    pub const fn sequential() -> EvalConfig {
+        EvalConfig::with_threads(1)
     }
 
-    /// A configuration with an explicit thread count.
-    pub fn with_threads(threads: usize) -> EvalConfig {
+    /// A configuration with an explicit thread count and the default fork
+    /// threshold.
+    pub const fn with_threads(threads: usize) -> EvalConfig {
         EvalConfig {
             threads,
-            ..EvalConfig::default()
+            parallel_threshold: 192,
         }
     }
 
-    /// The seed kernel: batch satisfiability (memoized order-graph rebuild
-    /// per decision) and no bounding-box pruning. The reference side of
-    /// the kernel property tests (`crates/core/tests/kernel_properties.rs`,
-    /// `crates/fo/tests/properties.rs`), which require the fast paths of
-    /// [`EvalConfig::interned_kernel`] to give identical relations.
-    pub fn seed_kernel() -> EvalConfig {
-        EvalConfig {
-            incremental_sat: false,
-            prune_boxes: false,
-            ..EvalConfig::default()
-        }
-    }
-
-    /// The interned kernel: incremental [`crate::sat::SatState`]
-    /// satisfiability plus bounding-box pruning (the default). The kernel
-    /// property tests check it against [`EvalConfig::seed_kernel`].
-    pub fn interned_kernel() -> EvalConfig {
-        EvalConfig::default()
-    }
-
-    /// The concrete worker count this configuration resolves to.
+    /// The concrete worker count this configuration resolves to. The
+    /// automatic count is asked of the OS once per process: the query
+    /// reads cgroup files on Linux, and this runs on every fork decision.
     pub fn effective_threads(&self) -> usize {
+        static AUTO: OnceLock<usize> = OnceLock::new();
         if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            *AUTO.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
         } else {
             self.threads
         }
     }
 }
 
-static GLOBAL_CONFIG: RwLock<EvalConfig> = RwLock::new(EvalConfig {
-    threads: 0,
-    cache_capacity: 1 << 16,
-    parallel_threshold: 192,
-    incremental_sat: true,
-    prune_boxes: true,
-});
-
-/// Bumped on every [`set_eval_config`] so per-thread snapshots of the
-/// global configuration can be validated with one relaxed atomic load
-/// instead of taking the `RwLock` on every tuple construction.
-static CONFIG_GENERATION: AtomicU64 = AtomicU64::new(0);
+static GLOBAL_CONFIG: RwLock<EvalConfig> = RwLock::new(DEFAULT_CONFIG);
 
 thread_local! {
     static OVERRIDE: Cell<Option<EvalConfig>> = const { Cell::new(None) };
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// `(generation, snapshot)` of the global config; generation
-    /// `u64::MAX` marks the snapshot as never taken.
-    static GLOBAL_SNAPSHOT: Cell<(u64, EvalConfig)> = const {
-        Cell::new((
-            u64::MAX,
-            EvalConfig {
-                threads: 0,
-                cache_capacity: 1 << 16,
-                parallel_threshold: 192,
-                incremental_sat: true,
-                prune_boxes: true,
-            },
-        ))
-    };
 }
 
 /// Set the process-wide default configuration.
 pub fn set_eval_config(cfg: EvalConfig) {
     *GLOBAL_CONFIG.write().expect("config lock poisoned") = cfg;
-    CONFIG_GENERATION.fetch_add(1, Ordering::Release);
 }
 
-/// The configuration in effect on this thread.
-///
-/// This sits on the tuple-construction hot path, so the global default is
-/// cached per thread and revalidated with a single atomic generation load;
-/// the `RwLock` is only taken when [`set_eval_config`] has run since the
-/// last read on this thread.
+/// The configuration in effect on this thread: its [`with_eval_config`]
+/// override if one is installed, else the process-wide default.
 pub fn eval_config() -> EvalConfig {
-    if let Some(cfg) = OVERRIDE.with(Cell::get) {
-        return cfg;
-    }
-    let generation = CONFIG_GENERATION.load(Ordering::Acquire);
-    let (cached_generation, cached) = GLOBAL_SNAPSHOT.with(Cell::get);
-    if cached_generation == generation {
-        return cached;
-    }
-    let cfg = *GLOBAL_CONFIG.read().expect("config lock poisoned");
-    GLOBAL_SNAPSHOT.with(|s| s.set((generation, cfg)));
-    cfg
+    OVERRIDE
+        .with(Cell::get)
+        .unwrap_or_else(|| *GLOBAL_CONFIG.read().expect("config lock poisoned"))
 }
 
 /// Run `f` with `cfg` in effect on the current thread (and in any parallel
@@ -391,27 +319,19 @@ mod tests {
     #[test]
     fn workers_inherit_thread_local_override() {
         // A caller running under with_eval_config must see its override in
-        // the scoped worker threads too, or config-sensitive kernels (box
-        // pruning, incremental sat) would silently diverge between the
-        // sequential and parallel paths.
+        // the scoped worker threads too, or nested fork decisions would
+        // silently diverge between the sequential and parallel paths.
         let items: Vec<usize> = (0..8).collect();
-        let seen: Vec<EvalConfig> = with_eval_config(
-            EvalConfig {
-                threads: 3,
-                cache_capacity: 12345,
-                prune_boxes: false,
-                ..EvalConfig::default()
-            },
-            || par_map_when(true, &items, |_| eval_config()),
-        );
-        assert!(seen
-            .iter()
-            .all(|cfg| cfg.cache_capacity == 12345 && !cfg.prune_boxes));
+        let mut cfg = EvalConfig::with_threads(3);
+        cfg.parallel_threshold = 12345;
+        let seen: Vec<EvalConfig> =
+            with_eval_config(cfg, || par_map_when(true, &items, |_| eval_config()));
+        assert!(seen.iter().all(|&c| c == cfg));
     }
 
     #[test]
     fn panicked_worker_chunk_is_retried_once() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         static TRIPPED: AtomicBool = AtomicBool::new(false);
         TRIPPED.store(false, Ordering::SeqCst);
         let items: Vec<usize> = (0..64).collect();
@@ -453,16 +373,11 @@ mod tests {
 
     #[test]
     fn threshold_gates_forking() {
-        with_eval_config(
-            EvalConfig {
-                threads: 4,
-                parallel_threshold: 10,
-                ..EvalConfig::default()
-            },
-            || {
-                assert!(!should_parallelize(9));
-                assert!(should_parallelize(10));
-            },
-        );
+        let mut cfg = EvalConfig::with_threads(4);
+        cfg.parallel_threshold = 10;
+        with_eval_config(cfg, || {
+            assert!(!should_parallelize(9));
+            assert!(should_parallelize(10));
+        });
     }
 }

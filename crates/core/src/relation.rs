@@ -12,7 +12,7 @@
 
 use crate::atom::{Atom, RawAtom, Var};
 use crate::guard::{probe_charge, ProbeSite};
-use crate::par::{eval_config, par_map, par_map_when, should_parallelize};
+use crate::par::{par_map, par_map_when, should_parallelize};
 use crate::rational::Rational;
 use crate::tuple::GeneralizedTuple;
 
@@ -220,7 +220,6 @@ impl GeneralizedRelation {
     /// to the sequential one.
     pub fn intersect(&self, other: &GeneralizedRelation) -> GeneralizedRelation {
         assert_eq!(self.arity, other.arity, "intersect arity mismatch");
-        let prune = eval_config().prune_boxes;
         let pairs = self.tuples.len().saturating_mul(other.tuples.len());
         let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |a| {
             other
@@ -230,7 +229,7 @@ impl GeneralizedRelation {
                 // boxes conjoin to an unsatisfiable tuple, which the
                 // filter below would discard anyway — skipping them here
                 // changes nothing structurally, it only avoids the work.
-                .filter(|b| !prune || !a.box_disjoint(b))
+                .filter(|b| !a.box_disjoint(b))
                 .map(|b| a.conjoin(b))
                 .filter(|t| t.is_satisfiable())
                 .collect::<Vec<_>>()

@@ -1,10 +1,11 @@
 //! Incremental dense-order satisfiability and per-variable bounding boxes.
 //!
-//! The seed kernel decided satisfiability of a conjunction by rebuilding the
-//! full order graph (union-find + Tarjan SCC) on every call. This module
-//! carries the closure *forward* instead: a [`SatState`] lives inside each
-//! [`crate::tuple::GeneralizedTuple`] and is extended atom by atom as the
-//! tuple is built, so `is_satisfiable` becomes a flag read.
+//! Rather than rebuilding the full order graph (union-find + Tarjan SCC) on
+//! every decision, this module carries the closure *forward*: a
+//! [`SatState`] lives inside each [`crate::tuple::GeneralizedTuple`] and is
+//! extended atom by atom as the tuple is built, so `is_satisfiable` is a
+//! flag read. The batch solver remains as the reference the incremental
+//! one is tested against, and for witness construction.
 //!
 //! The invariant maintained is the dense-order completeness criterion in a
 //! cycle form: a conjunction of normalized atoms over `(Q, <)` is
@@ -128,20 +129,14 @@ struct Edge {
 /// sorted by value so consecutive constants can be chained with strict
 /// edges). All storage is flat `Vec`s, so cloning a tuple clones its state
 /// with a few `memcpy`s and no pointer chasing.
-///
-/// A state is either *tracked* (graph maintained, verdict available in O(1))
-/// or *untracked* (only the bounding boxes are maintained; satisfiability
-/// falls back to the batch solver). Tracking is fixed when the tuple is
-/// created, from [`crate::par::EvalConfig::incremental_sat`].
 #[derive(Clone, Debug)]
 pub struct SatState {
-    tracked: bool,
     unsat: bool,
     n_vars: u32,
     /// `(value, node id)`, sorted by value.
     consts: Vec<(Rational, u32)>,
     /// Head of each node's edge list (index into `edges`), or `NIL`.
-    /// Allocated lazily on the first tracked atom.
+    /// Allocated lazily on the first atom.
     head: Vec<u32>,
     edges: Vec<Edge>,
     /// Per-variable direct constant bounds; empty until the first
@@ -151,9 +146,8 @@ pub struct SatState {
 
 impl SatState {
     /// A fresh state for a tuple of the given arity.
-    pub fn new(arity: u32, tracked: bool) -> SatState {
+    pub fn new(arity: u32) -> SatState {
         SatState {
-            tracked,
             unsat: false,
             n_vars: arity,
             consts: Vec::new(),
@@ -163,15 +157,10 @@ impl SatState {
         }
     }
 
-    /// Whether this state maintains the order graph.
-    pub fn is_tracked(&self) -> bool {
-        self.tracked
-    }
-
-    /// The incremental verdict: `Some(satisfiable)` when tracked, `None`
-    /// when the caller must use the batch solver.
-    pub fn verdict(&self) -> Option<bool> {
-        self.tracked.then_some(!self.unsat)
+    /// The incremental verdict: whether the atoms asserted so far are
+    /// jointly satisfiable.
+    pub fn verdict(&self) -> bool {
+        !self.unsat
     }
 
     /// The per-variable bounding boxes (empty slice when no direct
@@ -181,15 +170,14 @@ impl SatState {
     }
 
     /// Number of *strict* edges in the order graph, including the built-in
-    /// chain edges between consecutive mentioned constants. Zero for
-    /// untracked states (no graph is maintained). The stats layer uses
-    /// this as the strict-obligation density of a tuple.
+    /// chain edges between consecutive mentioned constants. The stats layer
+    /// uses this as the strict-obligation density of a tuple.
     pub fn strict_edge_count(&self) -> usize {
         self.edges.iter().filter(|e| e.strict).count()
     }
 
     /// Number of *weak* edges in the order graph (each equality contributes
-    /// two). Zero for untracked states.
+    /// two).
     pub fn weak_edge_count(&self) -> usize {
         self.edges.iter().filter(|e| !e.strict).count()
     }
@@ -208,7 +196,7 @@ impl SatState {
     /// never reach here).
     pub fn assert_atom(&mut self, atom: &Atom) {
         self.update_box(atom);
-        if !self.tracked || self.unsat {
+        if self.unsat {
             return;
         }
         let u = self.node_of(atom.lhs());
@@ -222,8 +210,7 @@ impl SatState {
         }
     }
 
-    /// Fold a variable-vs-constant atom into the boxes (always maintained,
-    /// tracked or not, so pruning stays sound under any config).
+    /// Fold a variable-vs-constant atom into the boxes.
     fn update_box(&mut self, atom: &Atom) {
         let (var, c, var_is_lhs) = match (atom.lhs(), atom.rhs()) {
             (Term::Var(v), Term::Const(c)) => (v, c, true),
@@ -380,96 +367,88 @@ mod tests {
 
     #[test]
     fn strict_cycle_detected_incrementally() {
-        let mut s = SatState::new(3, true);
+        let mut s = SatState::new(3);
         s.assert_atom(&atom(v(0), CompOp::Lt, v(1)));
         s.assert_atom(&atom(v(1), CompOp::Lt, v(2)));
-        assert_eq!(s.verdict(), Some(true));
+        assert!(s.verdict());
         s.assert_atom(&atom(v(2), CompOp::Lt, v(0)));
-        assert_eq!(s.verdict(), Some(false));
+        assert!(!s.verdict());
     }
 
     #[test]
     fn weak_cycle_stays_satisfiable_until_strict_edge() {
-        let mut s = SatState::new(2, true);
+        let mut s = SatState::new(2);
         s.assert_atom(&atom(v(0), CompOp::Le, v(1)));
         s.assert_atom(&atom(v(1), CompOp::Le, v(0)));
-        assert_eq!(s.verdict(), Some(true));
+        assert!(s.verdict());
         s.assert_atom(&atom(v(0), CompOp::Lt, v(1)));
-        assert_eq!(s.verdict(), Some(false));
+        assert!(!s.verdict());
     }
 
     #[test]
     fn equality_contradicting_strict_order_detected() {
-        let mut s = SatState::new(2, true);
+        let mut s = SatState::new(2);
         s.assert_atom(&atom(v(0), CompOp::Lt, v(1)));
         s.assert_atom(&atom(v(0), CompOp::Eq, v(1)));
-        assert_eq!(s.verdict(), Some(false));
+        assert!(!s.verdict());
     }
 
     #[test]
     fn constant_chain_orders_pins() {
         // x = 1 ∧ x = 2 is unsat through the built-in constant chain.
-        let mut s = SatState::new(1, true);
+        let mut s = SatState::new(1);
         s.assert_atom(&atom(v(0), CompOp::Eq, c(1)));
-        assert_eq!(s.verdict(), Some(true));
+        assert!(s.verdict());
         s.assert_atom(&atom(v(0), CompOp::Eq, c(2)));
-        assert_eq!(s.verdict(), Some(false));
+        assert!(!s.verdict());
     }
 
     #[test]
     fn constant_sandwich_between_adjacent_constants() {
         // 3 < x ∧ x < 4 is satisfiable in Q; 3 < x ∧ x < 3 is not.
-        let mut s = SatState::new(1, true);
+        let mut s = SatState::new(1);
         s.assert_atom(&atom(c(3), CompOp::Lt, v(0)));
         s.assert_atom(&atom(v(0), CompOp::Lt, c(4)));
-        assert_eq!(s.verdict(), Some(true));
+        assert!(s.verdict());
 
-        let mut s = SatState::new(1, true);
+        let mut s = SatState::new(1);
         s.assert_atom(&atom(c(3), CompOp::Lt, v(0)));
         s.assert_atom(&atom(v(0), CompOp::Lt, c(3)));
-        assert_eq!(s.verdict(), Some(false));
+        assert!(!s.verdict());
     }
 
     #[test]
     fn out_of_order_constant_insertion_chains_correctly() {
         // Mention 5 first, then 1, then 3: chain must stay sorted by value.
-        let mut s = SatState::new(1, true);
+        let mut s = SatState::new(1);
         s.assert_atom(&atom(v(0), CompOp::Lt, c(5)));
         s.assert_atom(&atom(c(1), CompOp::Lt, v(0)));
         s.assert_atom(&atom(v(0), CompOp::Eq, c(3)));
-        assert_eq!(s.verdict(), Some(true));
+        assert!(s.verdict());
         // Now contradict through the chain: x < 1 while x = 3.
         s.assert_atom(&atom(v(0), CompOp::Lt, c(1)));
-        assert_eq!(s.verdict(), Some(false));
-    }
-
-    #[test]
-    fn untracked_state_gives_no_verdict_but_keeps_boxes() {
-        let mut s = SatState::new(1, false);
-        s.assert_atom(&atom(v(0), CompOp::Lt, c(5)));
-        assert_eq!(s.verdict(), None);
-        assert_eq!(s.boxes()[0].hi, Some((rat(5, 1), true)));
+        assert!(!s.verdict());
     }
 
     #[test]
     fn boxes_tighten_and_detect_disjointness() {
         // a: x ∈ [0, 1],  b: x ∈ [2, 3]  → disjoint.
-        let mut a = SatState::new(1, true);
+        let mut a = SatState::new(1);
         a.assert_atom(&atom(c(0), CompOp::Le, v(0)));
         a.assert_atom(&atom(v(0), CompOp::Le, c(1)));
-        let mut b = SatState::new(1, true);
+        let mut b = SatState::new(1);
         b.assert_atom(&atom(c(2), CompOp::Le, v(0)));
         b.assert_atom(&atom(v(0), CompOp::Le, c(3)));
         assert!(a.box_disjoint(&b));
         assert!(b.box_disjoint(&a));
 
         // c: x ∈ [1, 2] overlaps both only at endpoints.
-        let mut cbox = SatState::new(1, true);
+        let mut cbox = SatState::new(1);
         cbox.assert_atom(&atom(c(1), CompOp::Le, v(0)));
         cbox.assert_atom(&atom(v(0), CompOp::Le, c(2)));
         assert!(!a.box_disjoint(&cbox));
         // With a strict endpoint the shared point vanishes.
-        let mut d = SatState::new(1, true);
+        let mut d = SatState::new(1);
         d.assert_atom(&atom(c(1), CompOp::Lt, v(0)));
         d.assert_atom(&atom(v(0), CompOp::Le, c(2)));
         assert!(a.box_disjoint(&d));
@@ -477,8 +456,8 @@ mod tests {
 
     #[test]
     fn unconstrained_sides_never_disjoint() {
-        let a = SatState::new(2, true);
-        let mut b = SatState::new(2, true);
+        let a = SatState::new(2);
+        let mut b = SatState::new(2);
         b.assert_atom(&atom(c(2), CompOp::Le, v(0)));
         assert!(!a.box_disjoint(&b));
     }

@@ -5,10 +5,11 @@
 //! (typically infinite) set of points of `Q^k` satisfying it. This module
 //! provides the decision procedures the whole engine rests on:
 //!
-//! * **satisfiability** of a conjunction, by building the order graph over
-//!   term equivalence classes and rejecting exactly when a strongly connected
-//!   component contains a strict edge (the classic dense-order closure
-//!   argument — density and lack of endpoints make this complete);
+//! * **satisfiability** of a conjunction: its order graph over terms must
+//!   contain no cycle through a strict edge (the classic dense-order closure
+//!   argument — density and lack of endpoints make this complete). Each
+//!   tuple carries the graph incrementally ([`crate::sat`]); the batch
+//!   solver here rebuilds it per call and is the kernel's reference;
 //! * **witness construction** (a concrete rational point satisfying the
 //!   tuple), used for sampling-based canonicalization;
 //! * **single-variable quantifier elimination** (`∃x`), the dense-order QE
@@ -41,10 +42,7 @@ use std::fmt;
 ///   are never wrong;
 /// * a [`SatState`] — the order-graph closure extended atom by atom, giving
 ///   O(1) satisfiability and per-variable bounding boxes (see
-///   [`crate::sat`]). Graph tracking follows
-///   [`crate::par::EvalConfig::incremental_sat`] at construction time; with
-///   it off, satisfiability uses the memoized batch solver of the seed
-///   kernel.
+///   [`crate::sat`]).
 ///
 /// Equality, ordering and hashing are functions of `(arity, atoms)` only —
 /// the derived state never influences comparisons.
@@ -89,7 +87,7 @@ impl GeneralizedTuple {
             arity,
             atoms: Vec::new(),
             fp: 0,
-            sat: SatState::new(arity, crate::par::eval_config().incremental_sat),
+            sat: SatState::new(arity),
         }
     }
 
@@ -161,14 +159,6 @@ impl GeneralizedTuple {
         crate::intern::fold(self.fp, self.arity as u64)
     }
 
-    /// The incremental satisfiability verdict carried by the tuple's
-    /// [`SatState`], or `None` when the tuple was built without graph
-    /// tracking (then [`GeneralizedTuple::is_satisfiable`] uses the batch
-    /// solver).
-    pub fn sat_verdict(&self) -> Option<bool> {
-        self.sat.verdict()
-    }
-
     /// Per-variable interval bounding box (over-approximate, from direct
     /// variable-vs-constant atoms). Empty slice when no such atom exists.
     pub fn bounding_box(&self) -> &[VarBox] {
@@ -182,25 +172,10 @@ impl GeneralizedTuple {
         self.sat.box_disjoint(&other.sat)
     }
 
-    /// `(strict, weak)` order-obligation counts of the conjunction. When
-    /// the tuple carries a tracked [`SatState`] these are the order-graph
-    /// edge counts (equalities as two weak edges, constant chaining
-    /// included); otherwise they are derived from the atom list directly,
-    /// so the measure is available under every evaluation config.
+    /// `(strict, weak)` edge counts of the tuple's order graph
+    /// (equalities as two weak edges, constant chaining included).
     pub fn order_edge_counts(&self) -> (usize, usize) {
-        if self.sat.verdict().is_some() {
-            return (self.sat.strict_edge_count(), self.sat.weak_edge_count());
-        }
-        let mut strict = 0;
-        let mut weak = 0;
-        for a in &self.atoms {
-            match a.op() {
-                CompOp::Lt => strict += 1,
-                CompOp::Le => weak += 1,
-                CompOp::Eq => weak += 2,
-            }
-        }
-        (strict, weak)
+        (self.sat.strict_edge_count(), self.sat.weak_edge_count())
     }
 
     /// Whether the conjunction is empty (represents all of `Q^arity`).
@@ -279,28 +254,15 @@ impl GeneralizedTuple {
         self.atoms.iter().flat_map(|a| a.vars()).collect()
     }
 
-    /// Decide satisfiability over `(Q, <)`.
-    ///
-    /// Verdicts are memoized in the process-wide cache
-    /// ([`crate::cache::tuple_sat_cache`]): atoms are kept in canonical
-    /// sorted form, so structurally identical conjunctions produced by
-    /// different operations share a single order-graph decision. Tuples
-    /// with fewer than two atoms skip the cache — normalization already
-    /// resolved trivially-decidable atoms, so they are always satisfiable.
+    /// Decide satisfiability over `(Q, <)`: an O(1) read of the verdict the
+    /// tuple's [`SatState`] maintained as its atoms were pushed.
     pub fn is_satisfiable(&self) -> bool {
-        if self.atoms.len() < 2 {
-            return true;
-        }
-        // Incremental fast path: a tracked SatState already carries the
-        // verdict — no graph rebuild, no cache probe.
-        if let Some(verdict) = self.sat.verdict() {
-            return verdict;
-        }
-        crate::cache::tuple_sat_cache().get_or_insert_with(self, || self.is_satisfiable_uncached())
+        self.sat.verdict()
     }
 
-    /// Decide satisfiability without consulting the memo cache (used by the
-    /// cache itself on a miss, and by benchmarks measuring the raw solver).
+    /// Decide satisfiability with the batch order-graph solver, rebuilding
+    /// the graph from the atoms — the reference the incremental verdict of
+    /// [`GeneralizedTuple::is_satisfiable`] is tested against.
     pub fn is_satisfiable_uncached(&self) -> bool {
         OrderGraph::build(self)
             .map(|g| g.consistent())

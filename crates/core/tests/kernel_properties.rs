@@ -1,10 +1,9 @@
-//! Property tests for the hash-consed tuple kernel: the interned fast paths
-//! (fingerprints, incremental satisfiability, bounding-box pruning) must be
-//! *structurally* invisible — every algebra operation returns bit-identical
-//! relations whether the fast paths are on (`EvalConfig::interned_kernel`)
-//! or off (`EvalConfig::seed_kernel`).
+//! Property tests for the tuple kernel's fast paths, each against a slow
+//! reference: the incremental satisfiability verdict against the batch
+//! order-graph solver, box-pruned intersection against conjoining every
+//! pair, bounding boxes against satisfiability, and fingerprints against
+//! structural equality.
 
-use dco_core::intern::intern_tuple;
 use dco_core::prelude::*;
 use proptest::prelude::*;
 
@@ -52,9 +51,6 @@ fn arb_atoms(arity: u32) -> impl Strategy<Value = Vec<Atom>> {
     })
 }
 
-/// Materialize the raw description under the *current* EvalConfig (tuple
-/// construction decides sat-state tracking at creation time, so building
-/// inside the config scope matters).
 fn build(arity: u32, raws: &[Vec<RawAtom>]) -> GeneralizedRelation {
     let mut rel = GeneralizedRelation::empty(arity);
     for rs in raws {
@@ -65,92 +61,43 @@ fn build(arity: u32, raws: &[Vec<RawAtom>]) -> GeneralizedRelation {
     rel
 }
 
-/// Run `f` under both kernel configs and assert the results are
-/// structurally identical (same tuples, same order — not merely
-/// equivalent point sets).
-fn assert_configs_agree(
-    arity: u32,
-    raws_a: &[Vec<RawAtom>],
-    raws_b: &[Vec<RawAtom>],
-    f: impl Fn(&GeneralizedRelation, &GeneralizedRelation) -> GeneralizedRelation,
-) {
-    let seed = with_eval_config(EvalConfig::seed_kernel(), || {
-        let a = build(arity, raws_a);
-        let b = build(arity, raws_b);
-        f(&a, &b)
-    });
-    let interned = with_eval_config(EvalConfig::interned_kernel(), || {
-        let a = build(arity, raws_a);
-        let b = build(arity, raws_b);
-        f(&a, &b)
-    });
-    assert_eq!(
-        seed.tuples(),
-        interned.tuples(),
-        "seed and interned kernels diverged structurally"
-    );
+/// Intersection without the bounding-box pre-filter: conjoin every pair
+/// and insert the results in the order `intersect` does.
+fn all_pairs_intersect(a: &GeneralizedRelation, b: &GeneralizedRelation) -> GeneralizedRelation {
+    let mut r = GeneralizedRelation::empty(a.arity());
+    for x in a.tuples() {
+        for y in b.tuples() {
+            r.insert(x.conjoin(y));
+        }
+    }
+    r
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // ---- interned ≡ uninterned, structurally, for every core op ------
-
-    #[test]
-    fn kernels_agree_on_intersect(a in arb_relation(2), b in arb_relation(2)) {
-        assert_configs_agree(2, &a, &b, |x, y| x.intersect(y));
-    }
-
-    #[test]
-    fn kernels_agree_on_difference(a in arb_relation(2), b in arb_relation(2)) {
-        assert_configs_agree(2, &a, &b, |x, y| x.difference(y));
-    }
-
-    #[test]
-    fn kernels_agree_on_complement(a in arb_relation(2)) {
-        assert_configs_agree(2, &a, &[], |x, _| x.complement());
-    }
-
-    #[test]
-    fn kernels_agree_on_select_and_project(a in arb_relation(2)) {
-        assert_configs_agree(2, &a, &[], |x, _| {
-            x.select(RawAtom::new(Term::var(0), RawOp::Le, Term::var(1)))
-                .project_out(Var(1))
-        });
-    }
-
     // ---- incremental SatState ≡ batch solver on random prefixes ------
 
     #[test]
     fn incremental_verdict_matches_batch_on_prefixes(atoms in arb_atoms(3)) {
-        with_eval_config(EvalConfig::interned_kernel(), || {
-            let mut t = GeneralizedTuple::top(3);
-            for atom in atoms {
-                t.push(atom);
-                let verdict = t.sat_verdict().expect("interned kernel tracks sat state");
-                prop_assert_eq!(
-                    verdict,
-                    t.is_satisfiable_uncached(),
-                    "prefix {} disagrees with the batch solver",
-                    &t
-                );
-            }
-        });
+        let mut t = GeneralizedTuple::top(3);
+        for atom in atoms {
+            t.push(atom);
+            prop_assert_eq!(
+                t.is_satisfiable(),
+                t.is_satisfiable_uncached(),
+                "prefix {} disagrees with the batch solver",
+                &t
+            );
+        }
     }
 
     // ---- box pruning never changes intersect results -----------------
 
     #[test]
     fn box_pruned_intersect_matches_unpruned(a in arb_relation(2), b in arb_relation(2)) {
-        let unpruned = with_eval_config(
-            EvalConfig { prune_boxes: false, ..EvalConfig::default() },
-            || build(2, &a).intersect(&build(2, &b)),
-        );
-        let pruned = with_eval_config(
-            EvalConfig { prune_boxes: true, ..EvalConfig::default() },
-            || build(2, &a).intersect(&build(2, &b)),
-        );
-        prop_assert_eq!(unpruned.tuples(), pruned.tuples());
+        let (a, b) = (build(2, &a), build(2, &b));
+        prop_assert_eq!(a.intersect(&b).tuples(), all_pairs_intersect(&a, &b).tuples());
     }
 
     // ---- boxes are sound over-approximations -------------------------
@@ -170,16 +117,20 @@ proptest! {
         }
     }
 
-    // ---- fingerprints & interning ------------------------------------
+    // ---- fingerprints -------------------------------------------------
 
     #[test]
     fn equal_tuples_share_fingerprint_and_handle(raws in arb_raws(2)) {
         for t in GeneralizedTuple::from_raw(2, raws.clone()) {
-            // Rebuild through a different construction path: atom replay.
-            let rebuilt = GeneralizedTuple::from_atoms(2, t.atoms().iter().copied());
-            prop_assert_eq!(&rebuilt, &t);
-            prop_assert_eq!(rebuilt.fingerprint(), t.fingerprint());
-            prop_assert!(intern_tuple(&t).ptr_eq(&intern_tuple(&rebuilt)));
+            // Rebuild through other construction paths: atom replay, in
+            // order and reversed.
+            for rebuilt in [
+                GeneralizedTuple::from_atoms(2, t.atoms().iter().copied()),
+                GeneralizedTuple::from_atoms(2, t.atoms().iter().rev().copied()),
+            ] {
+                prop_assert_eq!(&rebuilt, &t);
+                prop_assert_eq!(rebuilt.fingerprint(), t.fingerprint());
+            }
         }
     }
 }

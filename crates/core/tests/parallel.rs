@@ -51,7 +51,6 @@ fn forced() -> EvalConfig {
     EvalConfig {
         threads: 4,
         parallel_threshold: 1,
-        ..EvalConfig::default()
     }
 }
 

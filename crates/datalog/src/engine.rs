@@ -24,7 +24,7 @@ use dco_core::par::par_map_coarse;
 use dco_core::prelude::*;
 use dco_fo::eval_in_ctx;
 use dco_logic::Formula;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// Errors during fixpoint evaluation.
@@ -189,12 +189,12 @@ pub fn run_with(
 
     let mut stats = EngineStats::default();
     // Per-predicate set of delta tuples already folded into (or found
-    // covered by) the store in an earlier stage. Handles are hash-consed
-    // ([`intern_tuple`]), so membership costs one fingerprint probe and a
-    // pointer compare — the store is inflationary, so a tuple seen once is
-    // covered forever and never needs the O(|store|) subsumption scan again.
-    let mut seen: BTreeMap<String, std::collections::HashSet<Interned<GeneralizedTuple>>> =
-        BTreeMap::new();
+    // covered by) the store in an earlier stage. Tuples hash by their
+    // fingerprint, so membership costs one fingerprint probe — the store is
+    // inflationary, so a tuple seen once is covered forever and never needs
+    // the O(|store|) subsumption scan again. The set lives only as long as
+    // this evaluation.
+    let mut seen: BTreeMap<String, HashSet<GeneralizedTuple>> = BTreeMap::new();
     loop {
         // Guard probe: one hit per fixpoint stage boundary — the natural
         // cancellation point of the engine (deadlines and external
@@ -259,7 +259,6 @@ pub fn run_with(
                             .collect::<Vec<_>>(),
                     ),
                     None => {
-                        let prune = eval_config().prune_boxes;
                         let covered = seen.entry(p.clone()).or_default();
                         let fresh = GeneralizedRelation::from_tuples(
                             delta.arity(),
@@ -267,7 +266,7 @@ pub fn run_with(
                                 .tuples()
                                 .iter()
                                 .filter(|t| {
-                                    if covered.contains(&intern_tuple(t)) {
+                                    if covered.contains(t) {
                                         return false;
                                     }
                                     // A store tuple whose bounding box is
@@ -276,7 +275,7 @@ pub fn run_with(
                                     // pairs.
                                     !old.tuples()
                                         .iter()
-                                        .any(|u| (!prune || !u.box_disjoint(t)) && u.subsumes(t))
+                                        .any(|u| !u.box_disjoint(t) && u.subsumes(t))
                                 })
                                 .cloned(),
                         );
@@ -284,7 +283,9 @@ pub fn run_with(
                         // subsumed ones already were, the fresh ones are
                         // merged into the store below.
                         for t in delta.tuples() {
-                            covered.insert(intern_tuple(t));
+                            if !covered.contains(t) {
+                                covered.insert(t.clone());
+                            }
                         }
                         fresh
                     }

@@ -176,7 +176,7 @@ proptest! {
         let seq = with_eval_config(EvalConfig::sequential(), || run(&tc_program(), &db))
             .expect("fixpoint");
         let par = with_eval_config(
-            EvalConfig { threads: 4, parallel_threshold: 1, ..EvalConfig::default() },
+            EvalConfig { threads: 4, parallel_threshold: 1 },
             || run(&tc_program(), &db),
         )
         .expect("fixpoint");

@@ -8,7 +8,7 @@
 
 use crate::atom::{LinAtom, NormalizedAtom};
 use crate::tuple::LinTuple;
-use dco_core::par::{eval_config, par_map, par_map_when, should_parallelize};
+use dco_core::par::{par_map, par_map_when, should_parallelize};
 use dco_core::prelude::{Atom, GeneralizedRelation, GeneralizedTuple, Rational, Term};
 
 use std::fmt;
@@ -115,14 +115,13 @@ impl LinRelation {
         assert_eq!(self.arity, other.arity);
         let pairs = self.tuples.len().saturating_mul(other.tuples.len());
         let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |a| {
-            let prune = eval_config().prune_boxes;
             other
                 .tuples
                 .iter()
                 // Box-disjoint pairs conjoin to an unsatisfiable tuple the
                 // downstream filter would discard anyway; skip them before
                 // paying for conjoin + Fourier–Motzkin.
-                .filter(|b| !prune || !a.box_disjoint(b))
+                .filter(|b| !a.box_disjoint(b))
                 .map(|b| a.conjoin(b).pruned())
                 .filter(|t| t.is_satisfiable())
                 .collect::<Vec<_>>()

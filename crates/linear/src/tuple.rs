@@ -8,19 +8,22 @@
 //! pruning keeps the quadratic growth of each step in check.
 
 use crate::atom::{LinAtom, NormalizedAtom};
-use dco_core::intern::{fold, fold_rational, Fingerprinted};
+use dco_core::intern::{fold, fold_rational};
 use dco_core::prelude::{CompOp, MemoCache, Rational, VarBox};
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
+/// Entries [`lin_sat_cache`] holds before eviction.
+const LIN_SAT_CACHE_CAPACITY: usize = 1 << 16;
+
 /// Process-wide memo cache for [`LinTuple::is_satisfiable`] — the
 /// Fourier–Motzkin decision is far more expensive than the dense-order
-/// order-graph check, so memoization pays off even sooner here.
+/// order-graph check, so memoization pays off here.
 pub fn lin_sat_cache() -> &'static MemoCache<LinTuple, bool> {
     static CACHE: OnceLock<MemoCache<LinTuple, bool>> = OnceLock::new();
-    CACHE.get_or_init(MemoCache::new)
+    CACHE.get_or_init(|| MemoCache::with_capacity(LIN_SAT_CACHE_CAPACITY))
 }
 
 /// Order-independent fingerprint of a linear atom: a SplitMix64 chain over
@@ -85,12 +88,6 @@ impl Ord for LinTuple {
 impl Hash for LinTuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.fingerprint());
-    }
-}
-
-impl Fingerprinted for LinTuple {
-    fn fingerprint(&self) -> u64 {
-        LinTuple::fingerprint(self)
     }
 }
 

@@ -34,6 +34,51 @@ fn arb_lin_relation(arity: usize) -> impl Strategy<Value = LinRelation> {
         .prop_map(move |ts| LinRelation::from_tuples(arity as u32, ts))
 }
 
+/// A single-column bound `±x_i op k` — the atoms that feed a tuple's
+/// bounding box.
+fn arb_bound_atom(arity: usize) -> impl Strategy<Value = Option<LinAtom>> {
+    (
+        0..arity,
+        prop_oneof![Just(1i128), Just(-1i128)],
+        -2i64..=2,
+        prop_oneof![Just(CompOp::Lt), Just(CompOp::Le), Just(CompOp::Eq)],
+    )
+        .prop_map(move |(i, sign, k, op)| {
+            let mut coeffs = vec![rat(0, 1); arity];
+            coeffs[i] = rat(sign, 1);
+            match LinAtom::normalize(coeffs, rat(k as i128, 1), op) {
+                NormalizedAtom::Atom(a) => Some(a),
+                _ => None,
+            }
+        })
+}
+
+/// Relations whose tuples are mostly bounded boxes, so that box-disjoint
+/// pairs are common.
+fn arb_boxy_relation(arity: usize) -> impl Strategy<Value = LinRelation> {
+    let atom = prop_oneof![3 => arb_bound_atom(arity), 1 => arb_lin_atom(arity)];
+    let tuple = prop::collection::vec(atom, 0..4)
+        .prop_map(move |atoms| LinTuple::from_atoms(arity as u32, atoms.into_iter().flatten()));
+    prop::collection::vec(tuple, 0..4)
+        .prop_map(move |ts| LinRelation::from_tuples(arity as u32, ts))
+}
+
+/// Intersection without the bounding-box pre-filter: conjoin every pair,
+/// prune, keep the satisfiable ones and insert them in the order
+/// `intersect` does.
+fn all_pairs_intersect(a: &LinRelation, b: &LinRelation) -> LinRelation {
+    let mut r = LinRelation::empty(a.arity());
+    for x in a.tuples() {
+        for y in b.tuples() {
+            let t = x.conjoin(y).pruned();
+            if t.is_satisfiable() {
+                r.insert_satisfiable(t);
+            }
+        }
+    }
+    r
+}
+
 fn arb_point(arity: usize) -> impl Strategy<Value = Vec<Rational>> {
     prop::collection::vec(
         prop_oneof![
@@ -141,5 +186,17 @@ proptest! {
         if let Some(back) = lin.to_dense() {
             prop_assert_eq!(back.contains_point(&p), rel.contains_point(&p));
         }
+    }
+}
+
+// Box pruning must be structurally invisible: the same tuples in the same
+// order as conjoining every pair. Bounds are drawn from a small constant
+// range so boxes often touch or overlap at an endpoint.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn box_pruned_intersect_matches_unpruned(a in arb_boxy_relation(2), b in arb_boxy_relation(2)) {
+        prop_assert_eq!(a.intersect(&b).tuples(), all_pairs_intersect(&a, &b).tuples());
     }
 }

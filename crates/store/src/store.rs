@@ -306,7 +306,7 @@ impl From<CodecError> for StoreError {
 }
 
 /// Fingerprint of a formula's canonical (display) form, via the same
-/// deterministic mixer the interner uses — stable across processes, so
+/// deterministic mixer tuple fingerprints use — stable across processes, so
 /// prepared-query keys survive server restarts.
 pub fn formula_fingerprint(formula: &Formula) -> u64 {
     let text = formula.to_string();

@@ -278,46 +278,49 @@ fn seeded_injection_sweep() {
     );
 }
 
-/// Satellite (c): an aborted evaluation must not poison the satisfiability
-/// memo cache. Inject a mid-fixpoint cancellation, then re-run on the same
-/// (warm, partially-populated) cache and compare against a cold-cache run.
+/// An aborted evaluation must not poison the memo cache it was filling.
+/// Cancel the linear scenario mid-elimination, then re-run on the warm,
+/// partially populated Fourier–Motzkin cache and compare against a
+/// cold-cache run.
 #[test]
 fn aborted_evaluation_leaves_memo_cache_consistent() {
     if !injection_enabled() {
         return;
     }
-    let db = datalog_db();
-    let program = parse_program(DATALOG_SRC).expect("parses");
+    let db = Database::new(Schema::new());
+    let formula = parse_formula(LIN_SRC).expect("parses");
+    let cache = dco::linear::tuple::lin_sat_cache();
 
-    reset_sat_cache();
-    let plan = FaultPlan::new(Some(ProbeSite::FixpointStage), 2, InjectedFault::Cancel);
-    let aborted = dco::datalog::try_run_with(
-        &program,
-        &db,
-        &dco::datalog::EngineConfig::default(),
-        GuardLimits::none().with_fault(plan),
-    );
+    cache.reset();
+    let plan = FaultPlan::new(Some(ProbeSite::FourierMotzkin), 2, InjectedFault::Cancel);
+    let aborted =
+        dco::linear::try_eval_linear_with(&db, &formula, GuardLimits::none().with_fault(plan));
     assert!(
         matches!(
             aborted,
-            Err(dco::datalog::TryRunError::Fault(GuardError {
+            Err(dco::linear::TryLinEvalError::Fault(GuardError {
                 kind: GuardErrorKind::Cancelled,
                 ..
             }))
         ),
-        "mid-fixpoint cancellation must trip: {aborted:?}"
+        "mid-elimination cancellation must trip: {aborted:?}"
+    );
+    // Otherwise the warm run below would start from an empty cache and the
+    // test would check nothing.
+    assert!(
+        cache.stats().misses > 0,
+        "the aborted run decided no satisfiability through the cache"
     );
 
     // Warm run on whatever the aborted evaluation left in the cache.
-    let warm = run_datalog(&program, &db).expect("warm run");
+    let warm = eval_linear(&db, &formula).expect("warm run");
     // Cold run with the cache wiped.
-    reset_sat_cache();
-    let cold = run_datalog(&program, &db).expect("cold run");
+    cache.reset();
+    let cold = eval_linear(&db, &formula).expect("cold run");
     assert!(
-        warm.database.equivalent(&cold.database),
+        warm.relation.equivalent(&cold.relation),
         "aborted evaluation poisoned the memo cache"
     );
-    assert_eq!(warm.stats.stages, cold.stats.stages);
 }
 
 /// A cancellation token fired from another thread terminates a guarded
