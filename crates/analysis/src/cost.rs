@@ -167,15 +167,13 @@ fn limits_for_cells(cells: u128) -> GuardLimits {
         .with_max_atoms(atoms)
 }
 
-/// Cell-decomposition bailout work the kernel pays for the complements a
-/// formula forces. Every `Not` node complements its operand's relation;
-/// `Implies(a, b)` rewrites to `¬a ∨ b`; `Iff` complements both sides;
-/// `Forall` is `¬∃¬` — two complements. When the operand's box structure
-/// defeats the syntactic complement path, the kernel falls back to full
-/// cell decomposition, whose size is `(2m+1)^n` cells refined by the
-/// `fubini(n)` ordered-partition factor — that bailout is what each
-/// complement is charged here, so budgets stop under-estimating negated
-/// subformulas.
+/// Budget charge for the negations a formula forces. Every `Not` node
+/// negates its operand's relation; `Implies(a, b)` rewrites to `¬a ∨ b`;
+/// `Iff` negates both sides; `Forall` is `¬∃¬` — two negations. Each is
+/// charged the cell count over its operand's own constants and
+/// variables, `(2m+1)^n` refined by the `fubini(n)` ordered-partition
+/// factor, on top of the whole formula's cell estimate, so budgets leave
+/// room for the pieces negated subformulas produce.
 pub fn complement_charge(formula: &Formula) -> u128 {
     let mut total: u128 = 0;
     formula.walk(&mut |f| match f {
@@ -196,9 +194,9 @@ pub fn complement_charge(formula: &Formula) -> u128 {
     total
 }
 
-/// The kernel's complement-bailout estimate for one subformula: cell count
-/// over its own constants and variables times the Fubini refinement
-/// factor, floored at the kernel's minimum decomposition work.
+/// The negation charge for one subformula: cell count over its own
+/// constants and variables times the Fubini refinement factor, floored
+/// at 256.
 fn bailout_cells(f: &Formula) -> u128 {
     let m = constants_of_formula(f).len();
     let n = all_vars(f).len().max(1);

@@ -5,16 +5,13 @@ use dco::prelude::*;
 /// A unary database of `n` disjoint closed intervals `[3i, 3i+1]` —
 /// integer-defined, size Θ(n) under the standard encoding.
 ///
-/// Audit note (`fo_complement` non-monotonicity): the workload itself is
-/// monotone in `n` — constants, tuples, and the complement's disjunct count
-/// all grow linearly — so when size 24 once ran 8× faster than size 16, the
-/// generator was not at fault. The cause was the complement *strategy*
-/// threshold: mid sizes fell into the slow cell-decomposition branch while
-/// larger sizes overflowed the estimate into the fast syntactic branch. The
-/// strategy now always tries syntactic distribution with a width-budget
-/// bailout (see `GeneralizedRelation::complement_strategy`), restoring
-/// monotone timings; the interval family is kept unchanged so timings stay
-/// comparable across baselines.
+/// The workload is monotone in `n`: constants, tuples and the
+/// complement's disjunct count all grow linearly. (Timings once were not,
+/// because a complement strategy switched between negation distribution
+/// and cell decomposition by a size estimate; negation is now one
+/// box-pruned `GeneralizedRelation::subtract` with no such switch.) The
+/// interval family is kept unchanged so timings stay comparable across
+/// baselines.
 pub fn interval_db(n: usize) -> Database {
     let tuples = (0..n).map(|i| {
         let lo = 3 * i as i128;

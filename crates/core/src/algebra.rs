@@ -216,7 +216,7 @@ impl Plan {
                         "difference of different arities".to_string(),
                     ));
                 }
-                Ok(lrel.difference(&rrel))
+                Ok(lrel.subtract(&rrel))
             }
             Plan::Complement(input) => Ok(input.execute(db)?.complement()),
         }

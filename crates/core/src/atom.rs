@@ -392,28 +392,21 @@ impl Atom {
     }
 
     /// Negate: `¬(a < b) = b ≤ a`, `¬(a ≤ b) = b < a`,
-    /// `¬(a = b) = a < b ∨ b < a` (two alternatives).
-    pub fn negate(&self) -> Vec<Vec<Atom>> {
-        match self.op {
-            CompOp::Lt => match Atom::normalized(self.rhs, CompOp::Le, self.lhs) {
-                Some(a) => vec![a],
-                None => vec![],
-            },
-            CompOp::Le => match Atom::normalized(self.rhs, CompOp::Lt, self.lhs) {
-                Some(a) => vec![a],
-                None => vec![],
-            },
-            CompOp::Eq => {
-                let mut alts = Vec::new();
-                if let Some(a) = Atom::normalized(self.lhs, CompOp::Lt, self.rhs) {
-                    alts.push(a);
-                }
-                if let Some(a) = Atom::normalized(self.rhs, CompOp::Lt, self.lhs) {
-                    alts.push(a);
-                }
-                alts
-            }
-        }
+    /// `¬(a = b) = a < b ∨ b < a` — the alternatives of a disjunction, each
+    /// one atom (a normalized atom's negation is never trivial).
+    pub fn negate(&self) -> Vec<Atom> {
+        let alts = match self.op {
+            CompOp::Lt => vec![(self.rhs, CompOp::Le, self.lhs)],
+            CompOp::Le => vec![(self.rhs, CompOp::Lt, self.lhs)],
+            CompOp::Eq => vec![
+                (self.lhs, CompOp::Lt, self.rhs),
+                (self.rhs, CompOp::Lt, self.lhs),
+            ],
+        };
+        alts.into_iter()
+            .filter_map(|(l, op, r)| Atom::normalized(l, op, r))
+            .flatten()
+            .collect()
     }
 
     /// Map constants through a monotone function (used for automorphisms).
@@ -518,7 +511,7 @@ mod tests {
             vec![rat(1, 1), rat(1, 1)],
         ] {
             let val = atom.eval(&p);
-            let negval = neg.iter().any(|alt| alt.iter().all(|a| a.eval(&p)));
+            let negval = neg.iter().any(|a| a.eval(&p));
             assert_eq!(val, !negval);
         }
     }

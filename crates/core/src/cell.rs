@@ -368,7 +368,8 @@ impl CellSpace {
     }
 
     /// Cell-based complement: exact for relations whose constants lie in
-    /// this space, and often far cheaper than syntactic complement.
+    /// this space. Its size is the cell count, so it serves as the
+    /// reference [`GeneralizedRelation::complement`] is tested against.
     pub fn complement(&self, rel: &GeneralizedRelation) -> GeneralizedRelation {
         let form = self.canonicalize(rel);
         let inverted = CanonicalForm {

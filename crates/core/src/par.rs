@@ -1,8 +1,9 @@
 //! Evaluation configuration and data-parallel helpers.
 //!
 //! Every hot operation of the constraint algebra — pairwise conjunction in
-//! [`crate::relation::GeneralizedRelation::intersect`], the distribution
-//! step of the syntactic complement, per-disjunct quantifier elimination —
+//! [`crate::relation::GeneralizedRelation::intersect`], the per-tuple cuts
+//! of [`crate::relation::GeneralizedRelation::subtract`], per-disjunct
+//! quantifier elimination —
 //! is a map over an independent vector of generalized tuples, so it
 //! parallelizes embarrassingly. This module provides the scoped-thread
 //! fork/join primitives those operations use, gated by a process-wide

@@ -10,7 +10,7 @@
 //! representable relation — is the property Theorem 3 of \[KKR90\] (recalled in
 //! §4) rests on, and it holds constructively here.
 
-use crate::atom::{Atom, RawAtom, Var};
+use crate::atom::{RawAtom, Var};
 use crate::guard::{probe_charge, ProbeSite};
 use crate::par::{par_map, par_map_when, should_parallelize};
 use crate::rational::Rational;
@@ -28,20 +28,6 @@ use std::fmt;
 pub struct GeneralizedRelation {
     arity: u32,
     tuples: Vec<GeneralizedTuple>,
-}
-
-/// How [`GeneralizedRelation::complement`] will evaluate, as decided by
-/// [`GeneralizedRelation::complement_strategy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComplementStrategy {
-    /// Negation distribution with satisfiability and subsumption pruning.
-    /// `bailout` is the intermediate width at which the pass abandons its
-    /// work in favour of cell decomposition; `None` when the cell space is
-    /// too large to enumerate, so distribution must run unbounded.
-    Syntactic {
-        /// Maximum intermediate disjunct count before the cell fallback.
-        bailout: Option<usize>,
-    },
 }
 
 impl GeneralizedRelation {
@@ -241,164 +227,35 @@ impl GeneralizedRelation {
         r
     }
 
-    /// Complement with respect to `Q^k`.
-    ///
-    /// Two strategies (see [`GeneralizedRelation::complement_strategy`]):
-    ///
-    /// * **syntactic** — incremental distribution of the negated DNF
-    ///   (`¬(t₁ ∨ … ∨ tₙ) = ¬t₁ ∧ … ∧ ¬tₙ`) with unsatisfiability and
-    ///   subsumption pruning; compact output, but worst-case exponential in
-    ///   the number of disjuncts (e.g. complements of large finite point
-    ///   sets);
-    /// * **cell-based** — enumerate the order-type cells over the
-    ///   relation's constants and keep the non-members; linear in the cell
-    ///   count, which is polynomial for fixed arity.
-    ///
-    /// Static estimates of the syntactic width are wildly pessimistic
-    /// (subsumption pruning usually collapses the distribution), so rather
-    /// than choosing up front from the estimate, the syntactic pass runs
-    /// first with a *bailout budget* derived from the cell count: if its
-    /// intermediate width ever exceeds the budget — the genuinely
-    /// exponential cases, like complements of large point sets — it
-    /// abandons the partial work and the cell path takes over. When the
-    /// cell space itself is too large to enumerate, the syntactic pass
-    /// runs unbounded (it is the only option).
+    /// Complement with respect to `Q^k`: `universe − self`.
     pub fn complement(&self) -> GeneralizedRelation {
-        match self.complement_strategy() {
-            ComplementStrategy::Syntactic { bailout } => {
-                match self.complement_syntactic_bounded(bailout) {
-                    Some(r) => r,
-                    None => {
-                        let space = crate::cell::CellSpace::for_relations(self.arity, [self]);
-                        space.complement(self)
-                    }
-                }
-            }
+        GeneralizedRelation::universe(self.arity).subtract(self)
+    }
+
+    /// Set difference `self ∖ other` — the one negation kernel:
+    /// [`GeneralizedRelation::complement`] is `Q^k ∖ self`, and the FO
+    /// evaluator maps `A ∧ ¬B` to `A ∖ B` without forming `¬B`.
+    ///
+    /// Each tuple of `self` is cut by the tuples of `other` in turn into
+    /// pairwise disjoint pieces (see `cut`), so the cost follows the
+    /// pieces produced, not the size of `¬other` over all of `Q^k`. Every
+    /// piece created is charged to [`ProbeSite::DnfInsert`], so budgets
+    /// and deadlines fire in the middle of a subtraction. Tuples of `self`
+    /// are cut in parallel when the pair count clears the configured
+    /// threshold; the merge is sequential and order-preserving.
+    pub fn subtract(&self, other: &GeneralizedRelation) -> GeneralizedRelation {
+        assert_eq!(self.arity, other.arity, "subtract arity mismatch");
+        let pairs = self.tuples.len().saturating_mul(other.tuples.len());
+        let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |t| {
+            other.tuples.iter().fold(vec![t.clone()], |pieces, u| {
+                pieces.into_iter().flat_map(|p| cut(p, u)).collect()
+            })
+        });
+        let mut r = GeneralizedRelation::empty(self.arity);
+        for p in chunks.into_iter().flatten() {
+            r.insert_satisfiable(p);
         }
-    }
-
-    /// The strategy [`GeneralizedRelation::complement`] will use, decided
-    /// from the cell-count estimate `(2m+1)^k · fubini(k)` (`m` constants,
-    /// arity `k`). Exposed so the choice itself is testable.
-    pub fn complement_strategy(&self) -> ComplementStrategy {
-        const CELL_LIMIT: usize = 50_000;
-        let m = self.constants().len();
-        let k = self.arity as usize;
-        let cells_estimate = (2 * m + 1)
-            .checked_pow(self.arity)
-            .and_then(|c| crate::cell::fubini(k).and_then(|f| c.checked_mul(f)));
-        match cells_estimate {
-            Some(cells) if cells <= CELL_LIMIT => ComplementStrategy::Syntactic {
-                // The cell path would produce at most `cells` disjuncts; a
-                // syntactic intermediate wider than that (with slack) is
-                // evidence of genuine blowup, not pruning lag.
-                bailout: Some(cells.max(256)),
-            },
-            _ => ComplementStrategy::Syntactic { bailout: None },
-        }
-    }
-
-    /// The syntactic complement (see [`GeneralizedRelation::complement`]).
-    pub fn complement_syntactic(&self) -> GeneralizedRelation {
-        self.complement_syntactic_bounded(None)
-            .expect("unbounded syntactic complement cannot bail out")
-    }
-
-    /// Syntactic complement with an optional budget: returns `None` as soon
-    /// as the intermediate disjunct count exceeds `bailout`, or the
-    /// *cumulative projected work* — candidates examined times the width of
-    /// the subsumption-pruning scan each must pass — exceeds a multiple of
-    /// it, signalling the caller to fall back to cell decomposition. The
-    /// width check alone is not enough: on dense many-constant relations
-    /// the distribution can stay narrow (subsumption pruning collapses it)
-    /// while a single step still performs orders of magnitude more
-    /// subsumption and satisfiability work than the cell path would spend
-    /// enumerating cells — so the cost check runs *before* each step, on
-    /// its projection, not after the damage is done.
-    fn complement_syntactic_bounded(&self, bailout: Option<usize>) -> Option<GeneralizedRelation> {
-        let mut cost_seen: usize = 0;
-        let mut acc: Vec<GeneralizedTuple> = vec![GeneralizedTuple::top(self.arity)];
-        for t in &self.tuples {
-            if t.is_empty() {
-                // ¬⊤ = ⊥
-                return Some(GeneralizedRelation::empty(self.arity));
-            }
-            // ¬t as a list of single-atom alternatives.
-            let mut alts: Vec<Atom> = Vec::new();
-            for a in t.atoms() {
-                for alt in a.negate() {
-                    // Each alternative from Atom::negate is a (possibly
-                    // empty) conjunction; for {<,≤,=} negation it is always
-                    // a single atom or trivially true/false.
-                    match alt.len() {
-                        0 => {
-                            // trivially true alternative: ¬t is ⊤, this
-                            // tuple excludes nothing new... actually a true
-                            // alternative makes the whole disjunct true;
-                            // cannot happen for satisfiable normalized t.
-                            unreachable!("negation of a normalized atom is never trivially true");
-                        }
-                        1 => alts.push(alt[0]),
-                        _ => unreachable!("negation of a normalized atom is at most one atom"),
-                    }
-                }
-            }
-            // Distribute in parallel (satisfiability filter per candidate),
-            // then merge sequentially in the same candidate order as the
-            // sequential nested loop — the result is order-identical.
-            let work = acc.len().saturating_mul(alts.len());
-            if let Some(limit) = bailout {
-                // Projected step cost: `work` candidates, each scanned
-                // against up to `acc.len()` kept disjuncts for subsumption.
-                // Two units of that per would-be cell before the cell path
-                // is declared cheaper — roughly equal-cost, since a cell
-                // costs a membership scan of the whole relation while a
-                // candidate costs one subsumption scan of the accumulator.
-                cost_seen = cost_seen.saturating_add(work.saturating_mul(acc.len()));
-                if cost_seen > limit.saturating_mul(2) {
-                    return None;
-                }
-            }
-            let sat_cands = par_map_when(should_parallelize(work), &acc, |partial| {
-                alts.iter()
-                    .filter_map(|alt| {
-                        let mut cand = partial.clone();
-                        cand.push(*alt);
-                        cand.is_satisfiable().then_some(cand)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let mut next: Vec<GeneralizedTuple> = Vec::new();
-            for cand in sat_cands.into_iter().flatten() {
-                // Guard probe: the distribution's own merge loop bypasses
-                // `insert_satisfiable`, so it charges the budgets itself.
-                probe_charge(ProbeSite::DnfInsert, 1, cand.len() as u64);
-                // Subsumption pruning within `next`.
-                if next.iter().any(|u| u.subsumes(&cand)) {
-                    continue;
-                }
-                next.retain(|u| !cand.subsumes(u));
-                next.push(cand);
-            }
-            acc = next;
-            if acc.is_empty() {
-                return Some(GeneralizedRelation::empty(self.arity));
-            }
-            if let Some(limit) = bailout {
-                if acc.len() > limit {
-                    return None;
-                }
-            }
-        }
-        Some(GeneralizedRelation {
-            arity: self.arity,
-            tuples: acc,
-        })
-    }
-
-    /// Set difference `self \ other`.
-    pub fn difference(&self, other: &GeneralizedRelation) -> GeneralizedRelation {
-        self.intersect(&other.complement())
+        r
     }
 
     /// Existential projection of one column: `∃x_v. self`, still expressed
@@ -473,11 +330,18 @@ impl GeneralizedRelation {
     /// Fast path first: any disjunct of `self` subsumed by a single
     /// disjunct of `other` is certainly included; only the leftover
     /// disjuncts (which could still be covered by a *union* of `other`'s
-    /// disjuncts) fall back to the complement-based refutation
-    /// `leftover ∩ ¬other = ∅`. For the common case where each disjunct
-    /// has a single covering disjunct this skips the complement entirely.
+    /// disjuncts) fall back to the refutation `leftover ∖ other = ∅`. For
+    /// the common case where each disjunct has a single covering disjunct
+    /// this skips the subtraction entirely.
     pub fn is_subset(&self, other: &GeneralizedRelation) -> bool {
-        let covered = par_map(&self.tuples, |t| other.tuples.iter().any(|u| u.subsumes(t)));
+        // A disjunct of `other` whose box misses `t`'s cannot cover the
+        // (satisfiable) `t`, so the entailment test is skipped for it.
+        let covered = par_map(&self.tuples, |t| {
+            other
+                .tuples
+                .iter()
+                .any(|u| !u.box_disjoint(t) && u.subsumes(t))
+        });
         let leftover: Vec<GeneralizedTuple> = self
             .tuples
             .iter()
@@ -492,7 +356,7 @@ impl GeneralizedRelation {
             arity: self.arity,
             tuples: leftover,
         };
-        rest.difference(other).is_empty()
+        rest.subtract(other).is_empty()
     }
 
     /// Semantic equivalence of the denoted point sets.
@@ -512,7 +376,10 @@ impl GeneralizedRelation {
         tuples.sort_by_key(|t| t.len());
         let mut kept: Vec<GeneralizedTuple> = Vec::new();
         for t in tuples {
-            if !kept.iter().any(|k| k.subsumes(&t)) {
+            // Stored tuples are satisfiable, so a kept tuple whose box is
+            // disjoint from `t`'s cannot contain it: skip the entailment
+            // test, which is quadratic in atoms.
+            if !kept.iter().any(|k| !k.box_disjoint(&t) && k.subsumes(&t)) {
                 kept.push(t);
             }
         }
@@ -527,6 +394,44 @@ impl GeneralizedRelation {
     pub fn map_consts(&self, f: &impl Fn(&Rational) -> Rational) -> GeneralizedRelation {
         GeneralizedRelation::from_tuples(self.arity, self.tuples.iter().map(|t| t.map_consts(f)))
     }
+}
+
+/// `p ∖ u` for a satisfiable `p` and `u = a₁ ∧ … ∧ aₙ`, as the disjoint
+/// pieces `p ∧ a₁ ∧ … ∧ aᵢ₋₁ ∧ ¬aᵢ` (two for `¬(x = y)`: `x < y` and
+/// `y < x`), unsatisfiable ones dropped. If `p`'s box misses `u`'s, they
+/// share no point (each box contains its tuple's points) and `p` stays
+/// whole. If every alternative of `¬aᵢ` is unsatisfiable, `p` entails
+/// `aᵢ`, which stays out of the prefix; if the prefix turns
+/// unsatisfiable, `p ∧ u = ∅` and `p` stays whole. Kept pieces carry
+/// only their tightest constant bound per column and side.
+fn cut(p: GeneralizedTuple, u: &GeneralizedTuple) -> Vec<GeneralizedTuple> {
+    if p.box_disjoint(u) {
+        return vec![p];
+    }
+    if u.subsumes_syntactic(&p) {
+        return Vec::new();
+    }
+    let mut pieces = Vec::new();
+    let mut prefix = p.clone();
+    for a in u.atoms() {
+        let mut entailed = true;
+        for alt in a.negate() {
+            let mut piece = prefix.clone();
+            piece.push(alt);
+            probe_charge(ProbeSite::DnfInsert, 1, piece.len() as u64);
+            if piece.is_satisfiable() {
+                entailed = false;
+                pieces.push(piece.tightest_bounds());
+            }
+        }
+        if !entailed {
+            prefix.push(*a);
+            if !prefix.is_satisfiable() {
+                return vec![p];
+            }
+        }
+    }
+    pieces
 }
 
 impl fmt::Debug for GeneralizedRelation {
@@ -634,11 +539,26 @@ mod tests {
 
     #[test]
     fn difference() {
-        let d = interval(0, 10).difference(&interval(3, 5));
+        let d = interval(0, 10).subtract(&interval(3, 5));
         assert!(d.contains_point(&[rat(1, 1)]));
         assert!(d.contains_point(&[rat(7, 1)]));
         assert!(!d.contains_point(&[rat(4, 1)]));
         assert!(!d.contains_point(&[rat(3, 1)]));
+        // Each piece keeps one constant bound per side, not the bounds of
+        // every cut it went through.
+        assert!(d.tuples().iter().all(|t| t.len() == 2), "{d}");
+        // Closed bounds that meet become an equality: [0, 10] ∖ (0, 10).
+        let open = GeneralizedRelation::from_raw(
+            1,
+            vec![raw(c(0), RawOp::Lt, v(0)), raw(v(0), RawOp::Lt, c(10))],
+        );
+        let ends = interval(0, 10).subtract(&open).as_points();
+        let mut ends = ends.expect("both pieces are point tuples");
+        ends.sort();
+        assert_eq!(ends, vec![vec![rat(0, 1)], vec![rat(10, 1)]]);
+        // A tuple whose box misses every subtrahend stays whole.
+        let a = interval(0, 1).union(&interval(5, 6));
+        assert_eq!(a.subtract(&interval(2, 3)), a);
     }
 
     #[test]
@@ -732,11 +652,8 @@ mod tests {
     }
 
     #[test]
-    fn arity_5_strategy_uses_extended_fubini() {
-        // Pure variable-order relation of arity 5: no constants, so the
-        // cell estimate is fubini(5) = 541 — small enough to enumerate.
-        // The seed's lookup table stopped at arity 4 and saturated to
-        // usize::MAX here, wrongly forcing the unbounded syntactic path.
+    fn arity_5_chain_complement_matches_cells() {
+        // A pure variable order of arity 5: no constants, 541 cells.
         let r = GeneralizedRelation::from_raw(
             5,
             vec![
@@ -746,23 +663,19 @@ mod tests {
                 raw(v(3), RawOp::Lt, v(4)),
             ],
         );
-        match r.complement_strategy() {
-            ComplementStrategy::Syntactic { bailout: Some(b) } => {
-                assert!((541..=50_000).contains(&b), "budget {b} out of range")
-            }
-            s => panic!("expected cell-bounded syntactic strategy, got {s:?}"),
-        }
         let comp = r.complement();
         assert!(comp.contains_point(&[rat(4, 1), rat(3, 1), rat(2, 1), rat(1, 1), rat(0, 1)]));
         assert!(!comp.contains_point(&[rat(0, 1), rat(1, 1), rat(2, 1), rat(3, 1), rat(4, 1)]));
+        let cells = crate::cell::CellSpace::for_relations(5, [&r]);
+        assert!(comp.equivalent(&cells.complement(&r)));
     }
 
     #[test]
-    fn point_set_complement_bails_out_to_cells() {
-        // The complement of a finite point set is the classic syntactic
-        // blowup: distribution doubles per point and pruning cannot help.
-        // The bailout budget must kick in and hand over to the cell path,
-        // still producing a correct complement.
+    fn point_set_complement_stays_small() {
+        // The complement of a finite point set blew up the old negation
+        // distribution (it doubled per point). Subtraction cuts the
+        // plane only where each point's box meets a piece, so the answer
+        // grows linearly in the points.
         let pts: Vec<Vec<Rational>> = (0..8)
             .map(|i| vec![rat(3 * i, 1), rat(3 * i + 1, 1)])
             .collect();
@@ -771,6 +684,36 @@ mod tests {
         assert!(comp.contains_point(&[rat(1, 1), rat(1, 1)]));
         assert!(!comp.contains_point(&[rat(0, 1), rat(1, 1)]));
         assert!(!comp.contains_point(&[rat(21, 1), rat(22, 1)]));
+        assert!(comp.len() <= 4 * 8 + 1, "{} tuples", comp.len());
+        let cells = crate::cell::CellSpace::for_relations(2, [&r]);
+        assert!(comp.equivalent(&cells.complement(&r)));
+    }
+
+    #[test]
+    fn subtract_budget_trips_typed() {
+        use crate::guard::{run_guarded, BudgetKind, EvalErrorKind, GuardLimits};
+        // The 32-point complement creates far more than 16 pieces; the
+        // budget must stop it with a typed fault and no relation.
+        let pts: Vec<Vec<Rational>> = (0..32)
+            .map(|i| vec![rat(3 * i, 1), rat(3 * i + 1, 1)])
+            .collect();
+        let r = GeneralizedRelation::from_points(2, pts);
+        let err = run_guarded(GuardLimits::none().with_max_tuples(16), || r.complement())
+            .expect_err("16 tuples cannot hold the complement");
+        assert_eq!(
+            err.kind,
+            EvalErrorKind::BudgetExceeded {
+                budget: BudgetKind::Tuples,
+                limit: 16
+            }
+        );
+        assert_eq!(err.stats.tuples_materialized, 17);
+        // Under a budget it fits, the guarded answer is the unguarded one.
+        let ok = run_guarded(GuardLimits::none().with_max_tuples(100_000), || {
+            r.complement()
+        })
+        .expect("fits the budget");
+        assert_eq!(ok.value, r.complement());
     }
 
     #[test]

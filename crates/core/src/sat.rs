@@ -23,10 +23,12 @@
 //!
 //! The same state tracks, for free, the tightest *direct* constant bounds on
 //! each variable — the per-variable interval bounding box used by
-//! [`crate::relation::GeneralizedRelation::intersect`] and the Datalog delta
-//! join to skip tuple pairs that cannot overlap (see [`VarBox`]).
+//! [`crate::relation::GeneralizedRelation::intersect`],
+//! [`crate::relation::GeneralizedRelation::subtract`], `simplify` and the
+//! Datalog delta join to skip tuple pairs that cannot overlap (see
+//! [`VarBox`]).
 
-use crate::atom::{Atom, CompOp, Term};
+use crate::atom::{Atom, CompOp, Term, Var};
 use crate::rational::Rational;
 
 use std::cell::RefCell;
@@ -70,6 +72,28 @@ impl VarBox {
         if stronger {
             self.hi = Some((c, strict));
         }
+    }
+
+    /// The box as atoms over column `v`: one equality when both sides are
+    /// the same closed endpoint, else one atom per bounded side. Their
+    /// conjunction is equivalent to every variable-vs-constant atom the
+    /// box was folded from.
+    pub(crate) fn atoms(&self, v: Var) -> Vec<Atom> {
+        let x = Term::Var(v);
+        let op = |strict| if strict { CompOp::Lt } else { CompOp::Le };
+        let parts = match (self.lo, self.hi) {
+            (Some((l, false)), Some((h, false))) if l == h => vec![(x, CompOp::Eq, Term::Const(l))],
+            (lo, hi) => lo
+                .map(|(c, strict)| (Term::Const(c), op(strict), x))
+                .into_iter()
+                .chain(hi.map(|(c, strict)| (x, op(strict), Term::Const(c))))
+                .collect(),
+        };
+        parts
+            .into_iter()
+            .filter_map(|(l, op, r)| Atom::normalized(l, op, r))
+            .flatten()
+            .collect()
     }
 
     /// Whether the intersection of the two intervals is empty. Since each

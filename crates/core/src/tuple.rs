@@ -166,10 +166,34 @@ impl GeneralizedTuple {
     }
 
     /// Whether the bounding boxes prove `self ∧ other` empty — the cheap
-    /// pre-filter used by `intersect`/`difference`/`select` and the Datalog
-    /// delta join to skip pairs before any conjoin.
+    /// pre-filter used by `intersect`/`subtract`/`select`/`simplify` and
+    /// the Datalog delta join to skip pairs before any conjoin or
+    /// entailment test.
     pub fn box_disjoint(&self, other: &GeneralizedTuple) -> bool {
         self.sat.box_disjoint(&other.sat)
+    }
+
+    /// The same point set with at most one constant bound per column and
+    /// side: the variable-vs-constant atoms are replaced by the bounding
+    /// box they fold into (see [`VarBox::atoms`]). Subtraction pieces pile
+    /// up such bounds, one per cut; keeping only the tightest keeps the
+    /// answer, and every later atom-quadratic pass over it, small.
+    pub(crate) fn tightest_bounds(&self) -> GeneralizedTuple {
+        let is_bound = |a: &Atom| a.vars().count() == 1 && a.consts().count() == 1;
+        let bounds: Vec<Atom> = self
+            .sat
+            .boxes()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, b)| b.atoms(Var(i as u32)))
+            .collect();
+        // The box atoms are never more than the atoms they came from, and
+        // equally many only when they are those atoms.
+        if bounds.len() == self.atoms.iter().filter(|a| is_bound(a)).count() {
+            return self.clone();
+        }
+        let rest = self.atoms.iter().filter(|a| !is_bound(a)).copied();
+        GeneralizedTuple::from_atoms(self.arity, rest.chain(bounds))
     }
 
     /// `(strict, weak)` edge counts of the tuple's order graph
@@ -374,9 +398,7 @@ impl GeneralizedTuple {
     pub fn entails(&self, atom: &Atom) -> bool {
         atom.negate().into_iter().all(|alt| {
             let mut t = self.clone();
-            for a in alt {
-                t.push(a);
-            }
+            t.push(alt);
             !t.is_satisfiable()
         })
     }

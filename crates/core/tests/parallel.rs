@@ -77,7 +77,7 @@ proptest! {
 
     #[test]
     fn difference_parallel_identical(a in arb_relation(2), b in arb_relation(2)) {
-        prop_assert_eq!(seq(|| a.difference(&b)), par(|| a.difference(&b)));
+        prop_assert_eq!(seq(|| a.subtract(&b)), par(|| a.subtract(&b)));
     }
 
     #[test]

@@ -108,7 +108,7 @@ proptest! {
 
     #[test]
     fn difference_is_pointwise(a in arb_relation(2), b in arb_relation(2), p in arb_point(2)) {
-        let d = a.difference(&b);
+        let d = a.subtract(&b);
         prop_assert_eq!(
             d.contains_point(&p),
             a.contains_point(&p) && !b.contains_point(&p)
@@ -183,12 +183,6 @@ proptest! {
         prop_assert_eq!(space.equivalent(&a, &b), a.equivalent(&b));
     }
 
-    #[test]
-    fn cell_complement_matches_syntactic(a in arb_relation(1)) {
-        let space = CellSpace::for_relations(1, [&a]);
-        prop_assert!(space.complement(&a).equivalent(&a.complement()));
-    }
-
     // ---- simplification is semantics-preserving ---------------------
 
     #[test]
@@ -238,5 +232,46 @@ proptest! {
     fn interval_set_mirrors_relation(a in arb_relation(1), p in arb_point(1)) {
         let ivs = IntervalSet::from_relation(&a);
         prop_assert_eq!(ivs.contains(&p[0]), a.contains_point(&p));
+    }
+}
+
+/// An arity in 1..=3 with two random relations of that arity.
+fn arb_pair() -> impl Strategy<Value = (u32, GeneralizedRelation, GeneralizedRelation)> {
+    prop_oneof![
+        (arb_relation(1), arb_relation(1)).prop_map(|(a, b)| (1, a, b)),
+        (arb_relation(2), arb_relation(2)).prop_map(|(a, b)| (2, a, b)),
+        (arb_relation(3), arb_relation(3)).prop_map(|(a, b)| (3, a, b)),
+    ]
+}
+
+// Subtraction is the one negation kernel (complement is `Q^k ∖ A`), so it
+// is checked against the cell decomposition, not against other algebra:
+// every relation over a constant set is a union of that set's cells, so
+// one sample point per cell decides membership everywhere.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn subtract_is_pointwise_difference((k, a, b) in arb_pair()) {
+        let d = a.subtract(&b);
+        let space = CellSpace::new(k, a.constants().into_iter().chain(b.constants()));
+        for cell in space.enumerate() {
+            let p = space.sample(&cell);
+            prop_assert_eq!(
+                d.contains_point(&p),
+                a.contains_point(&p) && !b.contains_point(&p),
+                "({}) ∖ ({}) = ({}) at {:?}", a, b, d, p
+            );
+        }
+    }
+
+    #[test]
+    fn complement_matches_cell_complement((k, a, _b) in arb_pair()) {
+        let space = CellSpace::for_relations(k, [&a]);
+        let c = GeneralizedRelation::universe(k).subtract(&a);
+        let reference = space.complement(&a);
+        prop_assert!(c.equivalent(&reference), "¬({}) = ({})", a, c);
+        // `equivalent` itself subtracts; the cell canonical forms do not.
+        prop_assert!(space.equivalent(&c, &reference), "¬({}) = ({})", a, c);
     }
 }

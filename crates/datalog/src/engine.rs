@@ -73,11 +73,14 @@ pub struct EngineConfig {
     /// Hard cap on stages (safety valve; default 10 000).
     pub max_stages: usize,
     /// Restrict rule evaluation to the previous stage's deltas
-    /// (semi-naive, default true). Applied only when the program is
-    /// negation-free: the inflationary same-stage semantics of §4 makes
-    /// deltas unsound under negation (a negated literal can newly *fail*),
-    /// so programs with negation silently use full naive stages and keep
-    /// the exact paper semantics.
+    /// (semi-naive, default true). Applied only when no rule negates an
+    /// IDB predicate: the inflationary same-stage semantics of §4 makes
+    /// deltas unsound under such negation (a negated literal can newly
+    /// *fail*), so those programs silently use full naive stages and keep
+    /// the exact paper semantics. Negated EDB predicates never change
+    /// during a run, so the rule bodies stay monotone in the IDB and
+    /// deltas stay sound — which always holds inside one stratum of a
+    /// stratified run.
     pub use_deltas: bool,
 }
 
@@ -132,13 +135,14 @@ pub fn run_with(
         }
     }
     let idb = program.idb_predicates();
-    // Delta restriction is sound only without negation (see
-    // [`EngineConfig::use_deltas`]).
-    let has_negation = program
-        .rules
-        .iter()
-        .any(|r| r.body.iter().any(|l| matches!(l, Literal::Neg(..))));
-    let use_deltas = config.use_deltas && !has_negation;
+    // Delta restriction is sound only while no IDB predicate is negated
+    // (see [`EngineConfig::use_deltas`]).
+    let negates_idb = program.rules.iter().any(|r| {
+        r.body
+            .iter()
+            .any(|l| matches!(l, Literal::Neg(name, _) if idb.contains(name)))
+    });
+    let use_deltas = config.use_deltas && !negates_idb;
     for p in &idb {
         if input.get(p).is_some() {
             return Err(EngineError::BadInput(format!(
@@ -741,6 +745,39 @@ mod tests {
         assert!(sink.contains_point(&[rat(3, 1)]));
         assert!(sink.contains_point(&[rat(2, 1)]));
         assert!(!sink.contains_point(&[rat(1, 1)]));
+    }
+
+    #[test]
+    fn edb_negation_keeps_deltas() {
+        // Paths that avoid the blocked nodes of `b`: only an EDB predicate
+        // is negated, so the recursive rule runs on deltas (one variant per
+        // later stage instead of both rules) and agrees with naive stages.
+        let p = parse_program(
+            "ok(x, y) :- e(x, y), not b(x).\n\
+             ok(x, y) :- ok(x, z), e(z, y), not b(y).\n",
+        )
+        .unwrap();
+        let edges: Vec<(i64, i64)> = (1..8).map(|i| (i, i + 1)).collect();
+        let b = GeneralizedRelation::from_points(1, vec![vec![rat(5, 1)]]);
+        let db = Database::new(Schema::new().with("e", 2).with("b", 1))
+            .with("e", points(&edges))
+            .with("b", b);
+        let naive = EngineConfig {
+            use_deltas: false,
+            ..EngineConfig::default()
+        };
+        let delta = run(&p, &db).unwrap();
+        let full = run_with(&p, &db, &naive).unwrap();
+        let ok = delta.database.get("ok").unwrap();
+        assert!(ok.equivalent(full.database.get("ok").unwrap()));
+        assert!(ok.contains_point(&[rat(1, 1), rat(4, 1)]));
+        assert!(!ok.contains_point(&[rat(1, 1), rat(6, 1)]));
+        assert!(
+            delta.stats.body_evals < full.stats.body_evals,
+            "deltas off: {} vs {} body evaluations",
+            delta.stats.body_evals,
+            full.stats.body_evals
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `{=, ≤} ∪ Q` and database predicates can be evaluated *bottom-up*: each
 //! subformula denotes a finitely representable relation over its context of
 //! variables, and the logical connectives map to the constraint algebra —
-//! `∧` to intersection, `∨` to union, `¬` to complement, `∃` to dense-order
+//! `∧` to intersection, `∨` to union, `¬` to complement (and `A ∧ ¬B` to
+//! the difference `A ∖ B`, never forming `¬B`), `∃` to dense-order
 //! quantifier elimination. The output is again a generalized relation
 //! (*closure*), which is what gives FO its AC⁰ data complexity and makes it
 //! a genuine query language in the sense of Definition 3.1.
@@ -142,12 +143,24 @@ pub(crate) fn eval_node(
     ctx: &[String],
     sink: Option<&mut PlanSink<'_>>,
 ) -> Result<GeneralizedRelation, EvalError> {
+    recorded(formula, sink, |operands| {
+        eval_connective(db, formula, ctx, operands)
+    })
+}
+
+/// Run `step`, which builds the relation of the connective at the root of
+/// `formula`, recording its [`PlanNode`] in `sink` when there is one.
+fn recorded(
+    formula: &Formula,
+    sink: Option<&mut PlanSink<'_>>,
+    step: impl FnOnce(Option<&mut PlanSink<'_>>) -> Result<GeneralizedRelation, EvalError>,
+) -> Result<GeneralizedRelation, EvalError> {
     let Some(sink) = sink else {
-        return eval_connective(db, formula, ctx, None);
+        return step(None);
     };
     let estimated = estimate_formula(formula, sink.stats);
     let mut operands = PlanSink::new(sink.stats);
-    let r = eval_connective(db, formula, ctx, Some(&mut operands))?;
+    let r = step(Some(&mut operands))?;
     let (label, detail) = operator(formula);
     sink.nodes.push(
         PlanNode::new(label, detail, estimated)
@@ -187,10 +200,26 @@ fn eval_connective(
             Ok(maybe_simplify(r.complement()))
         }
         Formula::And(fs) => {
+            // `A ∧ ¬B` is `A ∖ B`: intersect the positive conjuncts, then
+            // subtract each negated conjunct's operand, so no `¬B` is
+            // built over all of `Q^k`. The planner only permutes
+            // conjuncts, so this order cannot change the answer.
             let mut acc = GeneralizedRelation::universe(k);
+            for f in fs.iter().filter(|f| !matches!(f, Formula::Not(_))) {
+                acc = maybe_simplify(acc.intersect(&sub(f, ctx)?));
+                if acc.is_empty() {
+                    return Ok(acc);
+                }
+            }
             for f in fs {
-                acc = acc.intersect(&sub(f, ctx)?);
-                acc = maybe_simplify(acc);
+                let Formula::Not(g) = f else { continue };
+                // With capture on, the conjunct keeps its `not` node; its
+                // actual is the width left after the subtraction.
+                acc = recorded(f, sink.as_deref_mut(), |operands| {
+                    Ok(maybe_simplify(
+                        acc.subtract(&eval_node(db, g, ctx, operands)?),
+                    ))
+                })?;
                 if acc.is_empty() {
                     break;
                 }
@@ -213,7 +242,7 @@ fn eval_connective(
             let ra = sub(a, ctx)?;
             let rb = sub(b, ctx)?;
             let both = ra.intersect(&rb);
-            let neither = ra.complement().intersect(&rb.complement());
+            let neither = ra.union(&rb).complement();
             Ok(maybe_simplify(both.union(&neither)))
         }
         Formula::Exists(vs, body) => {

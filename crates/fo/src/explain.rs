@@ -90,6 +90,24 @@ mod tests {
     }
 
     #[test]
+    fn negated_conjunct_keeps_its_not_node() {
+        // `A ∧ ¬B` evaluates as `A ∖ B`; the plan still shows `not` over
+        // its operand, measured as the width left after the subtraction.
+        let db = triangle_db();
+        let f = parse_formula("R(x, y) & !(x < 3)").unwrap();
+        let ex = explain_planned(&db, &f, &DbStats::of_database(&db)).unwrap();
+        let root = &ex.plan.root;
+        assert_eq!(root.label, "and");
+        let labels: Vec<&str> = root.children.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["pred", "not"]);
+        let not = &root.children[1];
+        assert_eq!(not.children.len(), 1);
+        assert_eq!(not.children[0].label, "compare");
+        assert_eq!(not.actual, root.actual);
+        assert!(root.fully_measured(), "{}", ex.plan.render());
+    }
+
+    #[test]
     fn explain_errors_match_eval_errors() {
         let db = Database::new(Schema::new());
         let f = parse_formula("Zap(x)").unwrap();

@@ -36,6 +36,35 @@ fn arb_formula(depth: u32) -> BoxedStrategy<Formula> {
     .boxed()
 }
 
+/// Conjunctions with negated conjuncts — `A & !B & atom`, sometimes with
+/// a second negated conjunct — in a random conjunct order: the shape the
+/// evaluator turns into intersection followed by subtraction.
+fn arb_subtraction() -> impl Strategy<Value = Formula> {
+    (
+        arb_formula(1),
+        arb_formula(1),
+        arb_formula(0),
+        arb_formula(1),
+        prop::bool::ANY,
+        0usize..24,
+    )
+        .prop_map(|(a, b, atom, c, two, order)| {
+            let mut parts = vec![a, Formula::not(b), atom];
+            if two {
+                parts.push(Formula::not(c));
+            }
+            // A seeded permutation: the planner may put any conjunct first.
+            let mut rest = parts;
+            let mut shuffled = Vec::new();
+            let mut o = order;
+            while !rest.is_empty() {
+                shuffled.push(rest.remove(o % rest.len()));
+                o /= 2;
+            }
+            Formula::And(shuffled)
+        })
+}
+
 /// Rename free occurrences (crude but adequate for generated shapes).
 fn swap_var(f: &Formula, from: &str, to: &str) -> Formula {
     match f {
@@ -213,6 +242,27 @@ proptest! {
             rel.contains_point(&p), expect,
             "formula {} at {:?} over {}", f, p, db
         );
+    }
+
+    #[test]
+    fn subtraction_matches_reference(f in arb_subtraction(), db in arb_db()) {
+        let ctx = vec!["x".to_string(), "y".to_string()];
+        let rel = eval_in_ctx(&db, &f, &ctx).expect("dense-order formula evaluates");
+        // One sample per cell of the constants involved decides the
+        // answer everywhere.
+        let mut consts: std::collections::BTreeSet<Rational> = db.constants().into_iter().collect();
+        formula_consts(&f, &mut consts);
+        let space = CellSpace::new(2, consts);
+        for cell in space.enumerate() {
+            let p = space.sample(&cell);
+            let mut env = BTreeMap::new();
+            env.insert("x".to_string(), p[0]);
+            env.insert("y".to_string(), p[1]);
+            prop_assert_eq!(
+                rel.contains_point(&p), reference_eval(&f, &db, &env),
+                "formula {} at {:?} over {}", f, p, db
+            );
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Region {
     /// Set difference.
     pub fn difference(&self, other: &Region) -> Region {
         Region {
-            relation: self.relation.difference(&other.relation),
+            relation: self.relation.subtract(&other.relation),
         }
     }
 

@@ -7,7 +7,9 @@
 //! It exists so the workspace builds in hermetic environments where no
 //! package registry is reachable. Generation is deterministic (seeded per
 //! test name and case index) and there is no shrinking: a failing case
-//! reports the panic from `prop_assert!` directly.
+//! reports the panic from `prop_assert!` directly. `PROPTEST_CASES=n` in
+//! the environment runs `n` cases per property instead of the configured
+//! count.
 
 pub mod strategy;
 pub mod test_runner;
@@ -96,7 +98,7 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let cfg: $crate::ProptestConfig = $cfg;
-                for case in 0..cfg.cases {
+                for case in 0..cfg.effective_cases() {
                     let mut rng =
                         $crate::TestRng::deterministic(stringify!($name), case);
                     $(let $pat =

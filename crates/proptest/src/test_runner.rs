@@ -12,6 +12,17 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> ProptestConfig {
         ProptestConfig { cases }
     }
+
+    /// The number of cases to run: `PROPTEST_CASES` from the environment
+    /// when it holds a number, else `cases`. Unlike upstream, the variable
+    /// also overrides an explicit [`ProptestConfig::with_cases`], so one
+    /// property can be run deeper from the command line.
+    pub fn effective_cases(&self) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(self.cases)
+    }
 }
 
 impl Default for ProptestConfig {
