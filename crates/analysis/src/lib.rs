@@ -52,7 +52,6 @@ pub use diagnostic::{has_errors, Diagnostic, Severity, Span};
 pub use explain::{PlanNode, QueryPlan};
 pub use planner::{estimate_formula, plan_formula, plan_rule};
 pub use stats::{ColumnStats, DbStats, RelStats};
-pub use unsat::OrderSystem;
 
 use dco_core::prelude::Schema;
 use dco_logic::datalog::{Literal, Program};

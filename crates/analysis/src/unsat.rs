@@ -1,160 +1,92 @@
 //! Static unsatisfiability of dense-order constraint conjunctions.
 //!
-//! The DUNLO feasibility criterion: a conjunction of order constraints over
-//! a dense domain is unsatisfiable exactly when its constraint graph forces
-//! a cycle `t₁ ≤ t₂ ≤ … ≤ t₁` containing a strict edge, or forces `t = u`
-//! (a ≤-cycle) while also demanding `t ≠ u`. We build the graph — one node
-//! per variable and per distinct rational constant, with the constants'
-//! total order added as implicit strict edges — and test each strongly
-//! connected component.
+//! The order comparisons of a conjunction are decided by the core kernel:
+//! they become one [`GeneralizedTuple`], whose incremental solver rejects
+//! any cycle `t₁ ≤ t₂ ≤ … ≤ t₁` through a strict edge (the constants'
+//! total order included). Each disequality `u ≠ v` is then decided on its
+//! own: it contradicts the conjunction exactly when the tuple entails
+//! `u = v`. Over a dense order that is exact — the tuple's points form a
+//! convex set, and finitely many hyperplanes `u = v` that each miss part
+//! of it cannot cover it. Disequalities are kept out of the tuple, where
+//! each would split it into `u < v ∨ v < u` and `m` of them into `2^m`
+//! alternatives.
 //!
-//! The check is *conservative for conjunctions it fully models*: non-simple
-//! sides (genuine linear arithmetic like `2x + y`) are skipped, so
-//! [`OrderSystem::is_satisfiable`] returning `false` always means genuinely
-//! unsatisfiable, while `true` may just mean "not provably unsat here".
+//! The check is *conservative*: non-simple sides (genuine linear
+//! arithmetic like `2x + y`) are skipped, so "unsat" always means
+//! genuinely unsatisfiable, while "sat" may just mean "not provably unsat
+//! here".
 
 use crate::diagnostic::{Diagnostic, Span};
-use dco_core::prelude::{Rational, RawOp};
+use dco_core::prelude::{Atom, CompOp, GeneralizedTuple, RawAtom, RawOp, Term};
 use dco_logic::datalog::{Literal, Rule};
 use dco_logic::{Formula, LinExpr};
-use std::collections::BTreeMap;
 
-/// A term in the order-constraint graph.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Node {
-    Var(String),
-    Const(Rational),
-}
-
-/// An accumulating conjunction of simple dense-order constraints.
-#[derive(Debug, Default, Clone)]
-pub struct OrderSystem {
-    nodes: Vec<Node>,
-    ids: BTreeMap<Node, usize>,
-    /// `(u, v, strict)`: u ≤ v, or u < v when strict.
-    edges: Vec<(usize, usize, bool)>,
-    /// Pairs required to be distinct.
-    disequal: Vec<(usize, usize)>,
-}
-
-impl OrderSystem {
-    /// An empty (trivially satisfiable) system.
-    pub fn new() -> OrderSystem {
-        OrderSystem::default()
-    }
-
-    fn node(&mut self, n: Node) -> usize {
-        if let Some(&i) = self.ids.get(&n) {
-            return i;
-        }
-        let i = self.nodes.len();
-        self.nodes.push(n.clone());
-        self.ids.insert(n, i);
-        i
-    }
-
-    fn side(&mut self, e: &LinExpr) -> Option<usize> {
+/// Whether the simple comparisons `l op r` among `comparisons` are jointly
+/// unsatisfiable; comparisons with a non-simple side are skipped.
+fn comparisons_are_unsat<'a>(
+    comparisons: impl IntoIterator<Item = (&'a LinExpr, RawOp, &'a LinExpr)>,
+) -> bool {
+    // Simple variables are numbered by first appearance.
+    let mut names: Vec<&str> = Vec::new();
+    let mut term = |e: &'a LinExpr| -> Option<Term> {
         if let Some(v) = e.as_simple_var() {
-            Some(self.node(Node::Var(v.to_string())))
+            let i = names.iter().position(|n| *n == v).unwrap_or_else(|| {
+                names.push(v);
+                names.len() - 1
+            });
+            Some(Term::var(i as u32))
         } else {
-            e.as_const().map(|c| self.node(Node::Const(c)))
+            e.as_const().map(Term::cst)
         }
-    }
-
-    /// Add `l op r`. Returns `false` (constraint ignored) when either side
-    /// is non-simple linear arithmetic, which this order-level test cannot
-    /// model.
-    pub fn add(&mut self, l: &LinExpr, op: RawOp, r: &LinExpr) -> bool {
-        let (Some(u), Some(v)) = (self.side(l), self.side(r)) else {
-            return false;
+    };
+    let mut order = Vec::new();
+    let mut disequal = Vec::new();
+    for (l, op, r) in comparisons {
+        let (Some(u), Some(v)) = (term(l), term(r)) else {
+            continue;
         };
         match op {
-            RawOp::Lt => self.edges.push((u, v, true)),
-            RawOp::Le => self.edges.push((u, v, false)),
-            RawOp::Gt => self.edges.push((v, u, true)),
-            RawOp::Ge => self.edges.push((v, u, false)),
-            RawOp::Eq => {
-                self.edges.push((u, v, false));
-                self.edges.push((v, u, false));
-            }
-            RawOp::Ne => self.disequal.push((u, v)),
+            RawOp::Ne => disequal.push((u, v)),
+            op => order.push(RawAtom::new(u, op, v)),
         }
-        true
     }
-
-    /// Apply the feasibility test.
-    pub fn is_satisfiable(&self) -> bool {
-        let n = self.nodes.len();
-        if n == 0 {
-            return true;
-        }
-        // The constants' total order: implicit strict edges both ways are
-        // NOT equivalent — add c→d strict for c < d only.
-        let mut edges = self.edges.clone();
-        let consts: Vec<(usize, Rational)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| match n {
-                Node::Const(c) => Some((i, *c)),
-                Node::Var(_) => None,
-            })
-            .collect();
-        for (i, c) in &consts {
-            for (j, d) in &consts {
-                if c < d {
-                    edges.push((*i, *j, true));
-                }
-            }
-        }
-        let comp = sccs(n, &edges);
-        // A strict edge inside an SCC forces t < t.
-        for &(u, v, strict) in &edges {
-            if strict && comp[u] == comp[v] {
-                return false;
-            }
-        }
-        // A disequality inside an SCC contradicts the forced equality.
-        for &(u, v) in &self.disequal {
-            if comp[u] == comp[v] {
-                return false;
-            }
-        }
-        true
-    }
+    let Some(t) = GeneralizedTuple::from_raw(names.len() as u32, order).pop() else {
+        return true;
+    };
+    disequal.into_iter().any(|(u, v)| {
+        // `None`: `u = v` is trivially false (distinct constants), so
+        // `u ≠ v` holds everywhere.
+        Atom::normalized(u, CompOp::Eq, v).is_some_and(|eq| eq.iter().all(|a| t.entails(a)))
+    })
 }
 
 /// Whether a formula, viewed as a conjunction, is provably unsatisfiable.
 ///
-/// Flattens nested [`Formula::And`] nodes and feeds the comparison conjuncts
-/// into an [`OrderSystem`]; other conjuncts (disjunctions, predicates,
+/// Flattens nested [`Formula::And`] nodes and decides the comparison
+/// conjuncts together; other conjuncts (disjunctions, predicates,
 /// quantifiers) are ignored, which only ever *weakens* the conjunction — so
 /// `true` here really means the formula has no models.
 pub fn conjunction_is_unsat(formula: &Formula) -> bool {
-    let mut sys = OrderSystem::new();
-    let mut any = false;
+    let mut comparisons = Vec::new();
     let mut stack = vec![formula];
     while let Some(f) = stack.pop() {
         match f {
             Formula::False => return true,
             Formula::And(fs) => stack.extend(fs.iter()),
-            Formula::Compare(l, op, r) => any |= sys.add(l, *op, r),
+            Formula::Compare(l, op, r) => comparisons.push((l, *op, r)),
             _ => {}
         }
     }
-    any && !sys.is_satisfiable()
+    comparisons_are_unsat(comparisons)
 }
 
 /// Whether a rule body's constraint literals are jointly unsatisfiable
 /// (the rule can never fire).
 pub fn rule_body_is_unsat(rule: &Rule) -> bool {
-    let mut sys = OrderSystem::new();
-    for lit in &rule.body {
-        if let Literal::Constraint(l, op, r) = lit {
-            sys.add(l, *op, r);
-        }
-    }
-    !sys.is_satisfiable()
+    comparisons_are_unsat(rule.body.iter().filter_map(|lit| match lit {
+        Literal::Constraint(l, op, r) => Some((l, *op, r)),
+        _ => None,
+    }))
 }
 
 /// Report dead subformulas (DCO402): the formula itself if it is an
@@ -191,61 +123,6 @@ pub fn check_formula(formula: &Formula) -> Vec<Diagnostic> {
     diags
 }
 
-/// Strongly connected components of the edge list (Tarjan, iterative);
-/// returns the component id of each node.
-fn sccs(n: usize, edges: &[(usize, usize, bool)]) -> Vec<usize> {
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(u, v, _) in edges {
-        succs[u].push(v);
-    }
-    let mut comp = vec![usize::MAX; n];
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut next_comp = 0usize;
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(v, pos)) = frames.last() {
-            if index[v] == usize::MAX {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = succs[v].get(pos) {
-                frames.last_mut().expect("frame exists").1 += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp[w] = next_comp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-            }
-        }
-    }
-    comp
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -261,11 +138,7 @@ mod tests {
     }
 
     fn sat(constraints: &[(&LinExpr, RawOp, &LinExpr)]) -> bool {
-        let mut sys = OrderSystem::new();
-        for (l, op, r) in constraints {
-            sys.add(l, *op, r);
-        }
-        sys.is_satisfiable()
+        !comparisons_are_unsat(constraints.iter().map(|&(l, op, r)| (l, op, r)))
     }
 
     #[test]
@@ -375,9 +248,28 @@ mod tests {
 
     #[test]
     fn nonsimple_sides_are_ignored() {
-        let two_x = LinExpr::var("x").scale(&rat(2, 1));
-        let mut sys = OrderSystem::new();
-        assert!(!sys.add(&two_x, RawOp::Lt, &LinExpr::var("x")));
-        assert!(sys.is_satisfiable());
+        // `2x < x ∧ 0 < x` has no solution, but its first conjunct is
+        // linear arithmetic the order-level test skips.
+        let two_x = var("x").scale(&rat(2, 1));
+        let x = var("x");
+        assert!(sat(&[(&two_x, RawOp::Lt, &x), (&cst(0, 1), RawOp::Lt, &x)]));
+        assert!(!sat(&[(&two_x, RawOp::Lt, &x), (&x, RawOp::Lt, &x)]));
+    }
+
+    #[test]
+    fn many_disequalities_stay_one_tuple() {
+        // All 21 pairwise disequalities over x0 … x6: were each split into
+        // `<` or `>`, the order part would have 2^21 alternatives.
+        let mut diseq = Vec::new();
+        for i in 0..7 {
+            for j in i + 1..7 {
+                diseq.push(format!("x{i} != x{j}"));
+            }
+        }
+        let diseq = diseq.join(" & ");
+        let chain = dco_logic::parse_formula(&format!("{diseq} & x0 < x1 & x1 < x2")).unwrap();
+        assert!(!conjunction_is_unsat(&chain));
+        let equal = dco_logic::parse_formula(&format!("{diseq} & x0 <= x1 & x1 <= x0")).unwrap();
+        assert!(conjunction_is_unsat(&equal));
     }
 }

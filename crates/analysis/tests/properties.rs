@@ -1,10 +1,10 @@
-//! Soundness of the static unsatisfiability pass against the core
-//! normalizer: whenever the analyzer declares a conjunction of dense-order
-//! constraints unsatisfiable, normalizing the same constraints as a
-//! generalized tuple must yield the empty alternative set.
+//! Exactness of the static unsatisfiability pass against the core
+//! normalizer: on simple dense-order constraints the analyzer declares a
+//! conjunction unsatisfiable exactly when normalizing the same constraints
+//! as a generalized tuple yields the empty alternative set.
 
-use dco_analysis::{unsat, OrderSystem};
-use dco_core::prelude::{rat, Rational, RawAtom, RawOp, Term};
+use dco_analysis::unsat;
+use dco_core::prelude::{rat, GeneralizedTuple, Rational, RawAtom, RawOp, Term};
 use dco_logic::{Formula, LinExpr};
 use proptest::prelude::*;
 
@@ -66,35 +66,25 @@ proptest! {
     fn analyzer_unsat_implies_empty_normalization(
         constraints in prop::collection::vec(constraint_strategy(), 1..8),
     ) {
-        // The same conjunction, three ways.
-        let mut system = OrderSystem::new();
+        // The same conjunction, two ways.
         let mut conjuncts = Vec::new();
         let mut raws = Vec::new();
         for &(l, op_idx, r) in &constraints {
             let op = OPS[op_idx];
-            system.add(&l.to_linexpr(), op, &r.to_linexpr());
             conjuncts.push(Formula::Compare(l.to_linexpr(), op, r.to_linexpr()));
             raws.push(RawAtom::new(l.to_term(), op, r.to_term()));
         }
         let formula = Formula::And(conjuncts);
 
-        // The two analyzer views must agree.
+        // The analyzer keeps `≠` out of the tuple; the normalizer splits
+        // it. Both must reach the same verdict.
+        let alts = GeneralizedTuple::from_raw(VARS, raws);
         prop_assert_eq!(
             unsat::conjunction_is_unsat(&formula),
-            !system.is_satisfiable()
+            alts.is_empty(),
+            "analyzer and normalizer disagree on {:?} ({} alternative(s))",
+            constraints,
+            alts.len()
         );
-
-        // Soundness: analyzer-unsat ⇒ the core normalizer finds no
-        // satisfiable alternative.
-        if !system.is_satisfiable() {
-            let alts = dco_core::prelude::GeneralizedTuple::from_raw(VARS, raws);
-            prop_assert!(
-                alts.is_empty(),
-                "analyzer said unsat but normalization kept {} alternative(s) \
-                 for {:?}",
-                alts.len(),
-                constraints
-            );
-        }
     }
 }

@@ -13,7 +13,6 @@
 //!   paper's query languages compile to ([`relation`]);
 //! * order-type cell decompositions giving canonical forms and decidable
 //!   equivalence ([`cell`]);
-//! * a canonical interval representation for the unary case ([`interval`]);
 //! * order automorphisms of Q and the genericity machinery of Definition 3.1
 //!   ([`automorphism`]);
 //! * schemas and database instances ([`database`]);
@@ -60,7 +59,6 @@ pub mod database;
 #[deny(clippy::unwrap_used)]
 pub mod guard;
 pub mod intern;
-pub mod interval;
 pub mod par;
 pub mod rational;
 pub mod relation;
@@ -78,7 +76,6 @@ pub mod prelude {
         run_guarded, BudgetKind, CancelToken, EvalError as GuardError,
         EvalErrorKind as GuardErrorKind, EvalGuard, GuardLimits, GuardStats, Guarded, ProbeSite,
     };
-    pub use crate::interval::{Bound, Interval, IntervalSet};
     pub use crate::par::{eval_config, set_eval_config, with_eval_config, EvalConfig};
     pub use crate::rational::{rat, Rational};
     pub use crate::relation::GeneralizedRelation;

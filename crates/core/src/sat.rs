@@ -1,25 +1,26 @@
 //! Incremental dense-order satisfiability and per-variable bounding boxes.
 //!
-//! Rather than rebuilding the full order graph (union-find + Tarjan SCC) on
-//! every decision, this module carries the closure *forward*: a
+//! This is the workspace's one dense-order solver. Rather than rebuilding
+//! the order graph on every decision, it carries the closure *forward*: a
 //! [`SatState`] lives inside each [`crate::tuple::GeneralizedTuple`] and is
 //! extended atom by atom as the tuple is built, so `is_satisfiable` is a
-//! flag read. The batch solver remains as the reference the incremental
-//! one is tested against, and for witness construction.
+//! flag read. Witness points come from quantifier elimination
+//! ([`crate::tuple::GeneralizedTuple::witness`]), and the verdict is tested
+//! against the cell decomposition ([`crate::cell`]), which shares no logic
+//! with it.
 //!
 //! The invariant maintained is the dense-order completeness criterion in a
 //! cycle form: a conjunction of normalized atoms over `(Q, <)` is
 //! satisfiable iff its order graph — variables and mentioned constants as
 //! nodes, one directed edge per `<`/`≤` obligation, equalities as a pair of
 //! weak edges, and consecutive mentioned constants chained with built-in
-//! strict edges — contains **no cycle through a strict edge**. (This is the
-//! SCC criterion of the batch solver restated: an SCC with a strict edge is
-//! exactly a strict cycle, and two distinct constants in one SCC would close
-//! a cycle through their chain edge.) Because the graph grows one edge at a
-//! time and starts cycle-free, every new strict cycle must pass through the
-//! newest edge — so one reachability query per inserted edge keeps the
-//! invariant, and unsatisfiability is detected at the exact atom that causes
-//! it.
+//! strict edges — contains **no cycle through a strict edge**. (Equivalently:
+//! no strongly connected component holds a strict edge; two distinct
+//! constants in one component would close a cycle through their chain
+//! edge.) Because the graph grows one edge at a time and starts cycle-free,
+//! every new strict cycle must pass through the newest edge — so one
+//! reachability query per inserted edge keeps the invariant, and
+//! unsatisfiability is detected at the exact atom that causes it.
 //!
 //! The same state tracks, for free, the tightest *direct* constant bounds on
 //! each variable — the per-variable interval bounding box used by

@@ -8,10 +8,12 @@
 //! * **satisfiability** of a conjunction: its order graph over terms must
 //!   contain no cycle through a strict edge (the classic dense-order closure
 //!   argument — density and lack of endpoints make this complete). Each
-//!   tuple carries the graph incrementally ([`crate::sat`]); the batch
-//!   solver here rebuilds it per call and is the kernel's reference;
+//!   tuple carries the graph incrementally ([`crate::sat`]), the one
+//!   dense-order solver of the workspace;
 //! * **witness construction** (a concrete rational point satisfying the
-//!   tuple), used for sampling-based canonicalization;
+//!   tuple) by quantifier elimination: one column at a time, the columns
+//!   not yet chosen are projected away, which leaves an interval to pick
+//!   from;
 //! * **single-variable quantifier elimination** (`∃x`), the dense-order QE
 //!   step of \[CK73\]: substitute equalities, then combine every lower bound
 //!   with every upper bound;
@@ -22,7 +24,7 @@ use crate::intern::atom_fingerprint;
 use crate::rational::Rational;
 use crate::sat::{SatState, VarBox};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A conjunction of normalized atoms over columns `0..arity`.
@@ -284,25 +286,37 @@ impl GeneralizedTuple {
         self.sat.verdict()
     }
 
-    /// Decide satisfiability with the batch order-graph solver, rebuilding
-    /// the graph from the atoms — the reference the incremental verdict of
-    /// [`GeneralizedTuple::is_satisfiable`] is tested against.
-    pub fn is_satisfiable_uncached(&self) -> bool {
-        OrderGraph::build(self)
-            .map(|g| g.consistent())
-            .unwrap_or(false)
-    }
-
     /// Produce a rational point satisfying the tuple, if one exists.
     ///
-    /// The witness is constructed from the topological structure of the order
-    /// graph: equivalence classes are linearized respecting all edges, classes
-    /// containing a constant take that value, and the remaining classes are
-    /// interpolated strictly between their rational neighbours (possible by
-    /// density; unbounded ends use ±1 offsets — no endpoints).
+    /// Column by column: with `Pᵢ = ∃xᵢ₊₁…x_{k−1}. self` (from
+    /// [`GeneralizedTuple::eliminate`]), substituting the values chosen for
+    /// `x₀…xᵢ₋₁` into `Pᵢ` leaves only atoms of `xᵢ` against constants, so
+    /// its bounding box is exactly the values `xᵢ` may take — nonempty,
+    /// because elimination is exact. `None` only for an unsatisfiable tuple
+    /// or on rational overflow.
     pub fn witness(&self) -> Option<Vec<Rational>> {
-        let g = OrderGraph::build(self)?;
-        g.witness(self.arity)
+        if !self.is_satisfiable() {
+            return None;
+        }
+        let k = self.arity as usize;
+        // Built from the last column down; reversed, `projections[i]` is `Pᵢ`.
+        let mut projections = vec![self.clone()];
+        for v in (1..self.arity).rev() {
+            let next = projections[projections.len() - 1].eliminate(Var(v))?;
+            projections.push(next);
+        }
+        projections.reverse();
+        let mut point = Vec::with_capacity(k);
+        // `take`: at arity 0 there is one projection but no column.
+        for (i, p) in projections.iter().enumerate().take(k) {
+            let mut rest = p.clone();
+            for (j, c) in point.iter().enumerate() {
+                rest = rest.substitute(Var(j as u32), Term::Const(*c))?;
+            }
+            let interval = rest.bounding_box().get(i).copied().unwrap_or_default();
+            point.push(point_in(interval)?);
+        }
+        Some(point)
     }
 
     /// Substitute `v := t` and renormalize. Returns `None` if the result is
@@ -491,345 +505,17 @@ impl fmt::Display for GeneralizedTuple {
     }
 }
 
-/// The order graph of a conjunction: nodes are equivalence classes of terms
-/// (under the equality atoms), edges are `<` (strict) and `≤` (weak)
-/// obligations, including the built-in order on the mentioned constants.
-/// Result of the SCC pass: `(scc_of_root, topo_order_of_sccs, scc_pin)`.
-type SccAnalysis = (
-    BTreeMap<usize, usize>,
-    Vec<Vec<usize>>,
-    BTreeMap<usize, Rational>,
-);
-
-struct OrderGraph {
-    /// Union-find parent vector over node ids.
-    parent: Vec<usize>,
-    /// For each root: the constant its class is pinned to, if any.
-    pinned: BTreeMap<usize, Rational>,
-    /// Edges `(from, to, strict)` between class representatives.
-    edges: Vec<(usize, usize, bool)>,
-    /// Node id of each variable (dense) and each constant.
-    var_node: Vec<usize>,
-    const_node: BTreeMap<Rational, usize>,
-}
-
-impl OrderGraph {
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
+/// A point of a nonempty interval: its endpoint if it is a single point,
+/// else its midpoint, else one past its only bound, else `0`. `None` on
+/// rational overflow.
+fn point_in(b: VarBox) -> Option<Rational> {
+    match (b.lo, b.hi) {
+        (Some((l, _)), Some((h, _))) if l == h => Some(l),
+        (Some((l, _)), Some((h, _))) => l.midpoint(&h).ok(),
+        (Some((l, _)), None) => l.checked_add(&Rational::ONE).ok(),
+        (None, Some((h, _))) => h.checked_sub(&Rational::ONE).ok(),
+        (None, None) => Some(Rational::ZERO),
     }
-
-    /// Union two classes; returns `None` on contradiction (two distinct
-    /// constants merged).
-    fn union(&mut self, a: usize, b: usize) -> Option<()> {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return Some(());
-        }
-        let pa = self.pinned.get(&ra).copied();
-        let pb = self.pinned.get(&rb).copied();
-        if let (Some(ca), Some(cb)) = (pa, pb) {
-            if ca != cb {
-                return None;
-            }
-        }
-        self.parent[ra] = rb;
-        if let Some(c) = pa {
-            self.pinned.insert(rb, c);
-        }
-        Some(())
-    }
-
-    fn node_of(&mut self, t: Term) -> usize {
-        match t {
-            Term::Var(v) => self.var_node[v.index()],
-            Term::Const(c) => self.const_node[&c],
-        }
-    }
-
-    /// Build the graph; `None` indicates a contradiction found during
-    /// equality merging.
-    fn build(tuple: &GeneralizedTuple) -> Option<OrderGraph> {
-        let consts: Vec<Rational> = tuple.constants().into_iter().collect();
-        let nvars = tuple.arity as usize;
-        let n = nvars + consts.len();
-        let mut g = OrderGraph {
-            parent: (0..n).collect(),
-            pinned: BTreeMap::new(),
-            edges: Vec::new(),
-            var_node: (0..nvars).collect(),
-            const_node: consts
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (*c, nvars + i))
-                .collect(),
-        };
-        for (i, c) in consts.iter().enumerate() {
-            g.pinned.insert(nvars + i, *c);
-        }
-        // Built-in order between consecutive constants (sorted already).
-        for w in consts.windows(2) {
-            let a = g.const_node[&w[0]];
-            let b = g.const_node[&w[1]];
-            g.edges.push((a, b, true));
-        }
-        // Equality atoms first.
-        for a in &tuple.atoms {
-            if a.op() == CompOp::Eq {
-                let x = g.node_of(a.lhs());
-                let y = g.node_of(a.rhs());
-                g.union(x, y)?;
-            }
-        }
-        // Inequality atoms as edges.
-        for a in &tuple.atoms {
-            match a.op() {
-                CompOp::Eq => {}
-                op => {
-                    let x = g.node_of(a.lhs());
-                    let y = g.node_of(a.rhs());
-                    g.edges.push((x, y, op.is_strict()));
-                }
-            }
-        }
-        Some(g)
-    }
-
-    /// Satisfiable iff no strongly connected component (over all edges,
-    /// strict and weak) contains a strict edge, and no SCC merges two
-    /// distinct pinned constants.
-    fn consistent(mut self) -> bool {
-        self.sccs_ok().is_some()
-    }
-
-    /// Compute SCC ids per class representative; `None` if inconsistent.
-    /// On success returns `(scc_of_root, topo_order_of_sccs, scc_pin)`.
-    fn sccs_ok(&mut self) -> Option<SccAnalysis> {
-        // Collapse to representatives.
-        let n = self.parent.len();
-        let mut roots = BTreeSet::new();
-        for i in 0..n {
-            let r = self.find(i);
-            roots.insert(r);
-        }
-        let idx: BTreeMap<usize, usize> = roots.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-        let m = roots.len();
-        let mut adj: Vec<Vec<(usize, bool)>> = vec![Vec::new(); m];
-        let edges = self.edges.clone();
-        for (a, b, s) in edges {
-            let ra = idx[&self.find(a)];
-            let rb = idx[&self.find(b)];
-            if ra == rb {
-                if s {
-                    return None; // x < x
-                }
-                continue;
-            }
-            adj[ra].push((rb, s));
-        }
-        // Tarjan SCC (iterative).
-        let sccs = tarjan(&adj);
-        let mut scc_of = vec![usize::MAX; m];
-        for (si, comp) in sccs.iter().enumerate() {
-            for &v in comp {
-                scc_of[v] = si;
-            }
-        }
-        // Reject strict edges within an SCC.
-        for (u, nexts) in adj.iter().enumerate() {
-            for &(v, s) in nexts {
-                if s && scc_of[u] == scc_of[v] {
-                    return None;
-                }
-            }
-        }
-        // Topological order of the SCC DAG (Tarjan emits reverse topological).
-        let roots_vec: Vec<usize> = roots.iter().copied().collect();
-        let mut comps = sccs;
-        comps.reverse();
-        // Map local ids back to union-find roots.
-        let comps_roots: Vec<Vec<usize>> = comps
-            .iter()
-            .map(|comp| comp.iter().map(|&l| roots_vec[l]).collect())
-            .collect();
-        // Renumber SCC ids to topological position for callers.
-        let mut renum = BTreeMap::new();
-        for (pos, comp) in comps_roots.iter().enumerate() {
-            for r in comp {
-                renum.insert(*r, pos);
-            }
-        }
-        // Pins per SCC: all members of an SCC are forced equal, so two
-        // distinct pinned constants in one SCC is a contradiction. (Pin
-        // *ordering* along DAG paths needs no separate check: constant nodes
-        // carry built-in strict chain edges, so any violation would have
-        // produced a strict cycle above.)
-        let mut pin_topo: BTreeMap<usize, Rational> = BTreeMap::new();
-        for (pos, comp) in comps_roots.iter().enumerate() {
-            for r in comp {
-                if let Some(c) = self.pinned.get(r) {
-                    if let Some(c2) = pin_topo.get(&pos) {
-                        if c2 != c {
-                            return None;
-                        }
-                    }
-                    pin_topo.insert(pos, *c);
-                }
-            }
-        }
-        Some((renum, comps_roots, pin_topo))
-    }
-
-    /// Construct a witness point.
-    fn witness(mut self, arity: u32) -> Option<Vec<Rational>> {
-        let (renum, comps, pins) = self.sccs_ok()?;
-        // Assign a rational to each SCC in topological order such that all
-        // edges (which now go forward or within an SCC weakly) are satisfied.
-        // Between SCCs connected by a weak edge equality is allowed, but
-        // assigning strictly increasing values along topo order except where
-        // pins dictate otherwise is always safe... except pins impose exact
-        // values and order among pinned SCCs is consistent with topo order
-        // only partially. We therefore solve left to right:
-        //  - keep a running strict lower bound `low` (last assigned value)
-        //    for SCCs reachable so far; to stay sound we simply require each
-        //    assigned value to strictly exceed every predecessor's value
-        //    when a path exists. Tracking exact reachability is O(m²) worst
-        //    case but components are few.
-        let m = comps.len();
-        // adjacency between topo sccs with strictness
-        let mut adj: Vec<Vec<(usize, bool)>> = vec![Vec::new(); m];
-        let edges = self.edges.clone();
-        for (a, b, s) in edges {
-            let ra = self.find(a);
-            let rb = self.find(b);
-            let (pa, pb) = (renum[&ra], renum[&rb]);
-            if pa != pb {
-                adj[pa].push((pb, s));
-            }
-        }
-        // For each scc: max over predecessors of (pred value, strict?).
-        let mut value: Vec<Option<Rational>> = vec![None; m];
-        let mut lower: Vec<Option<(Rational, bool)>> = vec![None; m]; // (bound, strict)
-        for pos in 0..m {
-            // compute value
-            let v = if let Some(c) = pins.get(&pos) {
-                // check against accumulated lower bound
-                if let Some((b, strict)) = &lower[pos] {
-                    if (*strict && c <= b) || (!*strict && c < b) {
-                        return None;
-                    }
-                }
-                *c
-            } else {
-                match &lower[pos] {
-                    None => {
-                        // unconstrained below: pick min(pin values)-1-pos or 0
-                        Rational::from_int(-(1 + pos as i64))
-                            + pins.values().min().copied().unwrap_or(Rational::ZERO)
-                    }
-                    Some((b, strict)) => {
-                        if *strict {
-                            // strictly above b: need next pinned constant above?
-                            // No upper constraint tracked here: any value > b
-                            // works for predecessors; successors handle their
-                            // own bounds. But a pinned successor might force a
-                            // ceiling. To remain sound, choose b + epsilon
-                            // where epsilon smaller than the gap to the next
-                            // pinned constant greater than b, if any.
-                            let next_pin = pins.values().filter(|c| *c > b).min();
-                            match next_pin {
-                                Some(c) => b.midpoint(c).ok()?,
-                                None => b + &Rational::ONE,
-                            }
-                        } else {
-                            *b
-                        }
-                    }
-                }
-            };
-            value[pos] = Some(v);
-            for &(succ, s) in &adj[pos] {
-                let cur = lower[succ].take();
-                let cand = (v, s);
-                lower[succ] = Some(match cur {
-                    None => cand,
-                    Some((b, bs)) => {
-                        if v > b || (v == b && s && !bs) {
-                            cand
-                        } else {
-                            (b, bs)
-                        }
-                    }
-                });
-            }
-        }
-        // Read off variable values.
-        let mut point = Vec::with_capacity(arity as usize);
-        for i in 0..arity as usize {
-            let r = self.find(self.var_node[i]);
-            let pos = renum[&r];
-            point.push(value[pos]?);
-        }
-        Some(point)
-    }
-}
-
-/// Iterative Tarjan SCC; returns components in reverse topological order.
-fn tarjan(adj: &[Vec<(usize, bool)>]) -> Vec<Vec<usize>> {
-    let n = adj.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut next_index = 0;
-    let mut comps = Vec::new();
-    // Explicit DFS stack: (node, edge iterator position).
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut ei)) = call.last_mut() {
-            if *ei == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *ei < adj[v].len() {
-                let (w, _) = adj[v][*ei];
-                *ei += 1;
-                if index[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comps.push(comp);
-                }
-                call.pop();
-                if let Some(&mut (p, _)) = call.last_mut() {
-                    low[p] = low[p].min(low[v]);
-                }
-            }
-        }
-    }
-    comps
 }
 
 #[cfg(test)]
@@ -1054,6 +740,32 @@ mod tests {
         );
         let w = t.witness().unwrap();
         assert!(t.contains_point(&w), "bad witness {:?}", w);
+    }
+
+    #[test]
+    fn witness_of_arity_zero_is_the_empty_point() {
+        assert_eq!(GeneralizedTuple::top(0).witness(), Some(vec![]));
+    }
+
+    #[test]
+    fn witness_of_variable_chain() {
+        // No constants at all: every bound comes from another column.
+        let t = single(
+            3,
+            vec![raw(v(0), RawOp::Lt, v(1)), raw(v(1), RawOp::Lt, v(2))],
+        );
+        let w = t.witness().unwrap();
+        assert!(t.contains_point(&w), "bad witness {:?}", w);
+    }
+
+    #[test]
+    fn unsatisfiable_tuple_has_no_witness() {
+        // x0 < x1 ∧ x1 ≤ x0: a strict cycle.
+        let lt = Atom::normalized(v(0), CompOp::Lt, v(1)).unwrap()[0];
+        let ge = Atom::normalized(v(1), CompOp::Le, v(0)).unwrap()[0];
+        let t = GeneralizedTuple::from_atoms(2, [lt, ge]);
+        assert!(!t.is_satisfiable());
+        assert_eq!(t.witness(), None);
     }
 
     #[test]

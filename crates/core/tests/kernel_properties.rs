@@ -1,17 +1,21 @@
 //! Property tests for the tuple kernel's fast paths, each against a slow
-//! reference: the incremental satisfiability verdict against the batch
-//! order-graph solver, box-pruned intersection against conjoining every
-//! pair, bounding boxes against satisfiability, and fingerprints against
-//! structural equality.
+//! reference: the incremental satisfiability verdict and the witness
+//! against the cell decomposition, box-pruned intersection against
+//! conjoining every pair, bounding boxes against satisfiability, and
+//! fingerprints against structural equality.
 
 use dco_core::prelude::*;
 use proptest::prelude::*;
 
+/// Variables are drawn twice as often as each kind of constant, one kind
+/// being the pool `{-1, 0, 1}`, so random atoms often close cycles — the
+/// case in which a strict edge decides the verdict.
 fn arb_term(arity: u32) -> impl Strategy<Value = Term> {
     prop_oneof![
-        (0..arity).prop_map(Term::var),
-        (-6i64..6).prop_map(|c| Term::cst(rat(c as i128, 1))),
-        (-12i64..12, 2i64..5).prop_map(|(n, d)| Term::cst(rat(n as i128, d as i128))),
+        2 => (0..arity).prop_map(Term::var),
+        1 => (-1i64..2).prop_map(|c| Term::cst(rat(c as i128, 1))),
+        1 => (-6i64..6).prop_map(|c| Term::cst(rat(c as i128, 1))),
+        1 => (-12i64..12, 2i64..5).prop_map(|(n, d)| Term::cst(rat(n as i128, d as i128))),
     ]
 }
 
@@ -40,15 +44,26 @@ fn arb_relation(arity: u32) -> impl Strategy<Value = Vec<Vec<RawAtom>>> {
 
 /// Random *normalized* atoms — unlike [`GeneralizedTuple::from_raw`], a
 /// sequence built this way is free to pass through unsatisfiable prefixes,
-/// which is exactly what the incremental solver must detect.
+/// which is exactly what the incremental solver must detect. A nonempty
+/// sequence ends by reversing one of its comparisons (`l op r`, later
+/// `r op' l`), closing a cycle whose verdict hangs on strictness.
 fn arb_atoms(arity: u32) -> impl Strategy<Value = Vec<Atom>> {
-    let op = prop_oneof![Just(CompOp::Lt), Just(CompOp::Le), Just(CompOp::Eq)];
-    prop::collection::vec((arb_term(arity), op, arb_term(arity)), 0..6).prop_map(|triples| {
-        triples
-            .into_iter()
-            .flat_map(|(l, op, r)| Atom::normalized(l, op, r).into_iter().flatten())
-            .collect()
-    })
+    let op = || prop_oneof![Just(CompOp::Lt), Just(CompOp::Le), Just(CompOp::Eq)];
+    (
+        prop::collection::vec((arb_term(arity), op(), arb_term(arity)), 0..6),
+        0usize..64,
+        op(),
+    )
+        .prop_map(|(mut triples, back, closing)| {
+            if !triples.is_empty() {
+                let (l, _, r) = triples[back % triples.len()];
+                triples.push((r, closing, l));
+            }
+            triples
+                .into_iter()
+                .flat_map(|(l, op, r)| Atom::normalized(l, op, r).into_iter().flatten())
+                .collect()
+        })
 }
 
 fn build(arity: u32, raws: &[Vec<RawAtom>]) -> GeneralizedRelation {
@@ -76,19 +91,36 @@ fn all_pairs_intersect(a: &GeneralizedRelation, b: &GeneralizedRelation) -> Gene
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // ---- incremental SatState ≡ batch solver on random prefixes ------
+    // ---- incremental SatState ≡ cell decomposition on random prefixes -
 
     #[test]
-    fn incremental_verdict_matches_batch_on_prefixes(atoms in arb_atoms(3)) {
+    fn verdict_matches_cell_decomposition(atoms in arb_atoms(3)) {
         let mut t = GeneralizedTuple::top(3);
         for atom in atoms {
             t.push(atom);
+            // Every cell over the tuple's constants lies wholly inside or
+            // wholly outside it, so the tuple is satisfiable iff some
+            // cell's sample point satisfies it.
+            let space = CellSpace::new(3, t.constants());
+            let nonempty = space
+                .enumerate()
+                .iter()
+                .any(|cell| t.contains_point(&space.sample(cell)));
             prop_assert_eq!(
                 t.is_satisfiable(),
-                t.is_satisfiable_uncached(),
-                "prefix {} disagrees with the batch solver",
+                nonempty,
+                "prefix {} disagrees with the cell decomposition",
                 &t
             );
+            if nonempty {
+                let w = t.witness();
+                prop_assert!(
+                    w.as_ref().is_some_and(|w| t.contains_point(w)),
+                    "witness {:?} of {}",
+                    w,
+                    &t
+                );
+            }
         }
     }
 

@@ -225,14 +225,6 @@ proptest! {
             .apply_relation(&a.complement())
             .equivalent(&f.apply_relation(&a).complement()));
     }
-
-    // ---- interval fast path ------------------------------------------
-
-    #[test]
-    fn interval_set_mirrors_relation(a in arb_relation(1), p in arb_point(1)) {
-        let ivs = IntervalSet::from_relation(&a);
-        prop_assert_eq!(ivs.contains(&p[0]), a.contains_point(&p));
-    }
 }
 
 /// An arity in 1..=3 with two random relations of that arity.

@@ -98,29 +98,3 @@ fn no_new_constants_invented() {
         assert!(allowed.contains(&c), "invented constant {c}");
     }
 }
-
-#[test]
-fn interval_fast_path_agrees_with_algebra() {
-    // The 1-D canonical interval representation is an optimized mirror of
-    // the generic algebra; they must agree on boolean operations.
-    let a = GeneralizedRelation::from_raw(
-        1,
-        vec![
-            RawAtom::new(Term::cst(rat(0, 1)), RawOp::Le, Term::var(0)),
-            RawAtom::new(Term::var(0), RawOp::Lt, Term::cst(rat(5, 1))),
-        ],
-    );
-    let b = GeneralizedRelation::from_raw(
-        1,
-        vec![
-            RawAtom::new(Term::cst(rat(3, 1)), RawOp::Lt, Term::var(0)),
-            RawAtom::new(Term::var(0), RawOp::Le, Term::cst(rat(9, 1))),
-        ],
-    );
-    let ia = IntervalSet::from_relation(&a);
-    let ib = IntervalSet::from_relation(&b);
-    assert!(ia.union(&ib).to_relation().equivalent(&a.union(&b)));
-    assert!(ia.intersect(&ib).to_relation().equivalent(&a.intersect(&b)));
-    assert!(ia.complement().to_relation().equivalent(&a.complement()));
-    assert!(ia.difference(&ib).to_relation().equivalent(&a.subtract(&b)));
-}

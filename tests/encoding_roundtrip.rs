@@ -91,12 +91,6 @@ proptest! {
         };
         prop_assert!(fwd.equivalent(idb.get("S").unwrap()));
     }
-
-    #[test]
-    fn interval_set_roundtrips(rel in arb_unary()) {
-        let ivs = IntervalSet::from_relation(&rel);
-        prop_assert!(ivs.to_relation().equivalent(&rel));
-    }
 }
 
 #[test]
