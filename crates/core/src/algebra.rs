@@ -28,7 +28,7 @@
 //! assert!(!out.contains_point(&[rat(6, 1)]));
 //! ```
 
-use crate::atom::{RawAtom, Var};
+use crate::atom::RawAtom;
 use crate::database::Database;
 use crate::relation::GeneralizedRelation;
 use std::fmt;
@@ -148,32 +148,7 @@ impl Plan {
                         )));
                     }
                 }
-                // Build: widen to arity + |cols|, pin the new columns to the
-                // projected sources, eliminate the original block, narrow.
-                let out_arity = cols.len() as u32;
-                let total = arity + out_arity;
-                let mut r = rel.widen(total);
-                for (i, &src) in cols.iter().enumerate() {
-                    r = r.select(RawAtom::new(
-                        crate::atom::Term::var(arity + i as u32),
-                        crate::atom::RawOp::Eq,
-                        crate::atom::Term::var(src),
-                    ));
-                }
-                for j in (0..arity).rev() {
-                    r = r.project_out(Var(j));
-                }
-                // shift the kept block down
-                let shifted = r.rename(total, |v| {
-                    if v.0 >= arity {
-                        Var(v.0 - arity)
-                    } else {
-                        // unconstrained leftovers may appear in renames only
-                        // if still mentioned — they are not, post-projection.
-                        Var(v.0 + out_arity)
-                    }
-                });
-                Ok(shifted.narrow(out_arity))
+                Ok(rel.project_onto(cols))
             }
             Plan::Product(l, r) => {
                 let lrel = l.execute(db)?;

@@ -81,14 +81,6 @@ impl Term {
             Term::Const(c) => *c,
         }
     }
-
-    /// Apply a column renaming.
-    pub fn rename(&self, f: impl Fn(Var) -> Var) -> Term {
-        match self {
-            Term::Var(v) => Term::Var(f(*v)),
-            Term::Const(c) => Term::Const(*c),
-        }
-    }
 }
 
 impl fmt::Debug for Term {
@@ -369,26 +361,6 @@ impl Atom {
     pub fn substitute(&self, v: Var, t: Term) -> Option<Vec<Atom>> {
         let sub = |term: Term| if term == Term::Var(v) { t } else { term };
         Atom::normalized(sub(self.lhs), self.op, sub(self.rhs))
-    }
-
-    /// Apply a column renaming (which must be injective on mentioned vars).
-    pub fn rename(&self, f: impl Fn(Var) -> Var) -> Atom {
-        let lhs = self.lhs.rename(&f);
-        let rhs = self.rhs.rename(&f);
-        // Re-orient equalities after renaming to preserve the invariant.
-        if self.op == CompOp::Eq && rhs < lhs {
-            Atom {
-                lhs: rhs,
-                op: self.op,
-                rhs: lhs,
-            }
-        } else {
-            Atom {
-                lhs,
-                op: self.op,
-                rhs,
-            }
-        }
     }
 
     /// Negate: `¬(a < b) = b ≤ a`, `¬(a ≤ b) = b < a`,

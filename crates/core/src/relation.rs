@@ -10,12 +10,13 @@
 //! representable relation — is the property Theorem 3 of \[KKR90\] (recalled in
 //! §4) rests on, and it holds constructively here.
 
-use crate::atom::{RawAtom, Var};
+use crate::atom::{Atom, CompOp, RawAtom, Term, Var};
 use crate::guard::{probe_charge, ProbeSite};
 use crate::par::{par_map, par_map_when, should_parallelize};
 use crate::rational::Rational;
 use crate::tuple::GeneralizedTuple;
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -300,20 +301,46 @@ impl GeneralizedRelation {
     /// dropped column is still mentioned.
     pub fn narrow(&self, new_arity: u32) -> GeneralizedRelation {
         assert!(new_arity <= self.arity);
-        for t in &self.tuples {
-            for v in t.mentioned_vars() {
-                assert!(
-                    v.0 < new_arity,
-                    "narrow would drop constrained column {}",
-                    v.0
-                );
-            }
+        self.rename(new_arity, |v| v)
+    }
+
+    /// Projection onto `cols`: column `i` of the result is column
+    /// `cols[i]` of `self`, and a column may be listed more than once. The
+    /// columns not listed are projected out first (`∃`); then each tuple
+    /// is moved by one [`GeneralizedTuple::instantiate`] pass, plus an
+    /// equality for every repeated column.
+    pub fn project_onto(&self, cols: &[u32]) -> GeneralizedRelation {
+        let out = cols.len() as u32;
+        let mut projected = Cow::Borrowed(self);
+        for j in (0..self.arity).rev().filter(|j| !cols.contains(j)) {
+            projected = Cow::Owned(projected.project_out(Var(j)));
         }
+        // Column `j` goes to the first position listing it. A projected-out
+        // column is mentioned nowhere any more; its entry lies outside the
+        // result's arity, so `push` would reject it.
+        let map: Vec<Term> = (0..self.arity)
+            .map(|j| Term::var(cols.iter().position(|&c| c == j).unwrap_or(cols.len()) as u32))
+            .collect();
+        // Position `i` equals the first position listing its column (a
+        // trivially true atom when `i` is that position).
+        let copies: Vec<Atom> = cols
+            .iter()
+            .zip(0..)
+            .flat_map(|(&c, i)| Atom::normalized(map[c as usize], CompOp::Eq, Term::var(i)))
+            .flatten()
+            .collect();
         GeneralizedRelation::from_tuples(
-            new_arity,
-            self.tuples
+            out,
+            projected
+                .tuples
                 .iter()
-                .map(|t| GeneralizedTuple::from_atoms(new_arity, t.atoms().iter().copied())),
+                .filter_map(|t| t.instantiate(out, &map))
+                .map(|mut t| {
+                    for a in &copies {
+                        t.push(*a);
+                    }
+                    t
+                }),
         )
     }
 
@@ -609,6 +636,35 @@ mod tests {
         // swap columns
         let swapped = p.rename(2, |v| Var(1 - v.0));
         assert!(swapped.contains_point(&[rat(11, 2), rat(1, 2)]));
+    }
+
+    #[test]
+    fn project_onto_drops_reorders_and_repeats() {
+        // x0 < x1 < x2 with x0 in [0, 1] and x2 in [5, 6].
+        let r = GeneralizedRelation::from_raw(
+            3,
+            vec![
+                raw(c(0), RawOp::Le, v(0)),
+                raw(v(0), RawOp::Le, c(1)),
+                raw(v(0), RawOp::Lt, v(1)),
+                raw(v(1), RawOp::Lt, v(2)),
+                raw(c(5), RawOp::Le, v(2)),
+                raw(v(2), RawOp::Le, c(6)),
+            ],
+        );
+        // (x2, x0, x2): the middle column is projected out, x2 is listed
+        // twice.
+        let p = r.project_onto(&[2, 0, 2]);
+        assert_eq!(p.arity(), 3);
+        let pt = |a: i128, b: i128, c: i128| [rat(a, 1), rat(b, 1), rat(c, 1)];
+        assert!(p.contains_point(&pt(5, 1, 5)));
+        assert!(!p.contains_point(&pt(5, 1, 6)));
+        assert!(!p.contains_point(&pt(1, 5, 1)));
+        let back = p.project_onto(&[1, 0]);
+        assert!(back.equivalent(&r.project_out(Var(1)).project_onto(&[0, 2])));
+        assert!(r
+            .project_onto(&[])
+            .equivalent(&GeneralizedRelation::universe(0)));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl GeneralizedTuple {
     /// box they fold into (see [`VarBox::atoms`]). Subtraction pieces pile
     /// up such bounds, one per cut; keeping only the tightest keeps the
     /// answer, and every later atom-quadratic pass over it, small.
-    pub(crate) fn tightest_bounds(&self) -> GeneralizedTuple {
+    pub(crate) fn tightest_bounds(self) -> GeneralizedTuple {
         let is_bound = |a: &Atom| a.vars().count() == 1 && a.consts().count() == 1;
         let bounds: Vec<Atom> = self
             .sat
@@ -192,7 +192,7 @@ impl GeneralizedTuple {
         // The box atoms are never more than the atoms they came from, and
         // equally many only when they are those atoms.
         if bounds.len() == self.atoms.iter().filter(|a| is_bound(a)).count() {
-            return self.clone();
+            return self;
         }
         let rest = self.atoms.iter().filter(|a| !is_bound(a)).copied();
         GeneralizedTuple::from_atoms(self.arity, rest.chain(bounds))
@@ -275,11 +275,6 @@ impl GeneralizedTuple {
         self.atoms.iter().flat_map(|a| a.consts()).collect()
     }
 
-    /// All columns actually constrained.
-    pub fn mentioned_vars(&self) -> BTreeSet<Var> {
-        self.atoms.iter().flat_map(|a| a.vars()).collect()
-    }
-
     /// Decide satisfiability over `(Q, <)`: an O(1) read of the verdict the
     /// tuple's [`SatState`] maintained as its atoms were pushed.
     pub fn is_satisfiable(&self) -> bool {
@@ -306,44 +301,43 @@ impl GeneralizedTuple {
             projections.push(next);
         }
         projections.reverse();
-        let mut point = Vec::with_capacity(k);
+        // Column `j` reads as the value chosen for it once there is one.
+        let mut map: Vec<Term> = (0..self.arity).map(Term::var).collect();
         // `take`: at arity 0 there is one projection but no column.
         for (i, p) in projections.iter().enumerate().take(k) {
-            let mut rest = p.clone();
-            for (j, c) in point.iter().enumerate() {
-                rest = rest.substitute(Var(j as u32), Term::Const(*c))?;
-            }
+            let rest = p.instantiate(self.arity, &map)?;
             let interval = rest.bounding_box().get(i).copied().unwrap_or_default();
-            point.push(point_in(interval)?);
+            map[i] = Term::Const(point_in(interval)?);
         }
-        Some(point)
+        map.iter().map(Term::as_const).collect()
     }
 
     /// Substitute `v := t` and renormalize. Returns `None` if the result is
     /// trivially unsatisfiable.
     pub fn substitute(&self, v: Var, t: Term) -> Option<GeneralizedTuple> {
-        let mut out = GeneralizedTuple::top(self.arity);
-        for a in &self.atoms {
-            match a.substitute(v, t) {
-                None => return None,
-                Some(atoms) => {
-                    for a in atoms {
-                        out.push(a);
-                    }
-                }
-            }
-        }
-        Some(out)
+        let mut map: Vec<Term> = (0..self.arity).map(Term::var).collect();
+        map[v.index()] = t;
+        self.instantiate(self.arity, &map)
     }
 
     /// Dense-order quantifier elimination of a single variable: returns a
     /// tuple over the *same* arity whose constraints no longer mention `v`
     /// and which is equivalent to `∃v. self` (on the remaining columns).
+    /// The result keeps only the tightest constant bound per column and
+    /// side: combining bounds, or substituting an equality, can make a
+    /// constant bound redundant (`x0 <= 10` beside `x0 < 10`).
     ///
     /// Returns `None` when elimination discovers unsatisfiability.
     pub fn eliminate(&self, v: Var) -> Option<GeneralizedTuple> {
         // Guard probe: one hit per single-variable QE step.
         crate::guard::probe(crate::guard::ProbeSite::QuantifierElim);
+        self.eliminate_unfolded(v)
+            .map(GeneralizedTuple::tightest_bounds)
+    }
+
+    /// [`GeneralizedTuple::eliminate`] before the constant bounds are
+    /// folded.
+    fn eliminate_unfolded(&self, v: Var) -> Option<GeneralizedTuple> {
         // Step 1: if some equality pins v to another term, substitute it.
         for a in &self.atoms {
             if a.op() == CompOp::Eq {
@@ -391,9 +385,36 @@ impl GeneralizedTuple {
         Some(rest)
     }
 
-    /// Apply a column renaming (must map into `new_arity`).
+    /// Instantiate the tuple into a context of `arity` columns: column `j`
+    /// becomes `map[j]`, a context column or a constant, and every atom is
+    /// renormalized. This is how a predicate atom `R(t₁…tₙ)` reads a
+    /// stored tuple — a substitution, the equality step of dense-order QE,
+    /// with no temporary columns to eliminate. Returns `None` as soon as an
+    /// atom turns trivially false (`x0 < x1` read as `R(x, x)`); otherwise
+    /// the result may still be unsatisfiable. Entries of `map` for columns
+    /// no atom mentions are never read.
+    pub fn instantiate(&self, arity: u32, map: &[Term]) -> Option<GeneralizedTuple> {
+        assert_eq!(map.len(), self.arity as usize, "column map arity mismatch");
+        let sub = |t: Term| match t {
+            Term::Var(v) => map[v.index()],
+            c => c,
+        };
+        let mut out = GeneralizedTuple::top(arity);
+        for a in &self.atoms {
+            for b in Atom::normalized(sub(a.lhs()), a.op(), sub(a.rhs()))? {
+                out.push(b);
+            }
+        }
+        Some(out)
+    }
+
+    /// Apply an injective column renaming into `new_arity` columns (an
+    /// [`GeneralizedTuple::instantiate`] whose map holds only columns).
+    /// Panics if a mentioned column lands outside `new_arity`.
     pub fn rename(&self, new_arity: u32, f: impl Fn(Var) -> Var) -> GeneralizedTuple {
-        GeneralizedTuple::from_atoms(new_arity, self.atoms.iter().map(|a| a.rename(&f)))
+        let map: Vec<Term> = (0..self.arity).map(|j| Term::Var(f(Var(j)))).collect();
+        self.instantiate(new_arity, &map)
+            .expect("an injective renaming turns no atom false")
     }
 
     /// Widen the tuple to a larger arity (new columns unconstrained).
@@ -682,6 +703,62 @@ mod tests {
         );
         let e = t.eliminate(Var(1)).unwrap();
         assert!(!e.contains_point(&[rat(1, 1), rat(0, 1), rat(1, 1)]));
+    }
+
+    #[test]
+    fn eliminate_keeps_only_the_tightest_constant_bound() {
+        // ∃x1. 0 ≤ x0 ∧ x0 ≤ x1 ∧ x0 < x1 ∧ x1 ≤ 10: the lower × upper
+        // combination yields both x0 ≤ 10 and x0 < 10; only the strict
+        // one is kept.
+        let t = single(
+            2,
+            vec![
+                raw(c(0), RawOp::Le, v(0)),
+                raw(v(0), RawOp::Le, v(1)),
+                raw(v(0), RawOp::Lt, v(1)),
+                raw(v(1), RawOp::Le, c(10)),
+            ],
+        );
+        let e = t.eliminate(Var(1)).unwrap();
+        let expect = single(
+            2,
+            vec![raw(c(0), RawOp::Le, v(0)), raw(v(0), RawOp::Lt, c(10))],
+        );
+        assert_eq!(e, expect);
+        // ∃x1. x1 = x0 ∧ x1 < 5 ∧ x0 < 3: the substituted x0 < 5 is
+        // dominated by x0 < 3.
+        let t = single(
+            2,
+            vec![
+                raw(v(1), RawOp::Eq, v(0)),
+                raw(v(1), RawOp::Lt, c(5)),
+                raw(v(0), RawOp::Lt, c(3)),
+            ],
+        );
+        let e = t.eliminate(Var(1)).unwrap();
+        assert_eq!(e, single(2, vec![raw(v(0), RawOp::Lt, c(3))]));
+    }
+
+    #[test]
+    fn instantiate_substitutes_columns_and_constants() {
+        // x0 < x1 ∧ x1 ≤ 10 read as R(z, 3) in a context (y, z).
+        let t = single(
+            2,
+            vec![raw(v(0), RawOp::Lt, v(1)), raw(v(1), RawOp::Le, c(10))],
+        );
+        let r = t.instantiate(2, &[v(1), c(3)]).unwrap();
+        assert_eq!(r, single(2, vec![raw(v(1), RawOp::Lt, c(3))]));
+        // Read as R(x, x): x < x turns false at once.
+        assert_eq!(t.instantiate(1, &[v(0), v(0)]), None);
+        // Read as R(11, y): 11 < y ∧ y ≤ 10 survives as an atom pair but
+        // is unsatisfiable.
+        let r = t.instantiate(1, &[c(11), v(0)]).unwrap();
+        assert!(!r.is_satisfiable());
+        // A renaming is an instantiation whose map holds only columns.
+        assert_eq!(
+            t.rename(3, |x| Var(2 - x.0)),
+            t.instantiate(3, &[v(2), v(1)]).unwrap()
+        );
     }
 
     #[test]

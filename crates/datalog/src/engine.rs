@@ -396,16 +396,15 @@ fn strip_shadows(store: &Database, program: &Program, arities: &BTreeMap<String,
 }
 
 /// A rule precompiled for stage evaluation: body formula, evaluation
-/// context (head vars first), head arity and the column layout mapping
+/// context (head vars first) and the column layout mapping
 /// head positions to context columns (repeated head variables share one).
 struct Compiled {
     head: String,
     ctx: Vec<String>,
-    head_arity: u32,
     body: Formula,
     literals: Vec<Literal>,
     head_vars: Vec<String>,
-    layout: Vec<usize>,
+    layout: Vec<u32>,
     display: String,
 }
 
@@ -413,8 +412,7 @@ fn compile_rule(r: &Rule) -> Compiled {
     let body = Formula::And(r.body.iter().map(Literal::to_formula).collect());
     // Context: head vars first (in head order), then remaining body
     // vars sorted. Head vars may repeat — deduplicate keeping first
-    // occurrence; the duplicate column is reconstructed by
-    // `expand_columns` when widening the projection to the head arity.
+    // occurrence; `layout` maps each head position to its column.
     let mut ctx: Vec<String> = Vec::new();
     for v in &r.head_vars {
         if !ctx.contains(v) {
@@ -428,23 +426,18 @@ fn compile_rule(r: &Rule) -> Compiled {
         .collect();
     body_vars.sort();
     ctx.extend(body_vars);
-    let mut firsts: Vec<&String> = Vec::new();
-    let layout: Vec<usize> = r
+    let layout: Vec<u32> = r
         .head_vars
         .iter()
         .map(|v| {
-            if let Some(i) = firsts.iter().position(|f| *f == v) {
-                i
-            } else {
-                firsts.push(v);
-                firsts.len() - 1
-            }
+            ctx.iter()
+                .position(|c| c == v)
+                .expect("head var in context") as u32
         })
         .collect();
     Compiled {
         head: r.head.clone(),
         ctx,
-        head_arity: r.head_vars.len() as u32,
         body,
         literals: r.body.clone(),
         head_vars: r.head_vars.clone(),
@@ -463,25 +456,13 @@ fn eval_compiled(store: &Database, rule: &Compiled) -> Result<GeneralizedRelatio
     if let Some(expanded) = eval_rule_points(store, &rule.literals, &rule.head_vars) {
         return Ok(expanded);
     }
-    let mut rel =
-        eval_in_ctx(store, &rule.body, &rule.ctx).map_err(|source| EngineError::Body {
-            rule: rule.display.clone(),
-            source,
-        })?;
-    // Project away non-head columns.
-    let distinct_head = rule
-        .layout
-        .iter()
-        .copied()
-        .max()
-        .map(|m| m + 1)
-        .unwrap_or(0);
-    for i in (distinct_head..rule.ctx.len()).rev() {
-        rel = rel.project_out(Var(i as u32));
-    }
-    let rel = rel.narrow(distinct_head as u32);
-    // Expand to the full head arity honoring repeated variables.
-    Ok(expand_columns(&rel, &rule.layout, rule.head_arity))
+    let rel = eval_in_ctx(store, &rule.body, &rule.ctx).map_err(|source| EngineError::Body {
+        rule: rule.display.clone(),
+        source,
+    })?;
+    // Project away the non-head columns and lay the rest out in head
+    // order; a repeated head variable reads its first column again.
+    Ok(rel.project_onto(&rule.layout))
 }
 
 /// Enumerative rule evaluation for the finite fragment: succeeds when every
@@ -624,35 +605,6 @@ fn eval_rule_points(
         head_vars.len() as u32,
         points,
     ))
-}
-
-/// Expand an n-column relation to the head arity by duplicating columns
-/// according to `layout` (layout[i] = source column for head position i).
-fn expand_columns(
-    rel: &GeneralizedRelation,
-    layout: &[usize],
-    head_arity: u32,
-) -> GeneralizedRelation {
-    if layout.iter().enumerate().all(|(i, &s)| i == s) && layout.len() == head_arity as usize {
-        return rel.clone();
-    }
-    // widen, then constrain head col i = source col layout[i], then drop the
-    // source block by projecting.
-    let src = rel.arity();
-    let total = head_arity + src;
-    // place source at columns head_arity..head_arity+src
-    let mut r = rel.rename(total, |v| Var(v.0 + head_arity));
-    for (i, &s) in layout.iter().enumerate() {
-        r = r.select(RawAtom::new(
-            Term::var(i as u32),
-            RawOp::Eq,
-            Term::var(head_arity + s as u32),
-        ));
-    }
-    for j in (head_arity..total).rev() {
-        r = r.project_out(Var(j));
-    }
-    r.narrow(head_arity)
 }
 
 #[cfg(test)]
@@ -799,6 +751,45 @@ mod tests {
         let diag = run(&p, &db).unwrap().database.get("diag").unwrap().clone();
         assert!(diag.contains_point(&[rat(1, 1), rat(1, 1)]));
         assert!(!diag.contains_point(&[rat(1, 1), rat(2, 1)]));
+    }
+
+    #[test]
+    fn symbolic_head_and_body_shapes() {
+        // Interval and box relations, so no rule takes the point-set path:
+        // a repeated head variable, a repeated body variable and a
+        // constant body argument, checked at a sample point of every cell.
+        let p = parse_program(
+            "diag(x, x) :- v(x).\n\
+             self(x) :- e(x, x).\n\
+             from(y) :- e(2, y).\n",
+        )
+        .unwrap();
+        let rel = |src: &str, vars: &[&str]| {
+            let ctx: Vec<String> = vars.iter().map(|v| v.to_string()).collect();
+            let f = dco_logic::parse_formula(src).unwrap();
+            eval_in_ctx(&Database::new(Schema::new()), &f, &ctx).unwrap()
+        };
+        let v = rel("0 <= x & x < 4", &["x"]);
+        let e = rel(
+            "(0 <= x & x <= 3 & 1 <= y & y < 5) | (1 < x & x < y & y <= 7)",
+            &["x", "y"],
+        );
+        let db = Database::new(Schema::new().with("v", 1).with("e", 2))
+            .with("v", v.clone())
+            .with("e", e.clone());
+        let out = run(&p, &db).unwrap().database;
+        let holds = |name: &str, pt: &[Rational]| out.get(name).unwrap().contains_point(pt);
+        let space = CellSpace::new(2, [0, 1, 2, 3, 4, 5, 7].map(|n| rat(n, 1)));
+        for cell in space.enumerate() {
+            let pt = space.sample(&cell);
+            let (a, b) = (pt[0], pt[1]);
+            let diag = a == b && v.contains_point(&[a]);
+            assert_eq!(holds("diag", &pt), diag, "diag at {pt:?}");
+            let slf = e.contains_point(&[a, a]);
+            assert_eq!(holds("self", &[a]), slf, "self at {a}");
+            let from = e.contains_point(&[rat(2, 1), a]);
+            assert_eq!(holds("from", &[a]), from, "from at {a}");
+        }
     }
 
     #[test]

@@ -250,11 +250,8 @@ fn eval_connective(
             let (fresh_vs, body) = freshen(vs, body, ctx);
             let mut ctx2: Vec<String> = ctx.to_vec();
             ctx2.extend(fresh_vs.iter().cloned());
-            let mut r = sub(&body, &ctx2)?;
-            for i in (ctx.len()..ctx2.len()).rev() {
-                r = r.project_out(Var(i as u32));
-            }
-            Ok(maybe_simplify(r.narrow(k)))
+            let r = sub(&body, &ctx2)?;
+            Ok(maybe_simplify(r.project_onto(&(0..k).collect::<Vec<_>>())))
         }
         Formula::Forall(vs, body) => {
             // ∀x.φ = ¬∃x.¬φ; with capture on, the rewrite shows as the
@@ -286,8 +283,11 @@ fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Option<Term> 
 
 /// Evaluate a predicate atom into the context space.
 ///
-/// The predicate's columns are appended as temporary columns, linked to the
-/// context (or pinned to constants), and projected away.
+/// `R(t₁…tₙ)` with variable or constant arguments is a substitution: each
+/// stored tuple of `R` is instantiated in one pass, column `j` becoming the
+/// context column of `tⱼ` or its constant (see
+/// [`GeneralizedTuple::instantiate`]). A repeated variable or a constant
+/// may turn a tuple false, which then drops out.
 fn eval_pred(
     db: &Database,
     name: &str,
@@ -305,31 +305,22 @@ fn eval_pred(
             used: args.len() as u32,
         });
     }
-    let k = ctx.len() as u32;
-    let total = k + declared;
-    // Place the predicate's columns at k..k+declared.
-    let mut r = rel.rename(total, |v| Var(v.0 + k));
-    // Link each argument.
-    for (j, arg) in args.iter().enumerate() {
-        let pred_col = Term::var(k + j as u32);
-        match arg {
-            ArgTerm::Const(c) => {
-                r = r.select(RawAtom::new(pred_col, RawOp::Eq, Term::Const(*c)));
-            }
-            ArgTerm::Var(v) => {
-                let i = ctx
-                    .iter()
+    let map: Vec<Term> = args
+        .iter()
+        .map(|arg| match arg {
+            ArgTerm::Const(c) => Term::Const(*c),
+            ArgTerm::Var(v) => Term::var(
+                ctx.iter()
                     .position(|c| c == v)
-                    .expect("free variable missing from context") as u32;
-                r = r.select(RawAtom::new(pred_col, RawOp::Eq, Term::var(i)));
-            }
-        }
-    }
-    // Project away the temporaries.
-    for j in (k..total).rev() {
-        r = r.project_out(Var(j));
-    }
-    Ok(r.narrow(k))
+                    .expect("free variable missing from context") as u32,
+            ),
+        })
+        .collect();
+    let k = ctx.len() as u32;
+    Ok(GeneralizedRelation::from_tuples(
+        k,
+        rel.tuples().iter().filter_map(|t| t.instantiate(k, &map)),
+    ))
 }
 
 /// Alpha-rename quantified variables that collide with the enclosing

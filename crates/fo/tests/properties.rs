@@ -16,6 +16,8 @@ fn arb_formula(depth: u32) -> BoxedStrategy<Formula> {
         Just(Formula::pred("R", &["x", "y"])),
         Just(Formula::pred("R", &["y", "x"])),
         Just(Formula::pred("R", &["x", "x"])),
+        (-4i64..4).prop_map(|c| pred_with_const(c, "y", true)),
+        (-4i64..4).prop_map(|c| pred_with_const(c, "x", false)),
         Just(Formula::cmp_vars("x", RawOp::Lt, "y")),
         Just(Formula::cmp_vars("y", RawOp::Le, "x")),
         (-4i64..4).prop_map(|c| Formula::cmp_const("x", RawOp::Lt, rat(c as i128, 1))),
@@ -34,6 +36,14 @@ fn arb_formula(depth: u32) -> BoxedStrategy<Formula> {
         1 => sub.prop_map(|f| Formula::Forall(vec!["z".to_string()], Box::new(swap_var(&f, "x", "z")))),
     ]
     .boxed()
+}
+
+/// `R(c, v)` when `const_first`, else `R(v, c)`.
+fn pred_with_const(c: i64, v: &str, const_first: bool) -> Formula {
+    let c = ArgTerm::Const(rat(c as i128, 1));
+    let v = ArgTerm::Var(v.to_string());
+    let args = if const_first { vec![c, v] } else { vec![v, c] };
+    Formula::Pred("R".to_string(), args)
 }
 
 /// Conjunctions with negated conjuncts — `A & !B & atom`, sometimes with
@@ -262,6 +272,38 @@ proptest! {
                 rel.contains_point(&p), reference_eval(&f, &db, &env),
                 "formula {} at {:?} over {}", f, p, db
             );
+        }
+    }
+
+    #[test]
+    fn predicate_arguments_match_reference(db in arb_db(), c in -5i64..5) {
+        // Every argument shape a predicate atom can take — distinct,
+        // swapped and repeated variables, a constant in either place —
+        // checked at one sample point of every cell of the constants.
+        let shapes = [
+            Formula::pred("R", &["x", "y"]),
+            Formula::pred("R", &["y", "x"]),
+            Formula::pred("R", &["x", "x"]),
+            Formula::pred("R", &["y", "y"]),
+            pred_with_const(c, "y", true),
+            pred_with_const(c, "x", false),
+        ];
+        let ctx = vec!["x".to_string(), "y".to_string()];
+        for f in shapes {
+            let rel = eval_in_ctx(&db, &f, &ctx).expect("dense-order formula evaluates");
+            let mut consts: std::collections::BTreeSet<Rational> = db.constants().into_iter().collect();
+            formula_consts(&f, &mut consts);
+            let space = CellSpace::new(2, consts);
+            for cell in space.enumerate() {
+                let p = space.sample(&cell);
+                let mut env = BTreeMap::new();
+                env.insert("x".to_string(), p[0]);
+                env.insert("y".to_string(), p[1]);
+                prop_assert_eq!(
+                    rel.contains_point(&p), reference_eval(&f, &db, &env),
+                    "formula {} at {:?} over {}", f, p, db
+                );
+            }
         }
     }
 
