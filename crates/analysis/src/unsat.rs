@@ -17,7 +17,7 @@
 //! here".
 
 use crate::diagnostic::{Diagnostic, Span};
-use dco_core::prelude::{Atom, CompOp, GeneralizedTuple, RawAtom, RawOp, Term};
+use dco_core::prelude::{Atom, CompOp, Conjunction, GeneralizedTuple, RawAtom, RawOp, Term};
 use dco_logic::datalog::{Literal, Rule};
 use dco_logic::{Formula, LinExpr};
 

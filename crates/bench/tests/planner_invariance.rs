@@ -5,7 +5,8 @@
 //! harness generates 128 deterministic random cases across the three
 //! evaluators (FO, FO+linear, Datalog) and demands that the planned
 //! form evaluates to a relation equivalent to the unplanned one (or
-//! fails identically when the unplanned form fails).
+//! fails identically when the unplanned form fails). FO+linear runs
+//! through FO's evaluator, so its EXPLAIN is checked here too.
 
 use dco::analysis::stats::DbStats;
 use dco::analysis::{plan_formula, plan_rule};
@@ -165,10 +166,20 @@ fn linear_planned_order_is_result_invariant_32_cases() {
         let formula = parse_formula(&src).unwrap_or_else(|e| panic!("case {case} `{src}`: {e}"));
         let planned = plan_formula(&formula, &DbStats::of_database(&db));
         match (eval_linear(&db, &formula), eval_linear(&db, &planned)) {
-            (Ok(base), Ok(opt)) => assert!(
-                base.relation.equivalent(&opt.relation),
-                "case {case}: planned linear result diverges\n  query: {src}\n  planned: {planned}"
-            ),
+            (Ok(base), Ok(opt)) => {
+                assert!(
+                    base.relation.equivalent(&opt.relation),
+                    "case {case}: planned linear result diverges\n  query: {src}\n  planned: {planned}"
+                );
+                // EXPLAIN plans, then evaluates with plan capture on: the
+                // same answer, and a root measured at its width.
+                let ex = explain_linear(&db, &formula).expect("evaluates like eval_linear");
+                assert!(
+                    ex.result.relation.equivalent(&base.relation),
+                    "case {case}: explained linear result diverges for {src}"
+                );
+                assert_eq!(ex.plan.root.actual, Some(ex.result.relation.len() as u64));
+            }
             (Err(_), Err(_)) => {}
             (b, o) => panic!(
                 "case {case}: planning changed linear failure for {src}: base {:?} vs planned {:?}",

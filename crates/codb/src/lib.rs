@@ -8,10 +8,10 @@
 //!
 //! | Layer | Crate | Paper section |
 //! |---|---|---|
-//! | Rationals, generalized relations, QE, cells, algebra | [`core`] | §2–§3 |
+//! | Rationals, generalized relations over any constraint class, QE, cells | [`core`] | §2–§3 |
 //! | Formula AST and parser | [`logic`] | §4 |
-//! | FO evaluation (closed form, AC⁰ data complexity) | [`fo`] | §4 |
-//! | FO+ with linear constraints (Fourier–Motzkin) | [`linear`] | §4, Thm 4.1–4.3 |
+//! | FO evaluation (closed form, AC⁰ data complexity), one evaluator for FO and FO+ | [`fo`] | §4 |
+//! | FO+'s linear tuples (Fourier–Motzkin) as a domain of that evaluator | [`linear`] | §4, Thm 4.1–4.3 |
 //! | Inflationary Datalog¬ (= PTIME, Thm 4.4) | [`datalog`] | §4 |
 //! | Complex objects and C-CALC | [`complex`] | §5 |
 //! | EF games for the inexpressibility results | [`ef`] | Thm 4.2–4.3 |
@@ -135,8 +135,8 @@ pub mod prelude {
         TryEvalError,
     };
     pub use dco_linear::{
-        eval_linear, eval_linear_str, try_eval_linear, try_eval_linear_str, try_eval_linear_with,
-        TryLinEvalError,
+        eval_linear, eval_linear_str, explain_linear, try_eval_linear, try_eval_linear_str,
+        try_eval_linear_with,
     };
     pub use dco_logic::{parse_formula, Formula};
     pub use dco_store::{serve, Client, Store, StoreError, StoreOptions};

@@ -26,7 +26,7 @@
 
 use crate::atom::{Atom, CompOp, Term};
 use crate::rational::Rational;
-use crate::relation::GeneralizedRelation;
+use crate::relation::{Conjunction, GeneralizedRelation};
 use crate::tuple::GeneralizedTuple;
 
 use std::collections::BTreeSet;

@@ -16,7 +16,7 @@
 //! | site | where |
 //! |---|---|
 //! | [`ProbeSite::DnfInsert`] | every disjunct insert into a [`crate::relation::GeneralizedRelation`] (union, intersect, complement distribution) |
-//! | [`ProbeSite::QuantifierElim`] | each single-variable dense-order QE step ([`crate::tuple::GeneralizedTuple::eliminate`]) |
+//! | [`ProbeSite::QuantifierElim`] | each single-variable dense-order QE step ([`GeneralizedTuple::eliminate`](crate::relation::Conjunction::eliminate)) |
 //! | [`ProbeSite::CellSplit`] | each cell produced by [`crate::cell::CellSpace::enumerate`] |
 //! | [`ProbeSite::FourierMotzkin`] | each Fourier–Motzkin pivot in `dco-linear` |
 //! | [`ProbeSite::FixpointStage`] | each stage boundary of the Datalog engines |

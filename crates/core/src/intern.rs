@@ -55,6 +55,7 @@ mod tests {
     use super::*;
     use crate::atom::{CompOp, RawAtom, RawOp};
     use crate::rational::rat;
+    use crate::relation::Conjunction;
     use crate::tuple::GeneralizedTuple;
     use std::collections::HashSet;
 

@@ -10,7 +10,9 @@
 //!   elimination for `Th(Q, <)` ([`mod@tuple`]);
 //! * generalized relations — finite unions of tuples with the closed-form
 //!   constraint algebra (union/intersection/complement/projection) the
-//!   paper's query languages compile to ([`relation`]);
+//!   paper's query languages compile to, written once over any
+//!   [`relation::Conjunction`] so FO+'s linear tuples reuse it
+//!   ([`relation`]);
 //! * order-type cell decompositions giving canonical forms and decidable
 //!   equivalence ([`cell`]);
 //! * order automorphisms of Q and the genericity machinery of Definition 3.1
@@ -78,7 +80,7 @@ pub mod prelude {
     };
     pub use crate::par::{eval_config, set_eval_config, with_eval_config, EvalConfig};
     pub use crate::rational::{rat, Rational};
-    pub use crate::relation::GeneralizedRelation;
+    pub use crate::relation::{Conjunction, GeneralizedRelation, Relation};
     pub use crate::sat::{SatState, VarBox};
     pub use crate::tuple::GeneralizedTuple;
 }

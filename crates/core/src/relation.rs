@@ -2,15 +2,21 @@
 //!
 //! A *k-ary finitely representable relation* (a "generalized relation" in
 //! \[KKR90\]) is a finite set of k-ary generalized tuples; it denotes the union
-//! of their point sets — a quantifier-free DNF formula over dense-order
+//! of their point sets — a quantifier-free DNF formula over a class of
 //! constraints. This module implements the closed-form relational algebra
 //! the paper's query languages compile to: union, intersection, complement,
-//! difference, column projection (`∃`, via dense-order QE), selection and
-//! renaming. *Closure* — every operation returns another finitely
-//! representable relation — is the property Theorem 3 of \[KKR90\] (recalled in
-//! §4) rests on, and it holds constructively here.
+//! difference, column projection (`∃`, via quantifier elimination),
+//! selection and renaming. *Closure* — every operation returns another
+//! finitely representable relation — is the property Theorem 3 of
+//! \[KKR90\] (recalled in §4) rests on, and it holds constructively here.
+//!
+//! The algebra is written once, as [`Relation<T>`] over any
+//! [`Conjunction`]: FO's dense-order tuples ([`GeneralizedRelation`]) and
+//! FO+'s linear tuples (`dco-linear`) are two instantiations. What depends
+//! on the constraint class — deciding a conjunction and eliminating one
+//! variable from it — stays in the conjunction type.
 
-use crate::atom::{Atom, CompOp, RawAtom, Term, Var};
+use crate::atom::{RawAtom, Term, Var};
 use crate::guard::{probe_charge, ProbeSite};
 use crate::par::{par_map, par_map_when, should_parallelize};
 use crate::rational::Rational;
@@ -20,40 +26,147 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// A finite union of satisfiable generalized tuples of a fixed arity.
+/// A conjunction of constraints over columns `0..arity`, as the relation
+/// layer uses it: the operations [`Relation`]'s algebra is written in.
+///
+/// A conjunction need not be satisfiable; the relation layer decides that
+/// with [`Conjunction::is_satisfiable`] before it stores one. The two
+/// methods that depend on the constraint class are deciding a
+/// conjunction and [`Conjunction::eliminate`] (one quantifier); the rest
+/// is bookkeeping.
+pub trait Conjunction: Clone + PartialEq + Send + Sync {
+    /// One atomic constraint.
+    type Atom: Clone;
+
+    /// The empty conjunction: all of `Q^arity`.
+    fn top(arity: u32) -> Self;
+
+    /// Number of columns.
+    fn arity(&self) -> u32;
+
+    /// The atoms of the conjunction.
+    fn atoms(&self) -> &[Self::Atom];
+
+    /// Conjoin one atom.
+    fn push(&mut self, atom: Self::Atom);
+
+    /// Conjoin two conjunctions of the same arity.
+    fn conjoin(&self, other: &Self) -> Self;
+
+    /// Whether some point satisfies the conjunction.
+    fn is_satisfiable(&self) -> bool;
+
+    /// A sound, cheap proof that `self ∧ other` is unsatisfiable (their
+    /// per-column bounding boxes are disjoint); `false` proves nothing.
+    fn box_disjoint(&self, other: &Self) -> bool;
+
+    /// Whether every atom of `self` appears literally in `other`, which
+    /// makes `other ⊆ self`. Sound but incomplete.
+    fn subsumes_syntactic(&self, other: &Self) -> bool;
+
+    /// The negation of an atom as a disjunction of atoms.
+    fn negate(atom: &Self::Atom) -> Vec<Self::Atom>;
+
+    /// The same point set in the tidier form subtraction keeps its pieces
+    /// in (redundant bounds dropped).
+    fn tidy(self) -> Self;
+
+    /// `∃v. self` over the same arity (column `v` left unconstrained);
+    /// `None` when elimination finds the conjunction unsatisfiable.
+    fn eliminate(&self, v: Var) -> Option<Self>;
+
+    /// Move into a context of `arity` columns: column `j` becomes
+    /// `map[j]`, a context column or a constant. `None` once an atom turns
+    /// trivially false; entries for columns no atom mentions are never
+    /// read.
+    fn instantiate(&self, arity: u32, map: &[Term]) -> Option<Self>;
+
+    /// The atom `a = b` between two distinct columns of an `arity`-column
+    /// conjunction.
+    fn column_eq(arity: u32, a: Var, b: Var) -> Self::Atom;
+
+    /// Membership of a concrete point.
+    fn contains_point(&self, point: &[Rational]) -> bool;
+
+    /// The conjunction of `atoms`.
+    fn from_atoms(arity: u32, atoms: impl IntoIterator<Item = Self::Atom>) -> Self {
+        let mut t = Self::top(arity);
+        for a in atoms {
+            t.push(a);
+        }
+        t
+    }
+
+    /// Does the conjunction entail `atom`? Decided by refutation: every
+    /// alternative of `¬atom` conjoined to `self` is unsatisfiable.
+    fn entails(&self, atom: &Self::Atom) -> bool {
+        Self::negate(atom).into_iter().all(|alt| {
+            let mut t = self.clone();
+            t.push(alt);
+            !t.is_satisfiable()
+        })
+    }
+
+    /// Does this conjunction's point set include the other's
+    /// (`other ⊆ self`)? The syntactic check first, then one entailment
+    /// refutation per atom.
+    fn subsumes(&self, other: &Self) -> bool {
+        assert_eq!(self.arity(), other.arity());
+        self.subsumes_syntactic(other) || self.atoms().iter().all(|a| other.entails(a))
+    }
+
+    /// Remove atoms entailed by the rest of the conjunction (greedy, so
+    /// not guaranteed globally minimum, but stable).
+    fn simplify(&self) -> Self {
+        let mut atoms = self.atoms().to_vec();
+        let mut i = 0;
+        while i < atoms.len() {
+            let rest = atoms.iter().enumerate().filter(|&(j, _)| j != i);
+            let rest = Self::from_atoms(self.arity(), rest.map(|(_, x)| x.clone()));
+            if rest.entails(&atoms[i]) {
+                atoms.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        Self::from_atoms(self.arity(), atoms)
+    }
+}
+
+/// A finite union of satisfiable conjunctions of a fixed arity.
 ///
 /// Invariants: every stored tuple is satisfiable; no stored tuple is
 /// syntactically equal to another. (Semantic overlap between tuples is
 /// permitted — the denotation is the union.)
 #[derive(Clone, PartialEq, Eq)]
-pub struct GeneralizedRelation {
+pub struct Relation<T> {
     arity: u32,
-    tuples: Vec<GeneralizedTuple>,
+    tuples: Vec<T>,
 }
 
-impl GeneralizedRelation {
+/// A dense-order generalized relation: the relation of FO.
+pub type GeneralizedRelation = Relation<GeneralizedTuple>;
+
+impl<T: Conjunction> Relation<T> {
     /// The empty k-ary relation.
-    pub fn empty(arity: u32) -> GeneralizedRelation {
-        GeneralizedRelation {
+    pub fn empty(arity: u32) -> Relation<T> {
+        Relation {
             arity,
             tuples: Vec::new(),
         }
     }
 
     /// The full space `Q^k`.
-    pub fn universe(arity: u32) -> GeneralizedRelation {
-        GeneralizedRelation {
+    pub fn universe(arity: u32) -> Relation<T> {
+        Relation {
             arity,
-            tuples: vec![GeneralizedTuple::top(arity)],
+            tuples: vec![T::top(arity)],
         }
     }
 
     /// Build from tuples, dropping unsatisfiable ones.
-    pub fn from_tuples(
-        arity: u32,
-        tuples: impl IntoIterator<Item = GeneralizedTuple>,
-    ) -> GeneralizedRelation {
-        let mut r = GeneralizedRelation::empty(arity);
+    pub fn from_tuples(arity: u32, tuples: impl IntoIterator<Item = T>) -> Relation<T> {
+        let mut r = Relation::empty(arity);
         for t in tuples {
             r.insert(t);
         }
@@ -62,14 +175,11 @@ impl GeneralizedRelation {
 
     /// Build from tuples *without* subsumption pruning: only unsatisfiable
     /// tuples and exact syntactic duplicates are dropped. The result denotes
-    /// the same set as [`GeneralizedRelation::from_tuples`] but may carry
-    /// redundant disjuncts — used as the reference representation when
-    /// testing that pruning is semantics-preserving.
-    pub fn from_tuples_unpruned(
-        arity: u32,
-        tuples: impl IntoIterator<Item = GeneralizedTuple>,
-    ) -> GeneralizedRelation {
-        let mut r = GeneralizedRelation::empty(arity);
+    /// the same set as [`Relation::from_tuples`] but may carry redundant
+    /// disjuncts — used as the reference representation when testing that
+    /// pruning is semantics-preserving.
+    pub fn from_tuples_unpruned(arity: u32, tuples: impl IntoIterator<Item = T>) -> Relation<T> {
+        let mut r = Relation::empty(arity);
         for t in tuples {
             assert_eq!(t.arity(), arity, "insert arity mismatch");
             if t.is_satisfiable() && !r.tuples.contains(&t) {
@@ -79,13 +189,294 @@ impl GeneralizedRelation {
         r
     }
 
+    /// Number of columns.
+    pub fn arity(&self) -> u32 {
+        self.arity
+    }
+
+    /// The generalized tuples (disjuncts).
+    pub fn tuples(&self) -> &[T] {
+        &self.tuples
+    }
+
+    /// Number of disjuncts in the representation.
+    pub fn len(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// Whether the relation denotes the empty set.
+    pub fn is_empty(&self) -> bool {
+        self.tuples.is_empty()
+    }
+
+    /// Total number of atoms across all tuples — the representation size the
+    /// paper's "standard encoding" measures data complexity against.
+    pub fn size(&self) -> usize {
+        self.tuples.iter().map(|t| t.atoms().len().max(1)).sum()
+    }
+
+    /// Insert a tuple if satisfiable, pruning by syntactic subsumption.
+    ///
+    /// This is the single normalization point all construction paths go
+    /// through: unsatisfiable tuples are dropped here (or were already
+    /// dropped by the caller, which then uses
+    /// [`Relation::insert_satisfiable`] directly).
+    pub fn insert(&mut self, t: T) {
+        assert_eq!(t.arity(), self.arity, "insert arity mismatch");
+        if t.is_satisfiable() {
+            self.insert_satisfiable(t);
+        }
+    }
+
+    /// Insert a tuple already known satisfiable, pruning subsumed disjuncts
+    /// in both directions: the new tuple is dropped if an existing disjunct
+    /// syntactically subsumes it (its atoms are a subset of the new
+    /// tuple's, so it denotes a superset), and existing disjuncts the new
+    /// tuple subsumes are removed. Equal tuples subsume each other, so this
+    /// also deduplicates. Only the linear-time syntactic check is used —
+    /// semantic subsumption stays in [`Relation::simplify`], where its cost
+    /// is paid once instead of per insert.
+    pub fn insert_satisfiable(&mut self, t: T) {
+        debug_assert_eq!(t.arity(), self.arity, "insert arity mismatch");
+        // Guard probe: every DNF insert is a materialization step, charged
+        // against the tuple/atom budgets whether or not subsumption keeps it.
+        probe_charge(ProbeSite::DnfInsert, 1, t.atoms().len() as u64);
+        if self.tuples.iter().any(|u| u.subsumes_syntactic(&t)) {
+            return;
+        }
+        self.tuples.retain(|u| !t.subsumes_syntactic(u));
+        self.tuples.push(t);
+    }
+
+    /// Membership of a concrete point.
+    pub fn contains_point(&self, point: &[Rational]) -> bool {
+        self.tuples.iter().any(|t| t.contains_point(point))
+    }
+
+    /// Set union.
+    pub fn union(&self, other: &Relation<T>) -> Relation<T> {
+        assert_eq!(self.arity, other.arity, "union arity mismatch");
+        let mut r = self.clone();
+        for t in &other.tuples {
+            r.insert(t.clone());
+        }
+        r
+    }
+
+    /// Set intersection (pairwise conjunction of disjuncts).
+    ///
+    /// The conjoin-and-decide work over all tuple pairs runs in parallel
+    /// when the pair count clears the configured threshold; the subsumption
+    /// merge is sequential and order-preserving, so the result is identical
+    /// to the sequential one.
+    pub fn intersect(&self, other: &Relation<T>) -> Relation<T> {
+        assert_eq!(self.arity, other.arity, "intersect arity mismatch");
+        let pairs = self.tuples.len().saturating_mul(other.tuples.len());
+        let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |a| {
+            other
+                .tuples
+                .iter()
+                // Bounding-box pre-filter: pairs with provably disjoint
+                // boxes conjoin to an unsatisfiable tuple, which the
+                // filter below would discard anyway — skipping them here
+                // changes nothing structurally, it only avoids the work.
+                .filter(|b| !a.box_disjoint(b))
+                .map(|b| a.conjoin(b))
+                .filter(|t| t.is_satisfiable())
+                .collect::<Vec<_>>()
+        });
+        let mut r = Relation::empty(self.arity);
+        for t in chunks.into_iter().flatten() {
+            r.insert_satisfiable(t);
+        }
+        r
+    }
+
+    /// Complement with respect to `Q^k`: `universe − self`.
+    pub fn complement(&self) -> Relation<T> {
+        Relation::universe(self.arity).subtract(self)
+    }
+
+    /// Set difference `self ∖ other` — the one negation kernel:
+    /// [`Relation::complement`] is `Q^k ∖ self`, and the FO evaluator maps
+    /// `A ∧ ¬B` to `A ∖ B` without forming `¬B`.
+    ///
+    /// Each tuple of `self` is cut by the tuples of `other` in turn into
+    /// pairwise disjoint pieces (see `cut`), so the cost follows the
+    /// pieces produced, not the size of `¬other` over all of `Q^k`. Every
+    /// piece created is charged to [`ProbeSite::DnfInsert`], so budgets
+    /// and deadlines fire in the middle of a subtraction. Tuples of `self`
+    /// are cut in parallel when the pair count clears the configured
+    /// threshold; the merge is sequential and order-preserving.
+    pub fn subtract(&self, other: &Relation<T>) -> Relation<T> {
+        assert_eq!(self.arity, other.arity, "subtract arity mismatch");
+        let pairs = self.tuples.len().saturating_mul(other.tuples.len());
+        let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |t| {
+            other.tuples.iter().fold(vec![t.clone()], |pieces, u| {
+                pieces.into_iter().flat_map(|p| cut(p, u)).collect()
+            })
+        });
+        let mut r = Relation::empty(self.arity);
+        for p in chunks.into_iter().flatten() {
+            r.insert_satisfiable(p);
+        }
+        r
+    }
+
+    /// Existential projection of one column: `∃x_v. self`, still expressed
+    /// over the same arity (the eliminated column becomes unconstrained).
+    /// `∃` distributes over `∨`, so each tuple is eliminated independently —
+    /// this is the closed-form bottom-up evaluation step of \[KKR90\].
+    pub fn project_out(&self, v: Var) -> Relation<T> {
+        let eliminated = par_map(&self.tuples, |t| {
+            t.eliminate(v).filter(|e| e.is_satisfiable())
+        });
+        let mut r = Relation::empty(self.arity);
+        for e in eliminated.into_iter().flatten() {
+            r.insert_satisfiable(e);
+        }
+        r
+    }
+
+    /// Apply an injective column renaming into a (possibly larger) arity:
+    /// one [`Conjunction::instantiate`] per tuple whose map holds only
+    /// columns. Panics if a mentioned column lands outside `new_arity`.
+    pub fn rename(&self, new_arity: u32, f: impl Fn(Var) -> Var) -> Relation<T> {
+        let map: Vec<Term> = (0..self.arity).map(|j| Term::Var(f(Var(j)))).collect();
+        Relation::from_tuples(
+            new_arity,
+            self.tuples.iter().map(|t| {
+                t.instantiate(new_arity, &map)
+                    .expect("an injective renaming turns no atom false")
+            }),
+        )
+    }
+
+    /// Widen to a larger arity; new columns are unconstrained
+    /// (cylindrification).
+    pub fn widen(&self, new_arity: u32) -> Relation<T> {
+        assert!(new_arity >= self.arity, "widen must not shrink");
+        self.rename(new_arity, |v| v)
+    }
+
+    /// Drop trailing unconstrained columns down to `new_arity`. Panics if a
+    /// dropped column is still mentioned.
+    pub fn narrow(&self, new_arity: u32) -> Relation<T> {
+        assert!(new_arity <= self.arity);
+        self.rename(new_arity, |v| v)
+    }
+
+    /// Projection onto `cols`: column `i` of the result is column
+    /// `cols[i]` of `self`, and a column may be listed more than once. The
+    /// columns not listed are projected out first (`∃`); then each tuple
+    /// is moved by one [`Conjunction::instantiate`] pass, plus an equality
+    /// for every repeated column.
+    pub fn project_onto(&self, cols: &[u32]) -> Relation<T> {
+        let out = cols.len() as u32;
+        let mut projected = Cow::Borrowed(self);
+        for j in (0..self.arity).rev().filter(|j| !cols.contains(j)) {
+            projected = Cow::Owned(projected.project_out(Var(j)));
+        }
+        // Column `j` goes to the first position listing it. A projected-out
+        // column is mentioned nowhere any more; its entry lies outside the
+        // result's arity, so `push` would reject it.
+        let first = |c: u32| cols.iter().position(|&x| x == c).unwrap_or(cols.len()) as u32;
+        let map: Vec<Term> = (0..self.arity).map(|j| Term::var(first(j))).collect();
+        // Position `i` equals the first position listing its column.
+        let copies: Vec<T::Atom> = cols
+            .iter()
+            .zip(0..)
+            .filter(|&(&c, i)| first(c) != i)
+            .map(|(&c, i)| T::column_eq(out, Var(first(c)), Var(i)))
+            .collect();
+        Relation::from_tuples(
+            out,
+            projected
+                .tuples
+                .iter()
+                .filter_map(|t| t.instantiate(out, &map))
+                .map(|mut t| {
+                    for a in &copies {
+                        t.push(a.clone());
+                    }
+                    t
+                }),
+        )
+    }
+
+    /// Inclusion test `self ⊆ other`.
+    ///
+    /// Fast path first: any disjunct of `self` subsumed by a single
+    /// disjunct of `other` is certainly included; only the leftover
+    /// disjuncts (which could still be covered by a *union* of `other`'s
+    /// disjuncts) fall back to the refutation `leftover ∖ other = ∅`. For
+    /// the common case where each disjunct has a single covering disjunct
+    /// this skips the subtraction entirely.
+    pub fn is_subset(&self, other: &Relation<T>) -> bool {
+        // A disjunct of `other` whose box misses `t`'s cannot cover the
+        // (satisfiable) `t`, so the entailment test is skipped for it.
+        let covered = par_map(&self.tuples, |t| {
+            other
+                .tuples
+                .iter()
+                .any(|u| !u.box_disjoint(t) && u.subsumes(t))
+        });
+        let leftover: Vec<T> = self
+            .tuples
+            .iter()
+            .zip(&covered)
+            .filter(|&(_, c)| !c)
+            .map(|(t, _)| t.clone())
+            .collect();
+        if leftover.is_empty() {
+            return true;
+        }
+        let rest = Relation {
+            arity: self.arity,
+            tuples: leftover,
+        };
+        rest.subtract(other).is_empty()
+    }
+
+    /// Semantic equivalence of the denoted point sets.
+    pub fn equivalent(&self, other: &Relation<T>) -> bool {
+        self.is_subset(other) && other.is_subset(self)
+    }
+
+    /// Simplify the representation: minimize each tuple (in parallel — each
+    /// minimization is a batch of independent entailment refutations) and
+    /// drop disjuncts subsumed by other disjuncts. The stable sort and the
+    /// sequential kept-loop make the output deterministic regardless of
+    /// thread count.
+    pub fn simplify(&self) -> Relation<T> {
+        let work: usize = self.tuples.iter().map(|t| t.atoms().len()).sum();
+        let mut tuples: Vec<T> =
+            par_map_when(should_parallelize(work), &self.tuples, |t| t.simplify());
+        tuples.sort_by_key(|t| t.atoms().len());
+        let mut kept: Vec<T> = Vec::new();
+        for t in tuples {
+            // Stored tuples are satisfiable, so a kept tuple whose box is
+            // disjoint from `t`'s cannot contain it: skip the entailment
+            // test, which is quadratic in atoms.
+            if !kept.iter().any(|k| !k.box_disjoint(&t) && k.subsumes(&t)) {
+                kept.push(t);
+            }
+        }
+        Relation {
+            arity: self.arity,
+            tuples: kept,
+        }
+    }
+}
+
+impl Relation<GeneralizedTuple> {
     /// Build a single-"row" relation from raw atoms (a conjunction; `≠`
     /// splits into several tuples).
     ///
     /// [`GeneralizedTuple::from_raw`] already decided satisfiability of
     /// each `≠`-split alternative, so the tuples go straight to
-    /// [`GeneralizedRelation::insert_satisfiable`] — satisfiability is
-    /// decided exactly once per tuple on this path.
+    /// [`Relation::insert_satisfiable`] — satisfiability is decided exactly
+    /// once per tuple on this path.
     pub fn from_raw(arity: u32, raws: impl IntoIterator<Item = RawAtom>) -> GeneralizedRelation {
         let mut r = GeneralizedRelation::empty(arity);
         for t in GeneralizedTuple::from_raw(arity, raws) {
@@ -108,70 +499,6 @@ impl GeneralizedRelation {
         )
     }
 
-    /// Number of columns.
-    pub fn arity(&self) -> u32 {
-        self.arity
-    }
-
-    /// The generalized tuples (disjuncts).
-    pub fn tuples(&self) -> &[GeneralizedTuple] {
-        &self.tuples
-    }
-
-    /// Number of disjuncts in the representation.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// Whether the relation denotes the empty set.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// Total number of atoms across all tuples — the representation size the
-    /// paper's "standard encoding" measures data complexity against.
-    pub fn size(&self) -> usize {
-        self.tuples.iter().map(|t| t.len().max(1)).sum()
-    }
-
-    /// Insert a tuple if satisfiable, pruning by syntactic subsumption.
-    ///
-    /// This is the single normalization point all construction paths go
-    /// through: unsatisfiable tuples are dropped here (or were already
-    /// dropped by the caller, which then uses
-    /// [`GeneralizedRelation::insert_satisfiable`] directly).
-    pub fn insert(&mut self, t: GeneralizedTuple) {
-        assert_eq!(t.arity(), self.arity, "insert arity mismatch");
-        if t.is_satisfiable() {
-            self.insert_satisfiable(t);
-        }
-    }
-
-    /// Insert a tuple already known satisfiable, pruning subsumed disjuncts
-    /// in both directions: the new tuple is dropped if an existing disjunct
-    /// syntactically subsumes it (its atoms are a subset of the new
-    /// tuple's, so it denotes a superset), and existing disjuncts the new
-    /// tuple subsumes are removed. Equal tuples subsume each other, so this
-    /// also deduplicates. Only the linear-time syntactic check is used —
-    /// semantic subsumption stays in [`GeneralizedRelation::simplify`],
-    /// where its cost is paid once instead of per insert.
-    pub fn insert_satisfiable(&mut self, t: GeneralizedTuple) {
-        debug_assert_eq!(t.arity(), self.arity, "insert arity mismatch");
-        // Guard probe: every DNF insert is a materialization step, charged
-        // against the tuple/atom budgets whether or not subsumption keeps it.
-        probe_charge(ProbeSite::DnfInsert, 1, t.len() as u64);
-        if self.tuples.iter().any(|u| u.subsumes_syntactic(&t)) {
-            return;
-        }
-        self.tuples.retain(|u| !t.subsumes_syntactic(u));
-        self.tuples.push(t);
-    }
-
-    /// Membership of a concrete point.
-    pub fn contains_point(&self, point: &[Rational]) -> bool {
-        self.tuples.iter().any(|t| t.contains_point(point))
-    }
-
     /// Some point in the relation, if nonempty.
     pub fn witness(&self) -> Option<Vec<Rational>> {
         self.tuples.iter().find_map(|t| t.witness())
@@ -189,159 +516,10 @@ impl GeneralizedRelation {
         self.tuples.iter().flat_map(|t| t.constants()).collect()
     }
 
-    /// Set union.
-    pub fn union(&self, other: &GeneralizedRelation) -> GeneralizedRelation {
-        assert_eq!(self.arity, other.arity, "union arity mismatch");
-        let mut r = self.clone();
-        for t in &other.tuples {
-            r.insert(t.clone());
-        }
-        r
-    }
-
-    /// Set intersection (pairwise conjunction of disjuncts).
-    ///
-    /// The conjoin-and-decide work over all tuple pairs runs in parallel
-    /// when the pair count clears the configured threshold; the subsumption
-    /// merge is sequential and order-preserving, so the result is identical
-    /// to the sequential one.
-    pub fn intersect(&self, other: &GeneralizedRelation) -> GeneralizedRelation {
-        assert_eq!(self.arity, other.arity, "intersect arity mismatch");
-        let pairs = self.tuples.len().saturating_mul(other.tuples.len());
-        let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |a| {
-            other
-                .tuples
-                .iter()
-                // Bounding-box pre-filter: pairs with provably disjoint
-                // boxes conjoin to an unsatisfiable tuple, which the
-                // filter below would discard anyway — skipping them here
-                // changes nothing structurally, it only avoids the work.
-                .filter(|b| !a.box_disjoint(b))
-                .map(|b| a.conjoin(b))
-                .filter(|t| t.is_satisfiable())
-                .collect::<Vec<_>>()
-        });
-        let mut r = GeneralizedRelation::empty(self.arity);
-        for t in chunks.into_iter().flatten() {
-            r.insert_satisfiable(t);
-        }
-        r
-    }
-
-    /// Complement with respect to `Q^k`: `universe − self`.
-    pub fn complement(&self) -> GeneralizedRelation {
-        GeneralizedRelation::universe(self.arity).subtract(self)
-    }
-
-    /// Set difference `self ∖ other` — the one negation kernel:
-    /// [`GeneralizedRelation::complement`] is `Q^k ∖ self`, and the FO
-    /// evaluator maps `A ∧ ¬B` to `A ∖ B` without forming `¬B`.
-    ///
-    /// Each tuple of `self` is cut by the tuples of `other` in turn into
-    /// pairwise disjoint pieces (see `cut`), so the cost follows the
-    /// pieces produced, not the size of `¬other` over all of `Q^k`. Every
-    /// piece created is charged to [`ProbeSite::DnfInsert`], so budgets
-    /// and deadlines fire in the middle of a subtraction. Tuples of `self`
-    /// are cut in parallel when the pair count clears the configured
-    /// threshold; the merge is sequential and order-preserving.
-    pub fn subtract(&self, other: &GeneralizedRelation) -> GeneralizedRelation {
-        assert_eq!(self.arity, other.arity, "subtract arity mismatch");
-        let pairs = self.tuples.len().saturating_mul(other.tuples.len());
-        let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |t| {
-            other.tuples.iter().fold(vec![t.clone()], |pieces, u| {
-                pieces.into_iter().flat_map(|p| cut(p, u)).collect()
-            })
-        });
-        let mut r = GeneralizedRelation::empty(self.arity);
-        for p in chunks.into_iter().flatten() {
-            r.insert_satisfiable(p);
-        }
-        r
-    }
-
-    /// Existential projection of one column: `∃x_v. self`, still expressed
-    /// over the same arity (the eliminated column becomes unconstrained).
-    /// `∃` distributes over `∨`, so each tuple is eliminated independently —
-    /// this is the closed-form bottom-up evaluation step of \[KKR90\].
-    pub fn project_out(&self, v: Var) -> GeneralizedRelation {
-        let eliminated = par_map(&self.tuples, |t| {
-            t.eliminate(v).filter(|e| e.is_satisfiable())
-        });
-        let mut r = GeneralizedRelation::empty(self.arity);
-        for e in eliminated.into_iter().flatten() {
-            r.insert_satisfiable(e);
-        }
-        r
-    }
-
     /// Selection: conjoin a raw atom (may split on `≠`).
     pub fn select(&self, atom: RawAtom) -> GeneralizedRelation {
         let cond = GeneralizedRelation::from_raw(self.arity, [atom]);
         self.intersect(&cond)
-    }
-
-    /// Apply an injective column renaming into a (possibly larger) arity.
-    pub fn rename(&self, new_arity: u32, f: impl Fn(Var) -> Var + Copy) -> GeneralizedRelation {
-        GeneralizedRelation::from_tuples(
-            new_arity,
-            self.tuples.iter().map(|t| t.rename(new_arity, f)),
-        )
-    }
-
-    /// Widen to a larger arity; new columns are unconstrained
-    /// (cylindrification).
-    pub fn widen(&self, new_arity: u32) -> GeneralizedRelation {
-        GeneralizedRelation {
-            arity: new_arity,
-            tuples: self.tuples.iter().map(|t| t.widen(new_arity)).collect(),
-        }
-    }
-
-    /// Drop trailing unconstrained columns down to `new_arity`. Panics if a
-    /// dropped column is still mentioned.
-    pub fn narrow(&self, new_arity: u32) -> GeneralizedRelation {
-        assert!(new_arity <= self.arity);
-        self.rename(new_arity, |v| v)
-    }
-
-    /// Projection onto `cols`: column `i` of the result is column
-    /// `cols[i]` of `self`, and a column may be listed more than once. The
-    /// columns not listed are projected out first (`∃`); then each tuple
-    /// is moved by one [`GeneralizedTuple::instantiate`] pass, plus an
-    /// equality for every repeated column.
-    pub fn project_onto(&self, cols: &[u32]) -> GeneralizedRelation {
-        let out = cols.len() as u32;
-        let mut projected = Cow::Borrowed(self);
-        for j in (0..self.arity).rev().filter(|j| !cols.contains(j)) {
-            projected = Cow::Owned(projected.project_out(Var(j)));
-        }
-        // Column `j` goes to the first position listing it. A projected-out
-        // column is mentioned nowhere any more; its entry lies outside the
-        // result's arity, so `push` would reject it.
-        let map: Vec<Term> = (0..self.arity)
-            .map(|j| Term::var(cols.iter().position(|&c| c == j).unwrap_or(cols.len()) as u32))
-            .collect();
-        // Position `i` equals the first position listing its column (a
-        // trivially true atom when `i` is that position).
-        let copies: Vec<Atom> = cols
-            .iter()
-            .zip(0..)
-            .flat_map(|(&c, i)| Atom::normalized(map[c as usize], CompOp::Eq, Term::var(i)))
-            .flatten()
-            .collect();
-        GeneralizedRelation::from_tuples(
-            out,
-            projected
-                .tuples
-                .iter()
-                .filter_map(|t| t.instantiate(out, &map))
-                .map(|mut t| {
-                    for a in &copies {
-                        t.push(*a);
-                    }
-                    t
-                }),
-        )
     }
 
     /// Cartesian product: the result has arity `self.arity + other.arity`,
@@ -350,70 +528,6 @@ impl GeneralizedRelation {
         let arity = self.arity + other.arity;
         let shifted = other.rename(arity, |v| Var(v.0 + self.arity));
         self.widen(arity).intersect(&shifted)
-    }
-
-    /// Inclusion test `self ⊆ other`.
-    ///
-    /// Fast path first: any disjunct of `self` subsumed by a single
-    /// disjunct of `other` is certainly included; only the leftover
-    /// disjuncts (which could still be covered by a *union* of `other`'s
-    /// disjuncts) fall back to the refutation `leftover ∖ other = ∅`. For
-    /// the common case where each disjunct has a single covering disjunct
-    /// this skips the subtraction entirely.
-    pub fn is_subset(&self, other: &GeneralizedRelation) -> bool {
-        // A disjunct of `other` whose box misses `t`'s cannot cover the
-        // (satisfiable) `t`, so the entailment test is skipped for it.
-        let covered = par_map(&self.tuples, |t| {
-            other
-                .tuples
-                .iter()
-                .any(|u| !u.box_disjoint(t) && u.subsumes(t))
-        });
-        let leftover: Vec<GeneralizedTuple> = self
-            .tuples
-            .iter()
-            .zip(&covered)
-            .filter(|&(_, c)| !c)
-            .map(|(t, _)| t.clone())
-            .collect();
-        if leftover.is_empty() {
-            return true;
-        }
-        let rest = GeneralizedRelation {
-            arity: self.arity,
-            tuples: leftover,
-        };
-        rest.subtract(other).is_empty()
-    }
-
-    /// Semantic equivalence of the denoted point sets.
-    pub fn equivalent(&self, other: &GeneralizedRelation) -> bool {
-        self.is_subset(other) && other.is_subset(self)
-    }
-
-    /// Simplify the representation: minimize each tuple (in parallel — each
-    /// minimization is a batch of independent entailment refutations) and
-    /// drop disjuncts subsumed by other disjuncts. The stable sort and the
-    /// sequential kept-loop make the output deterministic regardless of
-    /// thread count.
-    pub fn simplify(&self) -> GeneralizedRelation {
-        let work: usize = self.tuples.iter().map(|t| t.len()).sum();
-        let mut tuples: Vec<GeneralizedTuple> =
-            par_map_when(should_parallelize(work), &self.tuples, |t| t.simplify());
-        tuples.sort_by_key(|t| t.len());
-        let mut kept: Vec<GeneralizedTuple> = Vec::new();
-        for t in tuples {
-            // Stored tuples are satisfiable, so a kept tuple whose box is
-            // disjoint from `t`'s cannot contain it: skip the entailment
-            // test, which is quadratic in atoms.
-            if !kept.iter().any(|k| !k.box_disjoint(&t) && k.subsumes(&t)) {
-                kept.push(t);
-            }
-        }
-        GeneralizedRelation {
-            arity: self.arity,
-            tuples: kept,
-        }
     }
 
     /// Map all constants through a strictly monotone function (an order
@@ -429,9 +543,10 @@ impl GeneralizedRelation {
 /// share no point (each box contains its tuple's points) and `p` stays
 /// whole. If every alternative of `¬aᵢ` is unsatisfiable, `p` entails
 /// `aᵢ`, which stays out of the prefix; if the prefix turns
-/// unsatisfiable, `p ∧ u = ∅` and `p` stays whole. Kept pieces carry
-/// only their tightest constant bound per column and side.
-fn cut(p: GeneralizedTuple, u: &GeneralizedTuple) -> Vec<GeneralizedTuple> {
+/// unsatisfiable, `p ∧ u = ∅` and `p` stays whole. Kept pieces are
+/// [`Conjunction::tidy`]: for dense order, only their tightest constant
+/// bound per column and side.
+fn cut<T: Conjunction>(p: T, u: &T) -> Vec<T> {
     if p.box_disjoint(u) {
         return vec![p];
     }
@@ -442,17 +557,17 @@ fn cut(p: GeneralizedTuple, u: &GeneralizedTuple) -> Vec<GeneralizedTuple> {
     let mut prefix = p.clone();
     for a in u.atoms() {
         let mut entailed = true;
-        for alt in a.negate() {
+        for alt in T::negate(a) {
             let mut piece = prefix.clone();
             piece.push(alt);
-            probe_charge(ProbeSite::DnfInsert, 1, piece.len() as u64);
+            probe_charge(ProbeSite::DnfInsert, 1, piece.atoms().len() as u64);
             if piece.is_satisfiable() {
                 entailed = false;
-                pieces.push(piece.tightest_bounds());
+                pieces.push(piece.tidy());
             }
         }
         if !entailed {
-            prefix.push(*a);
+            prefix.push(a.clone());
             if !prefix.is_satisfiable() {
                 return vec![p];
             }
@@ -461,7 +576,7 @@ fn cut(p: GeneralizedTuple, u: &GeneralizedTuple) -> Vec<GeneralizedTuple> {
     pieces
 }
 
-impl fmt::Debug for GeneralizedRelation {
+impl<T: fmt::Display> fmt::Debug for Relation<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.tuples.is_empty() {
             return write!(f, "⊥/{}", self.arity);
@@ -471,7 +586,7 @@ impl fmt::Debug for GeneralizedRelation {
     }
 }
 
-impl fmt::Display for GeneralizedRelation {
+impl<T: fmt::Display> fmt::Display for Relation<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
     }

@@ -22,6 +22,7 @@
 use crate::atom::{Atom, CompOp, RawAtom, Term, Var};
 use crate::intern::atom_fingerprint;
 use crate::rational::Rational;
+use crate::relation::Conjunction;
 use crate::sat::{SatState, VarBox};
 
 use std::collections::BTreeSet;
@@ -83,26 +84,6 @@ impl std::hash::Hash for GeneralizedTuple {
 }
 
 impl GeneralizedTuple {
-    /// The tuple with no constraints: all of `Q^arity`.
-    pub fn top(arity: u32) -> GeneralizedTuple {
-        GeneralizedTuple {
-            arity,
-            atoms: Vec::new(),
-            fp: 0,
-            sat: SatState::new(arity),
-        }
-    }
-
-    /// Build from normalized atoms. Atoms mentioning columns `>= arity` are
-    /// a caller bug and panic.
-    pub fn from_atoms(arity: u32, atoms: impl IntoIterator<Item = Atom>) -> GeneralizedTuple {
-        let mut t = GeneralizedTuple::top(arity);
-        for a in atoms {
-            t.push(a);
-        }
-        t
-    }
-
     /// Build a tuple from raw atoms, returning one tuple per `≠`-split
     /// alternative (the conjunction of raw atoms is equivalent to the
     /// disjunction of returned tuples). Unsatisfiable-by-normalization
@@ -139,16 +120,6 @@ impl GeneralizedTuple {
         GeneralizedTuple::from_atoms(values.len() as u32, atoms)
     }
 
-    /// Number of columns.
-    pub fn arity(&self) -> u32 {
-        self.arity
-    }
-
-    /// The atoms of the conjunction.
-    pub fn atoms(&self) -> &[Atom] {
-        &self.atoms
-    }
-
     /// Number of atoms.
     pub fn len(&self) -> usize {
         self.atoms.len()
@@ -165,14 +136,6 @@ impl GeneralizedTuple {
     /// variable-vs-constant atoms). Empty slice when no such atom exists.
     pub fn bounding_box(&self) -> &[VarBox] {
         self.sat.boxes()
-    }
-
-    /// Whether the bounding boxes prove `self ∧ other` empty — the cheap
-    /// pre-filter used by `intersect`/`subtract`/`select`/`simplify` and
-    /// the Datalog delta join to skip pairs before any conjoin or
-    /// entailment test.
-    pub fn box_disjoint(&self, other: &GeneralizedTuple) -> bool {
-        self.sat.box_disjoint(&other.sat)
     }
 
     /// The same point set with at most one constant bound per column and
@@ -209,45 +172,6 @@ impl GeneralizedTuple {
         self.atoms.is_empty()
     }
 
-    /// Insert an atom, keeping the sorted/deduplicated invariant.
-    pub fn push(&mut self, atom: Atom) {
-        for v in atom.vars() {
-            assert!(
-                v.0 < self.arity,
-                "atom mentions column {} outside arity {}",
-                v.0,
-                self.arity
-            );
-        }
-        match self.atoms.binary_search(&atom) {
-            Ok(_) => {}
-            Err(pos) => {
-                self.atoms.insert(pos, atom);
-                // The fingerprint combines per-atom hashes with a wrapping
-                // sum — commutative, so it is insertion-order independent
-                // and maintainable in O(1) here.
-                self.fp = self.fp.wrapping_add(atom_fingerprint(&atom));
-                self.sat.assert_atom(&atom);
-            }
-        }
-    }
-
-    /// Conjoin two tuples of the same arity.
-    pub fn conjoin(&self, other: &GeneralizedTuple) -> GeneralizedTuple {
-        assert_eq!(self.arity, other.arity, "conjoin arity mismatch");
-        let mut t = self.clone();
-        for a in &other.atoms {
-            t.push(*a);
-        }
-        t
-    }
-
-    /// Evaluate membership of a point.
-    pub fn contains_point(&self, point: &[Rational]) -> bool {
-        assert_eq!(point.len(), self.arity as usize, "point arity mismatch");
-        self.atoms.iter().all(|a| a.eval(point))
-    }
-
     /// If the tuple pins every column to a constant (a classical tuple
     /// `x₀ = a₀ ∧ … ∧ x_{k-1} = a_{k-1}`), return the point. Conservative:
     /// any non-equality atom or variable-variable equality yields `None`
@@ -273,12 +197,6 @@ impl GeneralizedTuple {
     /// All rational constants mentioned.
     pub fn constants(&self) -> BTreeSet<Rational> {
         self.atoms.iter().flat_map(|a| a.consts()).collect()
-    }
-
-    /// Decide satisfiability over `(Q, <)`: an O(1) read of the verdict the
-    /// tuple's [`SatState`] maintained as its atoms were pushed.
-    pub fn is_satisfiable(&self) -> bool {
-        self.sat.verdict()
     }
 
     /// Produce a rational point satisfying the tuple, if one exists.
@@ -318,21 +236,6 @@ impl GeneralizedTuple {
         let mut map: Vec<Term> = (0..self.arity).map(Term::var).collect();
         map[v.index()] = t;
         self.instantiate(self.arity, &map)
-    }
-
-    /// Dense-order quantifier elimination of a single variable: returns a
-    /// tuple over the *same* arity whose constraints no longer mention `v`
-    /// and which is equivalent to `∃v. self` (on the remaining columns).
-    /// The result keeps only the tightest constant bound per column and
-    /// side: combining bounds, or substituting an equality, can make a
-    /// constant bound redundant (`x0 <= 10` beside `x0 < 10`).
-    ///
-    /// Returns `None` when elimination discovers unsatisfiability.
-    pub fn eliminate(&self, v: Var) -> Option<GeneralizedTuple> {
-        // Guard probe: one hit per single-variable QE step.
-        crate::guard::probe(crate::guard::ProbeSite::QuantifierElim);
-        self.eliminate_unfolded(v)
-            .map(GeneralizedTuple::tightest_bounds)
     }
 
     /// [`GeneralizedTuple::eliminate`] before the constant bounds are
@@ -385,57 +288,82 @@ impl GeneralizedTuple {
         Some(rest)
     }
 
-    /// Instantiate the tuple into a context of `arity` columns: column `j`
-    /// becomes `map[j]`, a context column or a constant, and every atom is
-    /// renormalized. This is how a predicate atom `R(t₁…tₙ)` reads a
-    /// stored tuple — a substitution, the equality step of dense-order QE,
-    /// with no temporary columns to eliminate. Returns `None` as soon as an
-    /// atom turns trivially false (`x0 < x1` read as `R(x, x)`); otherwise
-    /// the result may still be unsatisfiable. Entries of `map` for columns
-    /// no atom mentions are never read.
-    pub fn instantiate(&self, arity: u32, map: &[Term]) -> Option<GeneralizedTuple> {
-        assert_eq!(map.len(), self.arity as usize, "column map arity mismatch");
-        let sub = |t: Term| match t {
-            Term::Var(v) => map[v.index()],
-            c => c,
-        };
-        let mut out = GeneralizedTuple::top(arity);
-        for a in &self.atoms {
-            for b in Atom::normalized(sub(a.lhs()), a.op(), sub(a.rhs()))? {
-                out.push(b);
+    /// Map all constants through a strictly monotone function (an
+    /// order-automorphism of `Q`); the resulting tuple represents the image
+    /// of the point set under the automorphism.
+    pub fn map_consts(&self, f: &impl Fn(&Rational) -> Rational) -> GeneralizedTuple {
+        GeneralizedTuple::from_atoms(self.arity, self.atoms.iter().map(|a| a.map_consts(f)))
+    }
+}
+
+impl Conjunction for GeneralizedTuple {
+    type Atom = Atom;
+
+    /// The tuple with no constraints: all of `Q^arity`.
+    fn top(arity: u32) -> GeneralizedTuple {
+        GeneralizedTuple {
+            arity,
+            atoms: Vec::new(),
+            fp: 0,
+            sat: SatState::new(arity),
+        }
+    }
+
+    /// Number of columns.
+    fn arity(&self) -> u32 {
+        self.arity
+    }
+
+    /// The atoms of the conjunction.
+    fn atoms(&self) -> &[Atom] {
+        &self.atoms
+    }
+
+    /// Insert an atom, keeping the sorted/deduplicated invariant.
+    fn push(&mut self, atom: Atom) {
+        for v in atom.vars() {
+            assert!(
+                v.0 < self.arity,
+                "atom mentions column {} outside arity {}",
+                v.0,
+                self.arity
+            );
+        }
+        match self.atoms.binary_search(&atom) {
+            Ok(_) => {}
+            Err(pos) => {
+                self.atoms.insert(pos, atom);
+                // The fingerprint combines per-atom hashes with a wrapping
+                // sum — commutative, so it is insertion-order independent
+                // and maintainable in O(1) here.
+                self.fp = self.fp.wrapping_add(atom_fingerprint(&atom));
+                self.sat.assert_atom(&atom);
             }
         }
-        Some(out)
     }
 
-    /// Apply an injective column renaming into `new_arity` columns (an
-    /// [`GeneralizedTuple::instantiate`] whose map holds only columns).
-    /// Panics if a mentioned column lands outside `new_arity`.
-    pub fn rename(&self, new_arity: u32, f: impl Fn(Var) -> Var) -> GeneralizedTuple {
-        let map: Vec<Term> = (0..self.arity).map(|j| Term::Var(f(Var(j)))).collect();
-        self.instantiate(new_arity, &map)
-            .expect("an injective renaming turns no atom false")
+    /// Conjoin two tuples of the same arity.
+    fn conjoin(&self, other: &GeneralizedTuple) -> GeneralizedTuple {
+        assert_eq!(self.arity, other.arity, "conjoin arity mismatch");
+        let mut t = self.clone();
+        for a in &other.atoms {
+            t.push(*a);
+        }
+        t
     }
 
-    /// Widen the tuple to a larger arity (new columns unconstrained).
-    pub fn widen(&self, new_arity: u32) -> GeneralizedTuple {
-        assert!(new_arity >= self.arity, "widen must not shrink");
-        // Node ids in the SatState depend on the arity, so the derived
-        // state is rebuilt by replaying the atoms.
-        GeneralizedTuple::from_atoms(new_arity, self.atoms.iter().copied())
+    /// Decide satisfiability over `(Q, <)`: an O(1) read of the verdict the
+    /// tuple's [`SatState`] maintained as its atoms were pushed.
+    fn is_satisfiable(&self) -> bool {
+        self.sat.verdict()
     }
 
-    /// Does this tuple entail the given atom (`self ⊨ atom`)?
-    ///
-    /// Decided by refutation: `self ∧ ¬atom` unsatisfiable. `¬atom` may be a
-    /// disjunction (for `=`), in which case all alternatives must be
-    /// unsatisfiable.
-    pub fn entails(&self, atom: &Atom) -> bool {
-        atom.negate().into_iter().all(|alt| {
-            let mut t = self.clone();
-            t.push(alt);
-            !t.is_satisfiable()
-        })
+    /// Whether the bounding boxes prove `self ∧ other` empty — the cheap
+    /// pre-filter used by `intersect`/`subtract`/`select`/`simplify` and
+    /// the Datalog delta join to skip pairs before any conjoin or
+    /// entailment test.
+    fn box_disjoint(&self, other: &GeneralizedTuple) -> bool {
+        self.sat.box_disjoint(&other.sat)
     }
 
     /// Syntactic subsumption fast path: if every atom of `self` appears
@@ -444,7 +372,7 @@ impl GeneralizedTuple {
     /// linear merge — no satisfiability calls. Sound but incomplete:
     /// `false` only means the cheap check failed, not that subsumption
     /// fails.
-    pub fn subsumes_syntactic(&self, other: &GeneralizedTuple) -> bool {
+    fn subsumes_syntactic(&self, other: &GeneralizedTuple) -> bool {
         debug_assert_eq!(self.arity, other.arity);
         if self.atoms.len() > other.atoms.len() {
             return false;
@@ -469,44 +397,62 @@ impl GeneralizedTuple {
         true
     }
 
-    /// Does this tuple's point set include the other's (`other ⊆ self`)?
-    ///
-    /// Tries the syntactic atom-subset check first; only on failure falls
-    /// back to the semantic entailment test (one refutation per atom).
-    pub fn subsumes(&self, other: &GeneralizedTuple) -> bool {
-        assert_eq!(self.arity, other.arity);
-        self.subsumes_syntactic(other) || self.atoms.iter().all(|a| other.entails(a))
+    fn negate(atom: &Atom) -> Vec<Atom> {
+        atom.negate()
     }
 
-    /// Remove atoms entailed by the rest of the conjunction (minimal-ish
-    /// form; greedy, so not guaranteed globally minimum but stable).
-    pub fn simplify(&self) -> GeneralizedTuple {
-        let mut atoms = self.atoms.clone();
-        let mut i = 0;
-        while i < atoms.len() {
-            let a = atoms[i];
-            let rest = GeneralizedTuple::from_atoms(
-                self.arity,
-                atoms
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, x)| *x),
-            );
-            if rest.entails(&a) {
-                atoms.remove(i);
-            } else {
-                i += 1;
+    fn tidy(self) -> GeneralizedTuple {
+        self.tightest_bounds()
+    }
+
+    /// Dense-order quantifier elimination of a single variable: returns a
+    /// tuple over the *same* arity whose constraints no longer mention `v`
+    /// and which is equivalent to `∃v. self` (on the remaining columns).
+    /// The result keeps only the tightest constant bound per column and
+    /// side: combining bounds, or substituting an equality, can make a
+    /// constant bound redundant (`x0 <= 10` beside `x0 < 10`).
+    ///
+    /// Returns `None` when elimination discovers unsatisfiability.
+    fn eliminate(&self, v: Var) -> Option<GeneralizedTuple> {
+        // Guard probe: one hit per single-variable QE step.
+        crate::guard::probe(crate::guard::ProbeSite::QuantifierElim);
+        self.eliminate_unfolded(v)
+            .map(GeneralizedTuple::tightest_bounds)
+    }
+
+    /// Instantiate the tuple into a context of `arity` columns: column `j`
+    /// becomes `map[j]`, a context column or a constant, and every atom is
+    /// renormalized. This is how a predicate atom `R(t₁…tₙ)` reads a
+    /// stored tuple — a substitution, the equality step of dense-order QE,
+    /// with no temporary columns to eliminate. Returns `None` as soon as an
+    /// atom turns trivially false (`x0 < x1` read as `R(x, x)`); otherwise
+    /// the result may still be unsatisfiable. Entries of `map` for columns
+    /// no atom mentions are never read.
+    fn instantiate(&self, arity: u32, map: &[Term]) -> Option<GeneralizedTuple> {
+        assert_eq!(map.len(), self.arity as usize, "column map arity mismatch");
+        let sub = |t: Term| match t {
+            Term::Var(v) => map[v.index()],
+            c => c,
+        };
+        let mut out = GeneralizedTuple::top(arity);
+        for a in &self.atoms {
+            for b in Atom::normalized(sub(a.lhs()), a.op(), sub(a.rhs()))? {
+                out.push(b);
             }
         }
-        GeneralizedTuple::from_atoms(self.arity, atoms)
+        Some(out)
     }
 
-    /// Map all constants through a strictly monotone function (an
-    /// order-automorphism of `Q`); the resulting tuple represents the image
-    /// of the point set under the automorphism.
-    pub fn map_consts(&self, f: &impl Fn(&Rational) -> Rational) -> GeneralizedTuple {
-        GeneralizedTuple::from_atoms(self.arity, self.atoms.iter().map(|a| a.map_consts(f)))
+    fn column_eq(_arity: u32, a: Var, b: Var) -> Atom {
+        Atom::normalized(Term::Var(a), CompOp::Eq, Term::Var(b))
+            .and_then(|atoms| atoms.into_iter().next())
+            .expect("an equality between distinct columns is one atom")
+    }
+
+    /// Evaluate membership of a point.
+    fn contains_point(&self, point: &[Rational]) -> bool {
+        assert_eq!(point.len(), self.arity as usize, "point arity mismatch");
+        self.atoms.iter().all(|a| a.eval(point))
     }
 }
 
@@ -755,10 +701,9 @@ mod tests {
         let r = t.instantiate(1, &[c(11), v(0)]).unwrap();
         assert!(!r.is_satisfiable());
         // A renaming is an instantiation whose map holds only columns.
-        assert_eq!(
-            t.rename(3, |x| Var(2 - x.0)),
-            t.instantiate(3, &[v(2), v(1)]).unwrap()
-        );
+        let renamed = crate::relation::GeneralizedRelation::from_tuples(2, [t.clone()])
+            .rename(3, |x| Var(2 - x.0));
+        assert_eq!(renamed.tuples(), [t.instantiate(3, &[v(2), v(1)]).unwrap()]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fault-tolerant Datalog¬ evaluation: `try_*` entry points that run the
 //! fixpoint engine under a `dco_core::guard::EvalGuard`.
 //!
-//! Same contract as `dco_fo::guarded` and `dco_linear::guarded`: a
+//! Same contract as `dco_fo::guarded` (which FO+ shares): a
 //! fault-free guarded run returns a fixpoint structurally identical to the
 //! unguarded [`crate::run`]; any resource trip, overflow, cancellation, or
 //! contained worker panic comes back as a typed [`GuardError`] carrying

@@ -10,7 +10,8 @@
 //! package registry is reachable.
 
 use dco_core::prelude::{
-    Atom, CompOp, Database, GeneralizedRelation, GeneralizedTuple, Rational, Schema, Term,
+    Atom, CompOp, Conjunction, Database, GeneralizedRelation, GeneralizedTuple, Rational, Schema,
+    Term,
 };
 use dco_linear::{LinAtom, LinRelation, LinTuple, NormalizedAtom};
 use std::fmt;

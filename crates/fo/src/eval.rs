@@ -1,4 +1,5 @@
-//! Bottom-up, closed-form evaluation of FO over dense-order databases.
+//! Bottom-up, closed-form evaluation of FO over dense-order databases, and
+//! of FO+ over the same databases.
 //!
 //! Following \[KKR90\] (recalled in §4 of the paper), every FO formula over
 //! `{=, ≤} ∪ Q` and database predicates can be evaluated *bottom-up*: each
@@ -14,6 +15,13 @@
 //! variable names, one per output column. Quantified variables extend the
 //! context temporarily and are projected away; quantifier shadowing is
 //! resolved by alpha-renaming.
+//!
+//! The recursion is written once over a constraint [`Domain`]: a
+//! [`Conjunction`] type plus two hooks, one compiling a comparison atom and
+//! one lifting a stored dense-order tuple. Dense order
+//! ([`GeneralizedTuple`]) is FO; `dco-linear`'s `LinTuple` is FO+, which
+//! so gets the planner's conjunct order, EXPLAIN, the guard and `A ∖ B`
+//! for `A ∧ ¬B` from the same code.
 
 use dco_analysis::explain::{operator, PlanNode};
 use dco_analysis::planner::estimate_formula;
@@ -66,17 +74,17 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// The result of evaluating a query: named output columns and the
-/// generalized relation over them. Arity 0 encodes boolean queries
-/// (universe = true, empty = false).
+/// relation over them (dense-order unless `R` says otherwise). Arity 0
+/// encodes boolean queries (universe = true, empty = false).
 #[derive(Debug, Clone)]
-pub struct QueryResult {
+pub struct QueryResult<R = GeneralizedRelation> {
     /// Output column names, in column order.
     pub columns: Vec<String>,
     /// The denoted relation.
-    pub relation: GeneralizedRelation,
+    pub relation: R,
 }
 
-impl QueryResult {
+impl<T: Conjunction> QueryResult<Relation<T>> {
     /// For boolean (sentence) queries: the truth value.
     pub fn as_bool(&self) -> Option<bool> {
         if self.columns.is_empty() {
@@ -90,12 +98,47 @@ impl QueryResult {
 /// Maximum number of disjuncts before intermediate results are simplified.
 const SIMPLIFY_THRESHOLD: usize = 24;
 
+/// A class of constraints the evaluator runs over: the [`Conjunction`]
+/// the relation algebra needs, plus how a formula's atoms enter it.
+pub trait Domain: Conjunction {
+    /// The relation of the comparison `l op r` over the context columns
+    /// `ctx` (which hold every variable it mentions); `None` when the
+    /// comparison lies outside the domain.
+    fn compare(l: &LinExpr, op: RawOp, r: &LinExpr, ctx: &[String]) -> Option<Relation<Self>>;
+
+    /// A stored dense-order tuple, already instantiated into the query's
+    /// context, as a conjunction of this domain.
+    fn lift(t: GeneralizedTuple) -> Self;
+}
+
+impl Domain for GeneralizedTuple {
+    /// Only a comparison of two variables or constants is an order atom.
+    fn compare(l: &LinExpr, op: RawOp, r: &LinExpr, ctx: &[String]) -> Option<GeneralizedRelation> {
+        let col = |name: &str| ctx.iter().position(|c| c == name).map(|i| i as u32);
+        let atom = RawAtom::new(simple_term(l, &col)?, op, simple_term(r, &col)?);
+        Some(GeneralizedRelation::from_raw(ctx.len() as u32, [atom]))
+    }
+
+    fn lift(t: GeneralizedTuple) -> GeneralizedTuple {
+        t
+    }
+}
+
 /// Evaluate an FO formula against a database.
 ///
 /// The output columns are the formula's free variables in sorted order.
 pub fn eval(db: &Database, formula: &Formula) -> Result<QueryResult, EvalError> {
+    eval_domain(db, formula)
+}
+
+/// Evaluate `formula` over the constraint domain `D`; [`eval`] is
+/// `eval_domain::<GeneralizedTuple>`.
+pub fn eval_domain<D: Domain>(
+    db: &Database,
+    formula: &Formula,
+) -> Result<QueryResult<Relation<D>>, EvalError> {
     let columns: Vec<String> = formula.free_vars().into_iter().collect();
-    let relation = eval_in_ctx(db, formula, &columns)?;
+    let relation = eval_node(db, formula, &columns, None)?;
     Ok(QueryResult { columns, relation })
 }
 
@@ -137,12 +180,12 @@ impl<'s> PlanSink<'s> {
 /// records one [`PlanNode`] there: the planner's estimate, the width of
 /// the relation it produced, and the nodes its own operands recorded.
 /// Without one, the only extra work is this branch.
-pub(crate) fn eval_node(
+pub(crate) fn eval_node<D: Domain>(
     db: &Database,
     formula: &Formula,
     ctx: &[String],
     sink: Option<&mut PlanSink<'_>>,
-) -> Result<GeneralizedRelation, EvalError> {
+) -> Result<Relation<D>, EvalError> {
     recorded(formula, sink, |operands| {
         eval_connective(db, formula, ctx, operands)
     })
@@ -150,11 +193,11 @@ pub(crate) fn eval_node(
 
 /// Run `step`, which builds the relation of the connective at the root of
 /// `formula`, recording its [`PlanNode`] in `sink` when there is one.
-fn recorded(
+fn recorded<D: Domain>(
     formula: &Formula,
     sink: Option<&mut PlanSink<'_>>,
-    step: impl FnOnce(Option<&mut PlanSink<'_>>) -> Result<GeneralizedRelation, EvalError>,
-) -> Result<GeneralizedRelation, EvalError> {
+    step: impl FnOnce(Option<&mut PlanSink<'_>>) -> Result<Relation<D>, EvalError>,
+) -> Result<Relation<D>, EvalError> {
     let Some(sink) = sink else {
         return step(None);
     };
@@ -172,27 +215,19 @@ fn recorded(
 
 /// One bottom-up step: evaluate the operands of the connective at the root
 /// of `formula` (through [`eval_node`]) and combine them.
-fn eval_connective(
+fn eval_connective<D: Domain>(
     db: &Database,
     formula: &Formula,
     ctx: &[String],
     mut sink: Option<&mut PlanSink<'_>>,
-) -> Result<GeneralizedRelation, EvalError> {
+) -> Result<Relation<D>, EvalError> {
     let k = ctx.len() as u32;
-    let col = |name: &str| -> Option<u32> { ctx.iter().position(|c| c == name).map(|i| i as u32) };
     let mut sub = |f: &Formula, ctx: &[String]| eval_node(db, f, ctx, sink.as_deref_mut());
     match formula {
-        Formula::True => Ok(GeneralizedRelation::universe(k)),
-        Formula::False => Ok(GeneralizedRelation::empty(k)),
+        Formula::True => Ok(Relation::universe(k)),
+        Formula::False => Ok(Relation::empty(k)),
         Formula::Compare(l, op, r) => {
-            let lt = simple_term(l, &col)
-                .ok_or_else(|| EvalError::NotDenseOrder(formula.to_string()))?;
-            let rt = simple_term(r, &col)
-                .ok_or_else(|| EvalError::NotDenseOrder(formula.to_string()))?;
-            Ok(GeneralizedRelation::from_raw(
-                k,
-                [RawAtom::new(lt, *op, rt)],
-            ))
+            D::compare(l, *op, r, ctx).ok_or_else(|| EvalError::NotDenseOrder(formula.to_string()))
         }
         Formula::Pred(name, args) => eval_pred(db, name, args, ctx),
         Formula::Not(f) => {
@@ -204,7 +239,7 @@ fn eval_connective(
             // subtract each negated conjunct's operand, so no `¬B` is
             // built over all of `Q^k`. The planner only permutes
             // conjuncts, so this order cannot change the answer.
-            let mut acc = GeneralizedRelation::universe(k);
+            let mut acc = Relation::universe(k);
             for f in fs.iter().filter(|f| !matches!(f, Formula::Not(_))) {
                 acc = maybe_simplify(acc.intersect(&sub(f, ctx)?));
                 if acc.is_empty() {
@@ -227,7 +262,7 @@ fn eval_connective(
             Ok(acc)
         }
         Formula::Or(fs) => {
-            let mut acc = GeneralizedRelation::empty(k);
+            let mut acc = Relation::empty(k);
             for f in fs {
                 acc = acc.union(&sub(f, ctx)?);
             }
@@ -263,7 +298,7 @@ fn eval_connective(
     }
 }
 
-fn maybe_simplify(r: GeneralizedRelation) -> GeneralizedRelation {
+fn maybe_simplify<D: Domain>(r: Relation<D>) -> Relation<D> {
     if r.len() > SIMPLIFY_THRESHOLD {
         r.simplify()
     } else {
@@ -286,14 +321,15 @@ fn simple_term(e: &LinExpr, col: &impl Fn(&str) -> Option<u32>) -> Option<Term> 
 /// `R(t₁…tₙ)` with variable or constant arguments is a substitution: each
 /// stored tuple of `R` is instantiated in one pass, column `j` becoming the
 /// context column of `tⱼ` or its constant (see
-/// [`GeneralizedTuple::instantiate`]). A repeated variable or a constant
-/// may turn a tuple false, which then drops out.
-fn eval_pred(
+/// [`GeneralizedTuple::instantiate`]), then lifted into the domain. A
+/// repeated variable or a constant may turn a tuple false, which then
+/// drops out.
+fn eval_pred<D: Domain>(
     db: &Database,
     name: &str,
     args: &[ArgTerm],
     ctx: &[String],
-) -> Result<GeneralizedRelation, EvalError> {
+) -> Result<Relation<D>, EvalError> {
     let rel = db
         .get(name)
         .ok_or_else(|| EvalError::UnknownPredicate(name.to_string()))?;
@@ -317,9 +353,12 @@ fn eval_pred(
         })
         .collect();
     let k = ctx.len() as u32;
-    Ok(GeneralizedRelation::from_tuples(
+    Ok(Relation::from_tuples(
         k,
-        rel.tuples().iter().filter_map(|t| t.instantiate(k, &map)),
+        rel.tuples()
+            .iter()
+            .filter_map(|t| t.instantiate(k, &map))
+            .map(D::lift),
     ))
 }
 

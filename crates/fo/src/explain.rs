@@ -6,9 +6,10 @@
 //! There is no second evaluator here: [`explain_planned`] runs the same
 //! recursion as [`eval_in_ctx`](crate::eval::eval_in_ctx), handing it a
 //! sink for the plan nodes, so the measured cardinalities are the ones a
-//! plain evaluation of the planned formula pays.
+//! plain evaluation of the planned formula pays. [`explain_domain`] does
+//! the same over another constraint domain (FO+).
 
-use crate::eval::{eval_node, EvalError, PlanSink, QueryResult};
+use crate::eval::{eval_node, Domain, EvalError, PlanSink, QueryResult};
 use dco_analysis::explain::QueryPlan;
 use dco_analysis::planner::plan_formula;
 use dco_analysis::stats::DbStats;
@@ -17,9 +18,9 @@ use dco_logic::Formula;
 
 /// An explained evaluation: the query result plus the measured plan.
 #[derive(Debug, Clone)]
-pub struct Explained {
+pub struct Explained<R = GeneralizedRelation> {
     /// The evaluation result (identical to `eval` of the planned formula).
-    pub result: QueryResult,
+    pub result: QueryResult<R>,
     /// The plan tree with estimated and actual cardinality per node.
     pub plan: QueryPlan,
 }
@@ -27,8 +28,16 @@ pub struct Explained {
 /// Plan `formula` under statistics collected from `db`, then evaluate the
 /// planned formula with plan capture on.
 pub fn explain(db: &Database, formula: &Formula) -> Result<Explained, EvalError> {
+    explain_domain(db, formula)
+}
+
+/// [`explain`] over the constraint domain `D`.
+pub fn explain_domain<D: Domain>(
+    db: &Database,
+    formula: &Formula,
+) -> Result<Explained<Relation<D>>, EvalError> {
     let stats = DbStats::of_database(db);
-    explain_planned(db, &plan_formula(formula, &stats), &stats)
+    explain_planned_in(db, &plan_formula(formula, &stats), &stats)
 }
 
 /// Evaluate an already-planned formula as written, recording a plan node
@@ -39,6 +48,14 @@ pub fn explain_planned(
     planned: &Formula,
     stats: &DbStats,
 ) -> Result<Explained, EvalError> {
+    explain_planned_in(db, planned, stats)
+}
+
+fn explain_planned_in<D: Domain>(
+    db: &Database,
+    planned: &Formula,
+    stats: &DbStats,
+) -> Result<Explained<Relation<D>>, EvalError> {
     let columns: Vec<String> = planned.free_vars().into_iter().collect();
     let mut sink = PlanSink::new(stats);
     let relation = eval_node(db, planned, &columns, Some(&mut sink))?;

@@ -14,8 +14,9 @@
 //! ([`dco_analysis::cost::suggested_limits_for_formula`]); callers that
 //! own a wall clock add a deadline on top.
 
-use crate::eval::{eval, EvalError, QueryResult};
+use crate::eval::{eval_domain, Domain, EvalError, QueryResult};
 use dco_core::guard::{run_guarded, EvalError as GuardError, GuardLimits, Guarded};
+use dco_core::prelude::{GeneralizedTuple, Relation};
 use dco_logic::{parse_formula, Formula, ParseError};
 use std::fmt;
 
@@ -50,7 +51,8 @@ pub fn try_eval(db: &dco_core::prelude::Database, formula: &Formula) -> TryResul
 }
 
 /// Shorthand for the result of the `try_*` entry points.
-pub type TryResult = Result<Guarded<QueryResult>, TryEvalError>;
+pub type TryResult<R = dco_core::prelude::GeneralizedRelation> =
+    Result<Guarded<QueryResult<R>>, TryEvalError>;
 
 /// Evaluate under explicit guard limits.
 pub fn try_eval_with(
@@ -58,7 +60,16 @@ pub fn try_eval_with(
     formula: &Formula,
     limits: GuardLimits,
 ) -> TryResult {
-    match run_guarded(limits, || eval(db, formula)) {
+    try_eval_domain_with::<GeneralizedTuple>(db, formula, limits)
+}
+
+/// [`try_eval_with`] over the constraint domain `D`.
+pub fn try_eval_domain_with<D: Domain>(
+    db: &dco_core::prelude::Database,
+    formula: &Formula,
+    limits: GuardLimits,
+) -> TryResult<Relation<D>> {
+    match run_guarded(limits, || eval_domain::<D>(db, formula)) {
         Ok(guarded) => match guarded.value {
             Ok(value) => Ok(Guarded {
                 value,

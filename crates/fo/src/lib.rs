@@ -5,6 +5,10 @@
 //! evaluated bottom-up in closed form over generalized relations (the
 //! evaluation strategy of \[KKR90\] that gives FO its AC⁰ data complexity).
 //!
+//! The evaluator is generic over a constraint [`Domain`]; dense order is
+//! the default, and `dco-linear` instantiates it for FO+ (see
+//! [`eval_domain`], [`try_eval_domain_with`], [`explain_domain`]).
+//!
 //! ```
 //! use dco_core::prelude::*;
 //! use dco_fo::eval_str;
@@ -29,7 +33,10 @@ pub mod explain;
 pub mod generic;
 pub mod guarded;
 
-pub use eval::{eval, eval_in_ctx, eval_str, EvalError, QueryResult};
-pub use explain::{explain, explain_planned, Explained};
+pub use eval::{eval, eval_domain, eval_in_ctx, eval_str, Domain, EvalError, QueryResult};
+pub use explain::{explain, explain_domain, explain_planned, Explained};
 pub use generic::{check_generic, check_generic_fixing, sample_automorphism, GenericityOutcome};
-pub use guarded::{default_limits, try_eval, try_eval_str, try_eval_with, TryEvalError, TryResult};
+pub use guarded::{
+    default_limits, try_eval, try_eval_domain_with, try_eval_str, try_eval_with, TryEvalError,
+    TryResult,
+};

@@ -6,7 +6,7 @@
 //! `expr ρ 0`; positive rescaling is factored out by normalization so that
 //! syntactically equal atoms are logically equal.
 
-use dco_core::prelude::{CompOp, Rational};
+use dco_core::prelude::{CompOp, Rational, Term};
 
 use std::fmt;
 
@@ -163,33 +163,19 @@ impl LinAtom {
         LinAtom::normalize(coeffs, constant, op)
     }
 
-    /// Widen to a larger arity (new columns get coefficient 0).
-    pub fn widen(&self, new_arity: u32) -> LinAtom {
-        assert!(new_arity as usize >= self.coeffs.len());
-        let mut coeffs = self.coeffs.clone();
-        coeffs.resize(new_arity as usize, Rational::ZERO);
-        LinAtom {
-            coeffs,
-            constant: self.constant,
-            op: self.op,
-        }
-    }
-
-    /// Apply a column permutation/injection `f: old column → new column`
-    /// into a target arity.
-    pub fn rename(&self, new_arity: u32, f: impl Fn(u32) -> u32) -> LinAtom {
-        let mut coeffs = vec![Rational::ZERO; new_arity as usize];
-        for (i, c) in self.coeffs.iter().enumerate() {
-            if !c.is_zero() {
-                let j = f(i as u32) as usize;
-                coeffs[j] = &coeffs[j] + c;
+    /// Substitute `map[i]` — a column of an `arity`-column context or a
+    /// constant — for every column `i` the atom mentions, then renormalize.
+    /// Entries of `map` for columns with coefficient 0 are never read.
+    pub fn instantiate(&self, arity: u32, map: &[Term]) -> NormalizedAtom {
+        let mut coeffs = vec![Rational::ZERO; arity as usize];
+        let mut constant = self.constant;
+        for (c, t) in self.coeffs.iter().zip(map).filter(|(c, _)| !c.is_zero()) {
+            match t {
+                Term::Var(v) => coeffs[v.index()] = &coeffs[v.index()] + c,
+                Term::Const(k) => constant = constant + (c * k),
             }
         }
-        LinAtom {
-            coeffs,
-            constant: self.constant,
-            op: self.op,
-        }
+        LinAtom::normalize(coeffs, constant, self.op)
     }
 
     /// Is this a pure order atom (at most two nonzero coefficients, each
@@ -333,11 +319,22 @@ mod tests {
     #[test]
     fn rename_and_widen() {
         let a = atom(&[1, -1], 0, CompOp::Lt); // x0 < x1
-        let w = a.widen(4);
+        let inst = |arity, map: &[Term]| match a.instantiate(arity, map) {
+            NormalizedAtom::Atom(b) => b,
+            _ => panic!("a renaming keeps the atom"),
+        };
+        let w = inst(4, &[Term::var(0), Term::var(1)]);
         assert_eq!(w.arity(), 4);
         assert!(w.eval(&[rat(0, 1), rat(1, 1), rat(9, 1), rat(9, 1)]));
-        let r = a.rename(2, |i| 1 - i); // x1 < x0
+        let r = inst(2, &[Term::var(1), Term::var(0)]); // x1 < x0
         assert!(r.eval(&[rat(1, 1), rat(0, 1)]));
         assert!(!r.eval(&[rat(0, 1), rat(1, 1)]));
+        // Constants fold into the constant term, and may decide the atom.
+        let pinned = inst(1, &[Term::var(0), Term::cst(rat(3, 1))]); // x0 < 3
+        assert!(pinned.eval(&[rat(2, 1)]) && !pinned.eval(&[rat(3, 1)]));
+        assert!(matches!(
+            a.instantiate(0, &[Term::cst(rat(1, 1)), Term::cst(rat(1, 1))]),
+            NormalizedAtom::False
+        ));
     }
 }

@@ -1,4 +1,4 @@
-//! Bottom-up evaluation of FO+ — first-order logic with linear constraints.
+//! FO+ — first-order logic with linear constraints — evaluated bottom-up.
 //!
 //! FO+ adds a built-in addition to FO; by \[Tar51\] it can still be evaluated
 //! bottom-up in closed form, which in the linear fragment means each
@@ -7,319 +7,132 @@
 //! and uniform AC⁰ over inputs defined with integers (Theorem 4.1); the E1
 //! experiment measures the latter's scaling shape on this evaluator.
 //!
+//! There is no FO+ recursion here: [`LinTuple`] is a [`Domain`] of
+//! `dco-fo`'s evaluator, which brings the planner's conjunct order, EXPLAIN,
+//! the guard and `A ∧ ¬B` as `A ∖ B`. This module supplies the two hooks —
+//! a comparison compiles to one linear atom (two for `≠`), a stored
+//! dense-order tuple lifts atom by atom — and the entry points.
+//!
 //! The paper also notes FO+ mappings need not be *queries* (closed under
 //! automorphisms of Q) — e.g. `x + y = 1` is not automorphism-invariant;
 //! the genericity harness of `dco-fo` exposes this on concrete formulas.
 
 use crate::atom::{LinAtom, NormalizedAtom};
-use crate::relation::LinRelation;
+use crate::relation::{lift_dense, LinRelation};
 use crate::tuple::LinTuple;
-use dco_core::prelude::{CompOp, Database, Rational, RawOp};
-use dco_logic::{ArgTerm, Formula, LinExpr};
-use std::collections::BTreeSet;
-use std::fmt;
+use dco_analysis::cost::suggested_limits_with_stats;
+use dco_analysis::{plan_formula, DbStats};
+use dco_core::prelude::{
+    CompOp, Conjunction, Database, GeneralizedTuple, GuardLimits, Rational, RawOp,
+};
+use dco_fo::{Domain, EvalError, Explained, QueryResult, TryEvalError, TryResult};
+use dco_logic::{parse_formula, Formula, LinExpr};
 
-/// Errors during FO+ evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LinEvalError {
-    /// Unknown predicate.
-    UnknownPredicate(String),
-    /// Arity mismatch.
-    ArityMismatch {
-        /// Predicate name.
-        name: String,
-        /// Declared arity.
-        declared: u32,
-        /// Used arity.
-        used: u32,
-    },
-}
-
-impl fmt::Display for LinEvalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinEvalError::UnknownPredicate(n) => write!(f, "unknown predicate {n}"),
-            LinEvalError::ArityMismatch {
-                name,
-                declared,
-                used,
-            } => {
-                write!(
-                    f,
-                    "predicate {name}: declared arity {declared}, used at {used}"
-                )
-            }
+impl Domain for LinTuple {
+    /// `l op r` as `l - r op 0`: one linear atom, two for `≠`. Every
+    /// comparison is in FO+.
+    fn compare(l: &LinExpr, op: RawOp, r: &LinExpr, ctx: &[String]) -> Option<LinRelation> {
+        let k = ctx.len() as u32;
+        let col = |v: &String| ctx.iter().position(|x| x == v).expect("free var in ctx");
+        // l - r (op) 0
+        let mut coeffs = vec![Rational::ZERO; ctx.len()];
+        for (v, c) in &l.coeffs {
+            coeffs[col(v)] = &coeffs[col(v)] + c;
         }
+        for (v, c) in &r.coeffs {
+            coeffs[col(v)] = &coeffs[col(v)] - c;
+        }
+        let constant = l.constant - r.constant;
+        // The comparison on `l - r` and on `r - l`: `l > r` is `r - l < 0`,
+        // and `l ≠ r` is `l - r < 0 ∨ r - l < 0`.
+        let (ahead, behind) = match op {
+            RawOp::Lt => (Some(CompOp::Lt), None),
+            RawOp::Le => (Some(CompOp::Le), None),
+            RawOp::Eq => (Some(CompOp::Eq), None),
+            RawOp::Gt => (None, Some(CompOp::Lt)),
+            RawOp::Ge => (None, Some(CompOp::Le)),
+            RawOp::Ne => (Some(CompOp::Lt), Some(CompOp::Lt)),
+        };
+        let negated: Vec<Rational> = coeffs.iter().map(|c| -*c).collect();
+        let sides = [(coeffs, constant, ahead), (negated, -constant, behind)];
+        let tuples =
+            sides.into_iter().filter_map(|(coeffs, constant, op)| {
+                match LinAtom::normalize(coeffs, constant, op?) {
+                    NormalizedAtom::True => Some(LinTuple::top(k)),
+                    NormalizedAtom::False => None,
+                    NormalizedAtom::Atom(a) => Some(LinTuple::from_atoms(k, [a])),
+                }
+            });
+        Some(LinRelation::from_tuples(k, tuples))
     }
-}
 
-impl std::error::Error for LinEvalError {}
-
-/// FO+ query result: named columns plus the linear relation over them.
-#[derive(Debug, Clone)]
-pub struct LinQueryResult {
-    /// Output column names in order.
-    pub columns: Vec<String>,
-    /// The denoted relation.
-    pub relation: LinRelation,
-}
-
-impl LinQueryResult {
-    /// Boolean value for sentences.
-    pub fn as_bool(&self) -> Option<bool> {
-        if self.columns.is_empty() {
-            Some(!self.relation.is_empty())
-        } else {
-            None
-        }
+    fn lift(t: GeneralizedTuple) -> LinTuple {
+        lift_dense(&t)
     }
 }
 
 /// Evaluate an FO+ formula; output columns are free variables sorted.
-pub fn eval_linear(db: &Database, formula: &Formula) -> Result<LinQueryResult, LinEvalError> {
-    let columns: Vec<String> = formula.free_vars().into_iter().collect();
-    let relation = eval_ctx(db, formula, &columns)?;
-    Ok(LinQueryResult { columns, relation })
+pub fn eval_linear(
+    db: &Database,
+    formula: &Formula,
+) -> Result<QueryResult<LinRelation>, EvalError> {
+    dco_fo::eval_domain(db, formula)
 }
 
 /// Parse + evaluate.
 pub fn eval_linear_str(
     db: &Database,
     src: &str,
-) -> Result<LinQueryResult, Box<dyn std::error::Error>> {
-    let f = dco_logic::parse_formula(src)?;
-    Ok(eval_linear(db, &f)?)
+) -> Result<QueryResult<LinRelation>, Box<dyn std::error::Error>> {
+    Ok(eval_linear(db, &parse_formula(src)?)?)
 }
 
-fn eval_ctx(db: &Database, formula: &Formula, ctx: &[String]) -> Result<LinRelation, LinEvalError> {
-    let k = ctx.len() as u32;
-    match formula {
-        Formula::True => Ok(LinRelation::universe(k)),
-        Formula::False => Ok(LinRelation::empty(k)),
-        Formula::Compare(l, op, r) => Ok(compare(l, *op, r, ctx)),
-        Formula::Pred(name, args) => pred(db, name, args, ctx),
-        Formula::Not(f) => Ok(eval_ctx(db, f, ctx)?.complement()),
-        Formula::And(fs) => {
-            let mut acc = LinRelation::universe(k);
-            for f in fs {
-                acc = acc.intersect(&eval_ctx(db, f, ctx)?);
-                if acc.is_empty() {
-                    break;
-                }
-            }
-            Ok(acc)
-        }
-        Formula::Or(fs) => {
-            let mut acc = LinRelation::empty(k);
-            for f in fs {
-                acc = acc.union(&eval_ctx(db, f, ctx)?);
-            }
-            Ok(acc)
-        }
-        Formula::Implies(a, b) => Ok(eval_ctx(db, a, ctx)?
-            .complement()
-            .union(&eval_ctx(db, b, ctx)?)),
-        Formula::Iff(a, b) => {
-            let ra = eval_ctx(db, a, ctx)?;
-            let rb = eval_ctx(db, b, ctx)?;
-            Ok(ra
-                .intersect(&rb)
-                .union(&ra.complement().intersect(&rb.complement())))
-        }
-        Formula::Exists(vs, body) => {
-            let (fresh, body) = freshen(vs, body, ctx);
-            let mut ctx2 = ctx.to_vec();
-            ctx2.extend(fresh);
-            let mut r = eval_ctx(db, &body, &ctx2)?;
-            for j in (ctx.len()..ctx2.len()).rev() {
-                r = r.project_out(j);
-            }
-            Ok(r.narrow(k))
-        }
-        Formula::Forall(vs, body) => {
-            let inner = Formula::Exists(vs.clone(), Box::new(Formula::not((**body).clone())));
-            Ok(eval_ctx(db, &inner, ctx)?.complement())
-        }
-    }
-}
-
-/// Translate a comparison of linear expressions to a (possibly split)
-/// relation over the context columns.
-fn compare(l: &LinExpr, op: RawOp, r: &LinExpr, ctx: &[String]) -> LinRelation {
-    let k = ctx.len() as u32;
-    // l - r (op) 0
-    let mut coeffs = vec![Rational::ZERO; ctx.len()];
-    let mut constant = l.constant;
-    for (v, c) in &l.coeffs {
-        let i = ctx.iter().position(|x| x == v).expect("free var in ctx");
-        coeffs[i] = &coeffs[i] + c;
-    }
-    for (v, c) in &r.coeffs {
-        let i = ctx.iter().position(|x| x == v).expect("free var in ctx");
-        coeffs[i] = &coeffs[i] - c;
-    }
-    constant = constant - r.constant;
-
-    let make = |coeffs: Vec<Rational>, constant: Rational, op: CompOp| -> Option<LinTuple> {
-        match LinAtom::normalize(coeffs, constant, op) {
-            NormalizedAtom::True => Some(LinTuple::top(k)),
-            NormalizedAtom::False => None,
-            NormalizedAtom::Atom(a) => Some(LinTuple::from_atoms(k, [a])),
-        }
-    };
-    let neg = |coeffs: &[Rational], constant: &Rational| -> (Vec<Rational>, Rational) {
-        (coeffs.iter().map(|c| -*c).collect(), -*constant)
-    };
-    let tuples: Vec<Option<LinTuple>> = match op {
-        RawOp::Lt => vec![make(coeffs, constant, CompOp::Lt)],
-        RawOp::Le => vec![make(coeffs, constant, CompOp::Le)],
-        RawOp::Eq => vec![make(coeffs, constant, CompOp::Eq)],
-        RawOp::Gt => {
-            let (c, kst) = neg(&coeffs, &constant);
-            vec![make(c, kst, CompOp::Lt)]
-        }
-        RawOp::Ge => {
-            let (c, kst) = neg(&coeffs, &constant);
-            vec![make(c, kst, CompOp::Le)]
-        }
-        RawOp::Ne => {
-            let (c2, k2) = neg(&coeffs, &constant);
-            vec![make(coeffs, constant, CompOp::Lt), make(c2, k2, CompOp::Lt)]
-        }
-    };
-    LinRelation::from_tuples(k, tuples.into_iter().flatten())
-}
-
-fn pred(
+/// Plan `formula` under statistics collected from `db`, then evaluate it
+/// with plan capture on (see [`dco_fo::explain()`]).
+pub fn explain_linear(
     db: &Database,
-    name: &str,
-    args: &[ArgTerm],
-    ctx: &[String],
-) -> Result<LinRelation, LinEvalError> {
-    let rel = db
-        .get(name)
-        .ok_or_else(|| LinEvalError::UnknownPredicate(name.to_string()))?;
-    let declared = rel.arity();
-    if declared as usize != args.len() {
-        return Err(LinEvalError::ArityMismatch {
-            name: name.to_string(),
-            declared,
-            used: args.len() as u32,
-        });
-    }
-    let k = ctx.len() as u32;
-    let total = k + declared;
-    let mut r = LinRelation::from_dense(rel).rename(total, |v| v + k);
-    // Link arguments: pred column k+j = arg.
-    for (j, arg) in args.iter().enumerate() {
-        let col = k + j as u32;
-        let mut coeffs = vec![Rational::ZERO; total as usize];
-        coeffs[col as usize] = Rational::ONE;
-        let constant = match arg {
-            ArgTerm::Const(c) => -*c,
-            ArgTerm::Var(v) => {
-                let i = ctx.iter().position(|c| c == v).expect("free var in ctx");
-                coeffs[i] = coeffs[i] - Rational::ONE;
-                Rational::ZERO
-            }
-        };
-        match LinAtom::normalize(coeffs, constant, CompOp::Eq) {
-            NormalizedAtom::True => {}
-            NormalizedAtom::False => return Ok(LinRelation::empty(k)),
-            NormalizedAtom::Atom(a) => {
-                r = r.intersect(&LinRelation::from_tuples(
-                    total,
-                    [LinTuple::from_atoms(total, [a])],
-                ));
-            }
-        }
-    }
-    for j in (k..total).rev() {
-        r = r.project_out(j as usize);
-    }
-    Ok(r.narrow(k))
+    formula: &Formula,
+) -> Result<Explained<LinRelation>, EvalError> {
+    dco_fo::explain_domain(db, formula)
 }
 
-/// Alpha-rename quantified variables colliding with the context.
-fn freshen(vs: &[String], body: &Formula, ctx: &[String]) -> (Vec<String>, Formula) {
-    let mut taken: BTreeSet<String> = ctx.iter().cloned().collect();
-    let mut out_vs = Vec::with_capacity(vs.len());
-    let mut out_body = body.clone();
-    for v in vs {
-        if taken.contains(v) {
-            let mut i = 1;
-            let fresh = loop {
-                let cand = format!("{v}_{i}");
-                if !taken.contains(&cand) && !vs.contains(&cand) {
-                    break cand;
-                }
-                i += 1;
-            };
-            out_body = rename_free(&out_body, v, &fresh);
-            taken.insert(fresh.clone());
-            out_vs.push(fresh);
-        } else {
-            taken.insert(v.clone());
-            out_vs.push(v.clone());
-        }
-    }
-    (out_vs, out_body)
+/// Evaluate under the analyzer-suggested default budgets, with the
+/// statistics-driven planner choosing the conjunct and elimination order
+/// (an equivalence-preserving rewrite) and sizing the guard budgets from
+/// its cardinality estimate.
+pub fn try_eval_linear(db: &Database, formula: &Formula) -> TryResult<LinRelation> {
+    let stats = DbStats::of_database(db);
+    let limits = suggested_limits_with_stats(formula, &stats, db.constants());
+    try_eval_linear_with(db, &plan_formula(formula, &stats), limits)
 }
 
-fn rename_free(f: &Formula, from: &str, to: &str) -> Formula {
-    match f {
-        Formula::True => Formula::True,
-        Formula::False => Formula::False,
-        Formula::Compare(l, op, r) => {
-            Formula::Compare(l.rename_var(from, to), *op, r.rename_var(from, to))
-        }
-        Formula::Pred(name, args) => Formula::Pred(
-            name.clone(),
-            args.iter()
-                .map(|a| match a {
-                    ArgTerm::Var(v) if v == from => ArgTerm::Var(to.to_string()),
-                    other => other.clone(),
-                })
-                .collect(),
-        ),
-        Formula::Not(x) => Formula::not(rename_free(x, from, to)),
-        Formula::And(fs) => Formula::And(fs.iter().map(|x| rename_free(x, from, to)).collect()),
-        Formula::Or(fs) => Formula::Or(fs.iter().map(|x| rename_free(x, from, to)).collect()),
-        Formula::Implies(a, b) => Formula::Implies(
-            Box::new(rename_free(a, from, to)),
-            Box::new(rename_free(b, from, to)),
-        ),
-        Formula::Iff(a, b) => Formula::Iff(
-            Box::new(rename_free(a, from, to)),
-            Box::new(rename_free(b, from, to)),
-        ),
-        Formula::Exists(vs, body) => {
-            if vs.iter().any(|v| v == from) {
-                f.clone()
-            } else {
-                Formula::Exists(vs.clone(), Box::new(rename_free(body, from, to)))
-            }
-        }
-        Formula::Forall(vs, body) => {
-            if vs.iter().any(|v| v == from) {
-                f.clone()
-            } else {
-                Formula::Forall(vs.clone(), Box::new(rename_free(body, from, to)))
-            }
-        }
-    }
+/// Evaluate under explicit guard limits: a fault-free run is structurally
+/// identical to [`eval_linear`]; a trip, an `i128` overflow in
+/// Fourier–Motzkin or a contained panic is a typed fault.
+pub fn try_eval_linear_with(
+    db: &Database,
+    formula: &Formula,
+    limits: GuardLimits,
+) -> TryResult<LinRelation> {
+    dco_fo::try_eval_domain_with(db, formula, limits)
+}
+
+/// Parse, then evaluate under the analyzer-suggested default budgets.
+pub fn try_eval_linear_str(db: &Database, src: &str) -> TryResult<LinRelation> {
+    try_eval_linear(db, &parse_formula(src).map_err(TryEvalError::Parse)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::to_dense;
     use dco_core::prelude::*;
 
     fn pt(v: &[i64]) -> Vec<Rational> {
         v.iter().map(|&x| rat(x as i128, 1)).collect()
     }
 
-    fn run(db: &Database, src: &str) -> LinQueryResult {
+    fn run(db: &Database, src: &str) -> QueryResult<LinRelation> {
         eval_linear_str(db, src).unwrap()
     }
 
@@ -407,23 +220,9 @@ mod tests {
         );
         let db = Database::new(Schema::new().with("R", 2)).with("R", tri);
         let src = "exists y . (R(x, y) & x < y)";
-        let lin = run(&db, src).relation.to_dense().expect("order query");
-        let fo = dco_fo_eval(&db, src);
+        let lin = to_dense(&run(&db, src).relation).expect("order query");
+        let fo = dco_fo::eval_str(&db, src).unwrap().relation;
         assert!(lin.equivalent(&fo));
-    }
-
-    // tiny local shim to avoid a dev-dependency cycle: re-evaluate via the
-    // same parse tree using dco-fo would require depending on it; instead
-    // compare against a hand-built expected relation.
-    fn dco_fo_eval(_db: &Database, _src: &str) -> GeneralizedRelation {
-        // ∃y. R(x,y) ∧ x < y over the triangle = [0, 10) on x
-        GeneralizedRelation::from_raw(
-            1,
-            vec![
-                RawAtom::new(Term::cst(rat(0, 1)), RawOp::Le, Term::var(0)),
-                RawAtom::new(Term::var(0), RawOp::Lt, Term::cst(rat(10, 1))),
-            ],
-        )
     }
 
     #[test]
@@ -431,7 +230,99 @@ mod tests {
         let f = dco_logic::parse_formula("Zap(x)").unwrap();
         assert!(matches!(
             eval_linear(&empty_db(), &f),
-            Err(LinEvalError::UnknownPredicate(_))
+            Err(EvalError::UnknownPredicate(_))
         ));
+    }
+
+    #[test]
+    fn fault_free_guarded_run_matches_unguarded() {
+        let src = "forall x y . exists m . m + m = x + y";
+        let unguarded = eval_linear_str(&empty_db(), src).unwrap();
+        let guarded = try_eval_linear_str(&empty_db(), src).unwrap();
+        assert_eq!(guarded.value.as_bool(), unguarded.as_bool());
+        assert!(guarded.stats.probes > 0, "FM steps must hit probes");
+    }
+
+    #[test]
+    fn overflow_is_a_typed_fault_not_a_panic() {
+        // Repeated doubling through Fourier–Motzkin substitution: each
+        // equality x_{i+1} = big * x_i multiplies the running coefficient,
+        // overflowing i128 well before 30 steps.
+        let big = i64::MAX / 3;
+        let mut src = format!("x1 = {big} & x2 = {big} * x1");
+        for i in 3..=8 {
+            src.push_str(&format!(" & x{i} = {big} * x{}", i - 1));
+        }
+        let formula = dco_logic::parse_formula(&src).expect("parses");
+        match try_eval_linear_with(&empty_db(), &formula, GuardLimits::none()) {
+            Err(TryEvalError::Fault(f)) => {
+                assert!(
+                    matches!(f.kind, GuardErrorKind::Overflow(_)),
+                    "{:?}",
+                    f.kind
+                );
+            }
+            Ok(_) => panic!("expected the doubling chain to overflow i128"),
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+    }
+
+    #[test]
+    fn semantic_errors_stay_typed() {
+        let err = try_eval_linear_str(&empty_db(), "Zap(x)").unwrap_err();
+        assert!(matches!(
+            err,
+            TryEvalError::Invalid(EvalError::UnknownPredicate(_))
+        ));
+    }
+
+    /// R = the triangle 0 ≤ x ≤ y ≤ 10, S = the interval [2, 4].
+    fn triangle_and_interval_db() -> Database {
+        let tri = GeneralizedRelation::from_raw(
+            2,
+            vec![
+                RawAtom::new(Term::cst(rat(0, 1)), RawOp::Le, Term::var(0)),
+                RawAtom::new(Term::var(0), RawOp::Le, Term::var(1)),
+                RawAtom::new(Term::var(1), RawOp::Le, Term::cst(rat(10, 1))),
+            ],
+        );
+        let s = GeneralizedRelation::from_raw(
+            1,
+            vec![
+                RawAtom::new(Term::cst(rat(2, 1)), RawOp::Le, Term::var(0)),
+                RawAtom::new(Term::var(0), RawOp::Le, Term::cst(rat(4, 1))),
+            ],
+        );
+        Database::new(Schema::new().with("R", 2).with("S", 1))
+            .with("R", tri)
+            .with("S", s)
+    }
+
+    #[test]
+    fn explain_records_a_linear_plan_with_subtraction() {
+        let db = triangle_and_interval_db();
+        let f = dco_logic::parse_formula("exists y . (R(x, y) & x + y <= 3 & not S(x))").unwrap();
+        let ex = explain_linear(&db, &f).unwrap();
+        let root = &ex.plan.root;
+        assert!(root.fully_measured(), "{}", ex.plan.render());
+        assert_eq!(root.actual, Some(ex.result.relation.len() as u64));
+        // `∃y` over the conjunction; its `not` conjunct is the subtraction
+        // step, measured as the width left after it.
+        assert_eq!(root.label, "exists");
+        let and = &root.children[0];
+        assert_eq!(and.label, "and");
+        let not = and
+            .children
+            .iter()
+            .find(|c| c.label == "not")
+            .expect("the negated conjunct keeps its node");
+        assert_eq!(not.children[0].label, "pred");
+        assert_eq!(not.actual, and.actual);
+        // x ∈ [0, 3/2] (so y ≥ x fits under x + y ≤ 3) minus [2, 4].
+        let answer = &ex.result.relation;
+        assert!(answer.contains_point(&pt(&[1])));
+        assert!(!answer.contains_point(&pt(&[2])));
+        assert!(!answer.contains_point(&pt(&[-1])));
+        assert!(answer.equivalent(&eval_linear(&db, &f).unwrap().relation));
     }
 }

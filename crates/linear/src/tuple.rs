@@ -9,7 +9,7 @@
 
 use crate::atom::{LinAtom, NormalizedAtom};
 use dco_core::intern::{fold, fold_rational};
-use dco_core::prelude::{CompOp, MemoCache, Rational, VarBox};
+use dco_core::prelude::{CompOp, Conjunction, MemoCache, Rational, Term, Var, VarBox};
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -73,18 +73,6 @@ impl PartialEq for LinTuple {
 
 impl Eq for LinTuple {}
 
-impl PartialOrd for LinTuple {
-    fn partial_cmp(&self, other: &LinTuple) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for LinTuple {
-    fn cmp(&self, other: &LinTuple) -> std::cmp::Ordering {
-        (self.arity, &self.atoms).cmp(&(other.arity, &other.atoms))
-    }
-}
-
 impl Hash for LinTuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.fingerprint());
@@ -92,59 +80,6 @@ impl Hash for LinTuple {
 }
 
 impl LinTuple {
-    /// The unconstrained tuple.
-    pub fn top(arity: u32) -> LinTuple {
-        LinTuple {
-            arity,
-            atoms: Vec::new(),
-            fp: 0,
-            boxes: Vec::new(),
-        }
-    }
-
-    /// Build from atoms (deduplicating); `None` if some atom arity differs.
-    pub fn from_atoms(arity: u32, atoms: impl IntoIterator<Item = LinAtom>) -> LinTuple {
-        let mut t = LinTuple::top(arity);
-        for a in atoms {
-            t.push(a);
-        }
-        t
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> u32 {
-        self.arity
-    }
-
-    /// The conjuncts.
-    pub fn atoms(&self) -> &[LinAtom] {
-        &self.atoms
-    }
-
-    /// Number of conjuncts.
-    pub fn len(&self) -> usize {
-        self.atoms.len()
-    }
-
-    /// Is the conjunction empty (top)?
-    pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
-    }
-
-    /// Insert keeping sorted/dedup invariant; maintains the fingerprint and
-    /// the per-column bounding boxes incrementally.
-    pub fn push(&mut self, atom: LinAtom) {
-        assert_eq!(atom.arity(), self.arity, "atom arity mismatch");
-        match self.atoms.binary_search(&atom) {
-            Ok(_) => {}
-            Err(pos) => {
-                self.fp = self.fp.wrapping_add(lin_atom_fingerprint(&atom));
-                self.update_box(&atom);
-                self.atoms.insert(pos, atom);
-            }
-        }
-    }
-
     /// If `atom` constrains exactly one column, fold it into that column's
     /// bounding box: `c·x + k op 0` is `x op' -k/c` with the comparison
     /// flipped when `c < 0`.
@@ -185,44 +120,170 @@ impl LinTuple {
         fold(self.fp, self.arity as u64)
     }
 
-    /// Per-column interval over-approximation derived from single-variable
-    /// atoms; empty slice when no column has a direct bound.
-    pub fn bounding_box(&self) -> &[VarBox] {
-        &self.boxes
+    /// Decide satisfiability by eliminating every variable, without
+    /// consulting the memo cache.
+    pub fn is_satisfiable_uncached(&self) -> bool {
+        let mut cur = self.clone();
+        for j in 0..self.arity {
+            match cur.eliminate(Var(j)) {
+                None => return false,
+                Some(next) => cur = next,
+            }
+        }
+        // All remaining atoms are variable-free and were decided during
+        // normalization, so reaching here means satisfiable.
+        debug_assert!(cur
+            .atoms
+            .iter()
+            .all(|a| a.coeffs().iter().all(|c| c.is_zero())));
+        true
+    }
+
+    /// Remove syntactically redundant atoms: among atoms with identical
+    /// coefficient vectors, keep only the tightest bound.
+    pub fn pruned(&self) -> LinTuple {
+        let mut kept: Vec<LinAtom> = Vec::new();
+        'outer: for a in &self.atoms {
+            let mut i = 0;
+            while i < kept.len() {
+                match dominance(&kept[i], a) {
+                    Some(true) => continue 'outer, // kept[i] implies a
+                    Some(false) => {
+                        kept.remove(i);
+                    }
+                    None => i += 1,
+                }
+            }
+            kept.push(a.clone());
+        }
+        LinTuple::from_atoms(self.arity, kept)
+    }
+}
+
+impl Conjunction for LinTuple {
+    type Atom = LinAtom;
+
+    /// The unconstrained tuple.
+    fn top(arity: u32) -> LinTuple {
+        LinTuple {
+            arity,
+            atoms: Vec::new(),
+            fp: 0,
+            boxes: Vec::new(),
+        }
+    }
+
+    fn arity(&self) -> u32 {
+        self.arity
+    }
+
+    fn atoms(&self) -> &[LinAtom] {
+        &self.atoms
+    }
+
+    /// Insert keeping sorted/dedup invariant; maintains the fingerprint and
+    /// the per-column bounding boxes incrementally.
+    fn push(&mut self, atom: LinAtom) {
+        assert_eq!(atom.arity(), self.arity, "atom arity mismatch");
+        match self.atoms.binary_search(&atom) {
+            Ok(_) => {}
+            Err(pos) => {
+                self.fp = self.fp.wrapping_add(lin_atom_fingerprint(&atom));
+                self.update_box(&atom);
+                self.atoms.insert(pos, atom);
+            }
+        }
+    }
+
+    /// Conjoin, keeping only the tightest bound per coefficient vector
+    /// ([`LinTuple::pruned`]).
+    fn conjoin(&self, other: &LinTuple) -> LinTuple {
+        assert_eq!(self.arity, other.arity);
+        let mut t = self.clone();
+        for a in &other.atoms {
+            t.push(a.clone());
+        }
+        t.pruned()
+    }
+
+    /// Decide satisfiability over Q, memoized in [`lin_sat_cache`]: atoms
+    /// are kept sorted and deduplicated, so identical conjunctions arising
+    /// in different operations run Fourier–Motzkin exactly once.
+    fn is_satisfiable(&self) -> bool {
+        if self.atoms.is_empty() {
+            return true;
+        }
+        // An empty bounding box on any column refutes the conjunction
+        // without touching the cache or Fourier–Motzkin.
+        if self.boxes.iter().any(|b| b.disjoint(b)) {
+            return false;
+        }
+        // Atoms of one column each are exactly their boxes, so nonempty
+        // boxes hold a point: no Fourier–Motzkin needed.
+        if self
+            .atoms
+            .iter()
+            .all(|a| a.coeffs().iter().filter(|c| !c.is_zero()).count() == 1)
+        {
+            return true;
+        }
+        lin_sat_cache().get_or_insert_with(self, || self.is_satisfiable_uncached())
     }
 
     /// Whether some column's bounding boxes are disjoint — a sound proof
     /// that `self.conjoin(other)` is unsatisfiable, decided without running
     /// Fourier–Motzkin.
-    pub fn box_disjoint(&self, other: &LinTuple) -> bool {
+    fn box_disjoint(&self, other: &LinTuple) -> bool {
         self.boxes
             .iter()
             .zip(other.boxes.iter())
             .any(|(a, b)| a.disjoint(b))
     }
 
-    /// Conjoin.
-    pub fn conjoin(&self, other: &LinTuple) -> LinTuple {
-        assert_eq!(self.arity, other.arity);
-        let mut t = self.clone();
-        for a in &other.atoms {
-            t.push(a.clone());
+    /// Syntactic subsumption: if every atom of `self` appears literally in
+    /// `other`, then `other` carries strictly more constraints, so
+    /// `other ⊆ self` as point sets. A single linear merge over the sorted
+    /// atom vectors; sound but incomplete.
+    fn subsumes_syntactic(&self, other: &LinTuple) -> bool {
+        debug_assert_eq!(self.arity, other.arity);
+        if self.atoms.len() > other.atoms.len() {
+            return false;
         }
-        t
+        if self.atoms.len() == other.atoms.len() {
+            // Equal length makes subsumption equality; fingerprints decide
+            // it in one compare (full check on the rare collision).
+            return self.fp == other.fp && self.atoms == other.atoms;
+        }
+        let mut it = other.atoms.iter();
+        'outer: for a in &self.atoms {
+            for b in it.by_ref() {
+                match b.cmp(a) {
+                    std::cmp::Ordering::Less => continue,
+                    std::cmp::Ordering::Equal => continue 'outer,
+                    std::cmp::Ordering::Greater => return false,
+                }
+            }
+            return false;
+        }
+        true
     }
 
-    /// Point membership.
-    pub fn contains_point(&self, point: &[Rational]) -> bool {
-        self.atoms.iter().all(|a| a.eval(point))
+    fn negate(atom: &LinAtom) -> Vec<LinAtom> {
+        atom.negate()
     }
 
-    /// Eliminate `∃ x_j` by Fourier–Motzkin. Returns `None` if the
+    fn tidy(self) -> LinTuple {
+        self.pruned()
+    }
+
+    /// Eliminate `∃ x_v` by Fourier–Motzkin. Returns `None` if the
     /// conjunction is discovered unsatisfiable (a trivially-false atom
     /// appears during combination).
-    pub fn eliminate(&self, j: usize) -> Option<LinTuple> {
+    fn eliminate(&self, v: Var) -> Option<LinTuple> {
         // Guard probe: one hit per Fourier–Motzkin pivot (variable
         // eliminated from one conjunction).
         dco_core::guard::probe(dco_core::guard::ProbeSite::FourierMotzkin);
+        let j = v.index();
         // 1. Equality substitution: if an equality mentions x_j, solve for it
         //    and substitute into every other atom.
         if let Some(eq) = self
@@ -285,98 +346,31 @@ impl LinTuple {
         Some(rest.pruned())
     }
 
-    /// Decide satisfiability over Q, memoized in [`lin_sat_cache`]: atoms
-    /// are kept sorted and deduplicated, so identical conjunctions arising
-    /// in different operations run Fourier–Motzkin exactly once.
-    pub fn is_satisfiable(&self) -> bool {
-        if self.atoms.is_empty() {
-            return true;
-        }
-        // An empty bounding box on any column refutes the conjunction
-        // without touching the cache or Fourier–Motzkin.
-        if self.boxes.iter().any(|b| b.disjoint(b)) {
-            return false;
-        }
-        lin_sat_cache().get_or_insert_with(self, || self.is_satisfiable_uncached())
-    }
-
-    /// Decide satisfiability by eliminating every variable, without
-    /// consulting the memo cache.
-    pub fn is_satisfiable_uncached(&self) -> bool {
-        let mut cur = self.clone();
-        for j in 0..self.arity as usize {
-            match cur.eliminate(j) {
-                None => return false,
-                Some(next) => cur = next,
+    /// Substitute `map[j]` for column `j` in every atom and renormalize
+    /// (see [`LinAtom::instantiate`]); `None` once an atom turns false.
+    fn instantiate(&self, arity: u32, map: &[Term]) -> Option<LinTuple> {
+        assert_eq!(map.len(), self.arity as usize, "column map arity mismatch");
+        let mut out = LinTuple::top(arity);
+        for a in &self.atoms {
+            match a.instantiate(arity, map) {
+                NormalizedAtom::True => {}
+                NormalizedAtom::False => return None,
+                NormalizedAtom::Atom(b) => out.push(b),
             }
         }
-        // All remaining atoms are variable-free and were decided during
-        // normalization, so reaching here means satisfiable.
-        debug_assert!(cur
-            .atoms
-            .iter()
-            .all(|a| a.coeffs().iter().all(|c| c.is_zero())));
-        true
+        Some(out)
     }
 
-    /// Remove syntactically redundant atoms: among atoms with identical
-    /// coefficient vectors, keep only the tightest bound.
-    pub fn pruned(&self) -> LinTuple {
-        let mut kept: Vec<LinAtom> = Vec::new();
-        'outer: for a in &self.atoms {
-            let mut i = 0;
-            while i < kept.len() {
-                match dominance(&kept[i], a) {
-                    Some(true) => continue 'outer, // kept[i] implies a
-                    Some(false) => {
-                        kept.remove(i);
-                    }
-                    None => i += 1,
-                }
-            }
-            kept.push(a.clone());
-        }
-        LinTuple::from_atoms(self.arity, kept)
+    fn column_eq(arity: u32, a: Var, b: Var) -> LinAtom {
+        let mut coeffs = vec![Rational::ZERO; arity as usize];
+        coeffs[a.index()] = Rational::ONE;
+        coeffs[b.index()] = -Rational::ONE;
+        LinAtom::new(coeffs, Rational::ZERO, CompOp::Eq)
     }
 
-    /// Syntactic subsumption: if every atom of `self` appears literally in
-    /// `other`, then `other` carries strictly more constraints, so
-    /// `other ⊆ self` as point sets. A single linear merge over the sorted
-    /// atom vectors; sound but incomplete.
-    pub fn subsumes_syntactic(&self, other: &LinTuple) -> bool {
-        debug_assert_eq!(self.arity, other.arity);
-        if self.atoms.len() > other.atoms.len() {
-            return false;
-        }
-        if self.atoms.len() == other.atoms.len() {
-            // Equal length makes subsumption equality; fingerprints decide
-            // it in one compare (full check on the rare collision).
-            return self.fp == other.fp && self.atoms == other.atoms;
-        }
-        let mut it = other.atoms.iter();
-        'outer: for a in &self.atoms {
-            for b in it.by_ref() {
-                match b.cmp(a) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// Widen to a larger arity. Rebuilds through [`LinTuple::from_atoms`]
-    /// because the fingerprint folds the full coefficient vector, whose
-    /// length changes with the arity.
-    pub fn widen(&self, new_arity: u32) -> LinTuple {
-        LinTuple::from_atoms(new_arity, self.atoms.iter().map(|a| a.widen(new_arity)))
-    }
-
-    /// Rename columns into a target arity.
-    pub fn rename(&self, new_arity: u32, f: impl Fn(u32) -> u32 + Copy) -> LinTuple {
-        LinTuple::from_atoms(new_arity, self.atoms.iter().map(|a| a.rename(new_arity, f)))
+    /// Point membership.
+    fn contains_point(&self, point: &[Rational]) -> bool {
+        self.atoms.iter().all(|a| a.eval(point))
     }
 }
 
@@ -493,7 +487,7 @@ mod tests {
                 atom(&[1, 2], -4, CompOp::Le),
             ],
         );
-        let e = t.eliminate(1).unwrap();
+        let e = t.eliminate(Var(1)).unwrap();
         assert!(e.contains_point(&pt(&[0, 99])));
         assert!(e.contains_point(&pt(&[4, 99])));
         assert!(!e.contains_point(&pt(&[5, 0])));
@@ -507,7 +501,7 @@ mod tests {
             2,
             vec![atom(&[1, -2], 0, CompOp::Eq), atom(&[1, 1], -3, CompOp::Le)],
         );
-        let e = t.eliminate(0).unwrap();
+        let e = t.eliminate(Var(0)).unwrap();
         assert!(e.contains_point(&pt(&[99, 1])));
         assert!(!e.contains_point(&pt(&[99, 2])));
     }
@@ -530,7 +524,7 @@ mod tests {
             vec![atom(&[1], -5, CompOp::Le), atom(&[1], -3, CompOp::Le)],
         )
         .pruned();
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.atoms().len(), 1);
         assert!(t.contains_point(&pt(&[3])));
         assert!(!t.contains_point(&pt(&[4])));
         // strict vs weak at same constant: strict wins
@@ -539,7 +533,7 @@ mod tests {
             vec![atom(&[1], -3, CompOp::Le), atom(&[1], -3, CompOp::Lt)],
         )
         .pruned();
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.atoms().len(), 1);
         assert!(!t.contains_point(&pt(&[3])));
     }
 
@@ -547,8 +541,8 @@ mod tests {
     fn unbounded_elimination_drops_all() {
         // only a lower bound on y: ∃y. y >= x  ≡ true
         let t = LinTuple::from_atoms(2, vec![atom(&[1, -1], 0, CompOp::Le)]);
-        let e = t.eliminate(1).unwrap();
-        assert!(e.is_empty());
+        let e = t.eliminate(Var(1)).unwrap();
+        assert!(e.atoms().is_empty());
     }
 
     #[test]
@@ -583,9 +577,11 @@ mod tests {
         let ba = LinTuple::from_atoms(2, vec![b, a]);
         assert_eq!(ab, ba);
         assert_eq!(ab.fingerprint(), ba.fingerprint());
-        // widen rebuilds the fingerprint over the padded coefficient vectors
-        let w = ab.widen(3);
-        assert_eq!(w, ab.widen(3));
+        // widening rebuilds the fingerprint over the padded coefficient
+        // vectors
+        let widen = |t: &LinTuple| t.instantiate(3, &[Term::var(0), Term::var(1)]).unwrap();
+        let w = widen(&ab);
+        assert_eq!(w, widen(&ba));
         assert_ne!(w.fingerprint(), ab.fingerprint());
     }
 

@@ -3,9 +3,10 @@
 //! dense-order engine on the order fragment.
 
 use dco_core::prelude::{
-    rat, CompOp, GeneralizedRelation, GeneralizedTuple, Rational, RawAtom, RawOp, Term,
+    rat, CompOp, Conjunction, GeneralizedRelation, GeneralizedTuple, Rational, RawAtom, RawOp,
+    Term, Var,
 };
-use dco_linear::{LinAtom, LinRelation, LinTuple, NormalizedAtom};
+use dco_linear::{from_dense, to_dense, LinAtom, LinRelation, LinTuple, NormalizedAtom};
 use proptest::prelude::*;
 
 /// A random linear atom over `arity` columns with small coefficients.
@@ -63,6 +64,63 @@ fn arb_boxy_relation(arity: usize) -> impl Strategy<Value = LinRelation> {
         .prop_map(move |ts| LinRelation::from_tuples(arity as u32, ts))
 }
 
+/// `±(x₀ + x₁) op k`: genuinely linear atoms, outside the order fragment.
+fn arb_sum_atom() -> impl Strategy<Value = Option<LinAtom>> {
+    (
+        prop_oneof![Just(1i128), Just(-1i128)],
+        -3i64..=3,
+        prop_oneof![Just(CompOp::Lt), Just(CompOp::Le), Just(CompOp::Eq)],
+    )
+        .prop_map(|(sign, k, op)| {
+            match LinAtom::normalize(vec![rat(sign, 1); 2], rat(k as i128, 1), op) {
+                NormalizedAtom::Atom(a) => Some(a),
+                _ => None,
+            }
+        })
+}
+
+/// Binary relations mixing column bounds with `x₀ + x₁` atoms.
+fn arb_sum_relation() -> impl Strategy<Value = LinRelation> {
+    let atom = prop_oneof![2 => arb_bound_atom(2), 1 => arb_sum_atom()];
+    let tuple = prop::collection::vec(atom, 0..4)
+        .prop_map(|atoms| LinTuple::from_atoms(2, atoms.into_iter().flatten()));
+    prop::collection::vec(tuple, 0..4).prop_map(|ts| LinRelation::from_tuples(2, ts))
+}
+
+/// Every point of `V²`, where `V` holds each value an atom of `rels`
+/// compares one of its columns with (`-k/c` for `… + c·xᵢ + k`), one
+/// beyond the least and the greatest, and the midpoint of each adjacent
+/// pair.
+fn grid(rels: &[&LinRelation]) -> Vec<Vec<Rational>> {
+    let mut consts: Vec<Rational> = rels
+        .iter()
+        .flat_map(|r| r.tuples())
+        .flat_map(|t| t.atoms())
+        .flat_map(|a| {
+            a.coeffs()
+                .iter()
+                .filter(|c| !c.is_zero())
+                .map(|c| -(a.constant() / c))
+        })
+        .chain([rat(0, 1)])
+        .collect();
+    consts.sort();
+    consts.dedup();
+    let lo = consts[0] - rat(1, 1);
+    let hi = consts[consts.len() - 1] + rat(1, 1);
+    consts.extend([lo, hi]);
+    consts.sort();
+    let mids: Vec<Rational> = consts
+        .windows(2)
+        .map(|w| w[0].midpoint(&w[1]).expect("small constants"))
+        .collect();
+    consts.extend(mids);
+    consts
+        .iter()
+        .flat_map(|&x| consts.iter().map(move |&y| vec![x, y]))
+        .collect()
+}
+
 /// Intersection without the bounding-box pre-filter: conjoin every pair,
 /// prune, keep the satisfiable ones and insert them in the order
 /// `intersect` does.
@@ -97,7 +155,7 @@ proptest! {
     #[test]
     fn fm_elimination_is_sound(t in arb_lin_tuple(2), p in arb_point(2)) {
         // if (p0, p1) satisfies t, then p satisfies ∃x1.t
-        if let Some(e) = t.eliminate(1) {
+        if let Some(e) = t.eliminate(Var(1)) {
             if t.contains_point(&p) {
                 prop_assert!(e.contains_point(&p), "FM lost a point");
             }
@@ -112,7 +170,7 @@ proptest! {
         // eliminating all variables must agree with is_satisfiable
         let mut cur = Some(t.clone());
         for j in 0..3 {
-            cur = cur.and_then(|c| c.eliminate(j));
+            cur = cur.and_then(|c| c.eliminate(Var(j)));
         }
         prop_assert_eq!(cur.is_some(), t.is_satisfiable());
     }
@@ -148,7 +206,7 @@ proptest! {
     #[test]
     fn lin_projection_contains_shadow(a in arb_lin_relation(2), p in arb_point(2)) {
         if a.contains_point(&p) {
-            prop_assert!(a.project_out(1).contains_point(&p));
+            prop_assert!(a.project_out(Var(1)).contains_point(&p));
         }
     }
 
@@ -164,7 +222,7 @@ proptest! {
                 RawAtom::new(Term::var(1), RawOp::Le, Term::cst(rat(10, 1))),
             ],
         );
-        let lin = LinRelation::from_dense(&tri);
+        let lin = from_dense(&tri);
         prop_assert_eq!(lin.contains_point(&p), tri.contains_point(&p));
     }
 
@@ -181,9 +239,9 @@ proptest! {
         for t in GeneralizedTuple::from_raw(2, raws) {
             rel.insert(t);
         }
-        let lin = LinRelation::from_dense(&rel);
+        let lin = from_dense(&rel);
         prop_assert_eq!(lin.contains_point(&p), rel.contains_point(&p));
-        if let Some(back) = lin.to_dense() {
+        if let Some(back) = to_dense(&lin) {
             prop_assert_eq!(back.contains_point(&p), rel.contains_point(&p));
         }
     }
@@ -198,5 +256,32 @@ proptest! {
     #[test]
     fn box_pruned_intersect_matches_unpruned(a in arb_boxy_relation(2), b in arb_boxy_relation(2)) {
         prop_assert_eq!(a.intersect(&b).tuples(), all_pairs_intersect(&a, &b).tuples());
+    }
+}
+
+// Subtraction is the one negation kernel of the relation layer; for linear
+// tuples its pieces are cut along half-planes such as `x + y < k`. Checked
+// against the pointwise definition at every point of a grid through each
+// constant and the midpoints between them.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn subtract_is_pointwise_difference(
+        a in arb_boxy_relation(2),
+        b in arb_boxy_relation(2),
+        c in arb_sum_relation(),
+        d in arb_sum_relation(),
+    ) {
+        for (x, y) in [(&a, &b), (&c, &d), (&a, &d), (&c, &b)] {
+            let diff = x.subtract(y);
+            for p in grid(&[x, y]) {
+                prop_assert_eq!(
+                    diff.contains_point(&p),
+                    x.contains_point(&p) && !y.contains_point(&p),
+                    "{} minus {} is {} at {:?}", x, y, diff, p
+                );
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! property suite round-trips 128 seeded instances per type and demands
 //! structural equality, not mere equivalence.
 
-use dco_core::prelude::{Database, GeneralizedRelation, Rational, Schema};
+use dco_core::prelude::{Conjunction, Database, GeneralizedRelation, Rational, Schema};
 use dco_encoding::bits::{decode_relation, encode_relation, BitVec};
 use dco_linear::{LinAtom, LinTuple, NormalizedAtom};
 use std::fmt;

@@ -29,7 +29,7 @@
 
 use crate::codec::{open_record, seal_record, ByteReader, ByteWriter, CodecError, RecordKind};
 use dco_core::guard::{self, ProbeSite};
-use dco_core::prelude::GeneralizedRelation;
+use dco_core::prelude::{Conjunction, GeneralizedRelation};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};

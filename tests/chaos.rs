@@ -134,7 +134,7 @@ fn run_scenario(s: Scenario, limits: GuardLimits) -> Result<bool, GuardError> {
             let baseline = eval_linear(&db, &formula).expect("linear baseline");
             match dco::linear::try_eval_linear_with(&db, &formula, limits) {
                 Ok(g) => Ok(g.value.as_bool() == baseline.as_bool()),
-                Err(dco::linear::TryLinEvalError::Fault(f)) => Err(f),
+                Err(dco::fo::TryEvalError::Fault(f)) => Err(f),
                 Err(e) => panic!("linear scenario is semantically valid, got {e}"),
             }
         }
@@ -298,7 +298,7 @@ fn aborted_evaluation_leaves_memo_cache_consistent() {
     assert!(
         matches!(
             aborted,
-            Err(dco::linear::TryLinEvalError::Fault(GuardError {
+            Err(dco::fo::TryEvalError::Fault(GuardError {
                 kind: GuardErrorKind::Cancelled,
                 ..
             }))

@@ -29,10 +29,7 @@ fn fo_and_foplus_agree_on_order_queries() {
     ] {
         let f = parse_formula(src).unwrap();
         let fo = eval_fo(&db, &f).unwrap().relation;
-        let lin = eval_linear(&db, &f)
-            .unwrap()
-            .relation
-            .to_dense()
+        let lin = dco::linear::to_dense(&eval_linear(&db, &f).unwrap().relation)
             .unwrap_or_else(|| panic!("{src}: FO+ left the order fragment"));
         assert!(fo.equivalent(&lin), "{src}: engines disagree");
     }

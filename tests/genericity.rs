@@ -3,6 +3,7 @@
 
 use dco::datalog::{parse_program, run as run_datalog};
 use dco::fo::{check_generic, check_generic_fixing, eval as eval_fo, GenericityOutcome};
+use dco::linear::to_dense;
 use dco::prelude::*;
 
 fn triangle_db() -> Database {
@@ -75,11 +76,7 @@ fn foplus_order_fragment_is_generic() {
     let db = triangle_db();
     let f = parse_formula("exists y . (R(x, y) & x < y)").unwrap();
     let out = check_generic(&db, 5, 99, |d| {
-        eval_linear(d, &f)
-            .expect("evaluates")
-            .relation
-            .to_dense()
-            .expect("order fragment")
+        to_dense(&eval_linear(d, &f).expect("evaluates").relation).expect("order fragment")
     });
     assert_eq!(out, GenericityOutcome::Generic);
 }
@@ -91,10 +88,7 @@ fn genuine_arithmetic_breaks_genericity() {
     let db = triangle_db();
     let f = parse_formula("R(x, x) & x + x = 1").unwrap();
     let out = check_generic(&db, 10, 3, |d| {
-        eval_linear(d, &f)
-            .expect("evaluates")
-            .relation
-            .to_dense()
+        to_dense(&eval_linear(d, &f).expect("evaluates").relation)
             .unwrap_or_else(|| GeneralizedRelation::from_points(1, vec![vec![rat(1, 2)]]))
     });
     assert!(matches!(out, GenericityOutcome::Violation(_)));
