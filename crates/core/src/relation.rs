@@ -97,14 +97,19 @@ pub trait Conjunction: Clone + PartialEq + Send + Sync {
         t
     }
 
-    /// Does the conjunction entail `atom`? Decided by refutation: every
-    /// alternative of `¬atom` conjoined to `self` is unsatisfiable.
+    /// Whether `self ∧ atom` is satisfiable, with `self` left as it is.
+    /// The provided method conjoins `atom` to a clone; dense order reads
+    /// the answer off the order graph its tuples carry.
+    fn admits(&self, atom: &Self::Atom) -> bool {
+        let mut t = self.clone();
+        t.push(atom.clone());
+        t.is_satisfiable()
+    }
+
+    /// Does the conjunction entail `atom`? Decided by refutation: `self`
+    /// admits no alternative of `¬atom`.
     fn entails(&self, atom: &Self::Atom) -> bool {
-        Self::negate(atom).into_iter().all(|alt| {
-            let mut t = self.clone();
-            t.push(alt);
-            !t.is_satisfiable()
-        })
+        Self::negate(atom).iter().all(|alt| !self.admits(alt))
     }
 
     /// Does this conjunction's point set include the other's
@@ -118,19 +123,26 @@ pub trait Conjunction: Clone + PartialEq + Send + Sync {
     /// Remove atoms entailed by the rest of the conjunction (greedy, so
     /// not guaranteed globally minimum, but stable).
     fn simplify(&self) -> Self {
-        let mut atoms = self.atoms().to_vec();
-        let mut i = 0;
-        while i < atoms.len() {
-            let rest = atoms.iter().enumerate().filter(|&(j, _)| j != i);
-            let rest = Self::from_atoms(self.arity(), rest.map(|(_, x)| x.clone()));
-            if rest.entails(&atoms[i]) {
-                atoms.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        Self::from_atoms(self.arity(), atoms)
+        simplify_greedy(self)
     }
+}
+
+/// The provided [`Conjunction::simplify`]: in atom order, drop each atom
+/// that the conjunction of the others still kept entails, rebuilding that
+/// conjunction for every test.
+pub(crate) fn simplify_greedy<T: Conjunction>(t: &T) -> T {
+    let mut atoms = t.atoms().to_vec();
+    let mut i = 0;
+    while i < atoms.len() {
+        let rest = atoms.iter().enumerate().filter(|&(j, _)| j != i);
+        let rest = T::from_atoms(t.arity(), rest.map(|(_, x)| x.clone()));
+        if rest.entails(&atoms[i]) {
+            atoms.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    T::from_atoms(t.arity(), atoms)
 }
 
 /// A finite union of satisfiable conjunctions of a fixed arity.
@@ -546,6 +558,13 @@ impl Relation<GeneralizedTuple> {
 /// unsatisfiable, `p ∧ u = ∅` and `p` stays whole. Kept pieces are
 /// [`Conjunction::tidy`]: for dense order, only their tightest constant
 /// bound per column and side.
+///
+/// Each alternative is decided by [`Conjunction::admits`] on the prefix,
+/// so only the pieces kept are built, and the prefix is cloned from `p`
+/// only when a second atom needs it. Every alternative tried is still
+/// charged as one tuple of the piece's size (a refused alternative is
+/// never in the satisfiable prefix, so its piece would be one atom
+/// longer).
 fn cut<T: Conjunction>(p: T, u: &T) -> Vec<T> {
     if p.box_disjoint(u) {
         return vec![p];
@@ -554,23 +573,34 @@ fn cut<T: Conjunction>(p: T, u: &T) -> Vec<T> {
         return Vec::new();
     }
     let mut pieces = Vec::new();
-    let mut prefix = p.clone();
-    for a in u.atoms() {
+    let mut prefix = Cow::Borrowed(&p);
+    let n = u.atoms().len();
+    for (i, a) in u.atoms().iter().enumerate() {
         let mut entailed = true;
         for alt in T::negate(a) {
-            let mut piece = prefix.clone();
-            piece.push(alt);
-            probe_charge(ProbeSite::DnfInsert, 1, piece.atoms().len() as u64);
-            if piece.is_satisfiable() {
+            if prefix.admits(&alt) {
+                let mut piece = prefix.clone().into_owned();
+                piece.push(alt);
+                probe_charge(ProbeSite::DnfInsert, 1, piece.atoms().len() as u64);
                 entailed = false;
                 pieces.push(piece.tidy());
+            } else {
+                probe_charge(ProbeSite::DnfInsert, 1, prefix.atoms().len() as u64 + 1);
             }
         }
-        if !entailed {
+        if entailed {
+            continue;
+        }
+        // The last atom only decides whether `p ∧ u` is empty.
+        let satisfiable = if i + 1 == n {
+            prefix.admits(a)
+        } else {
+            let prefix = prefix.to_mut();
             prefix.push(a.clone());
-            if !prefix.is_satisfiable() {
-                return vec![p];
-            }
+            prefix.is_satisfiable()
+        };
+        if !satisfiable {
+            return vec![p];
         }
     }
     pieces

@@ -22,6 +22,21 @@
 //! reachability query per inserted edge keeps the invariant, and
 //! unsatisfiability is detected at the exact atom that causes it.
 //!
+//! **Admission and entailment are reads of the same graph.** Whether
+//! `t ∧ a` is satisfiable ([`SatState::admits`]) is the check
+//! `assert_atom` would make for `a`, run without inserting anything:
+//! `u < v` is refused iff some path leads `v → u`, `u ≤ v` iff some path
+//! `v → u` holds a strict edge, `u = v` iff a strict path runs either way.
+//! A constant `c` that is not yet a node would enter the chain with only
+//! its two strict chain edges, so its nearest mentioned neighbours stand
+//! in for it: `x < c` and `x ≤ c` are refused iff the next constant
+//! *above* `c` reaches `x`, `c < x` and `c ≤ x` iff `x` reaches the next
+//! constant *below* `c`, and `x = c` iff either holds. `t ⊨ a` is then
+//! "every alternative of `¬a` is refused". The greedy simplification of
+//! a tuple ([`SatState::redundant`]) asks the same question on one graph
+//! with the edges of the atoms already dropped (and of the atom under
+//! test) masked out, so no tuple is rebuilt to decide it.
+//!
 //! The same state tracks, for free, the tightest *direct* constant bounds on
 //! each variable — the per-variable interval bounding box used by
 //! [`crate::relation::GeneralizedRelation::intersect`],
@@ -33,6 +48,7 @@ use crate::atom::{Atom, CompOp, Term, Var};
 use crate::rational::Rational;
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Sentinel for "no entry" in the intrusive adjacency lists.
 const NIL: u32 = u32::MAX;
@@ -221,17 +237,121 @@ impl SatState {
     /// never reach here).
     pub fn assert_atom(&mut self, atom: &Atom) {
         self.update_box(atom);
+        self.add_order(atom);
+    }
+
+    /// Whether `self ∧ atom` is satisfiable, decided without changing the
+    /// state: the cycle check [`SatState::assert_atom`] would make, as a
+    /// read of the graph (see the module doc for the rule). An
+    /// unsatisfiable state refuses every atom; a state with no atoms
+    /// admits every normalized atom.
+    pub fn admits(&self, atom: &Atom) -> bool {
+        !self.refuses(atom, None)
+    }
+
+    /// The greedy simplification of the conjunction of `atoms`, in their
+    /// order: `dropped[i]` is whether atom `i` is entailed by the atoms
+    /// after it together with those before it that were kept. One graph
+    /// holds every atom; each test masks the edges of the atom under test
+    /// and of the atoms already dropped. `None` when the atoms are
+    /// unsatisfiable.
+    pub fn redundant(arity: u32, atoms: &[Atom]) -> Option<Vec<bool>> {
+        let mut s = SatState::new(arity);
+        let own: Vec<Range<usize>> = atoms.iter().map(|a| s.add_order(a)).collect();
+        if s.unsat {
+            return None;
+        }
+        let mut dead = vec![false; s.edges.len()];
+        let dropped = atoms
+            .iter()
+            .zip(own)
+            .map(|(a, edges)| {
+                dead[edges.clone()].fill(true);
+                let entailed = a.negate().iter().all(|alt| s.refuses(alt, Some(&dead)));
+                if !entailed {
+                    dead[edges].fill(false);
+                }
+                entailed
+            })
+            .collect();
+        Some(dropped)
+    }
+
+    /// Insert the order-graph edges of one atom, returning the range of
+    /// `edges` they occupy (chain edges of newly mentioned constants
+    /// excluded; empty once the state is unsatisfiable).
+    fn add_order(&mut self, atom: &Atom) -> Range<usize> {
         if self.unsat {
-            return;
+            return 0..0;
         }
         let u = self.node_of(atom.lhs());
         let v = self.node_of(atom.rhs());
+        let start = self.edges.len();
         match atom.op() {
             CompOp::Eq => {
                 self.add_edge(u, v, false);
                 self.add_edge(v, u, false);
             }
             op => self.add_edge(u, v, op.is_strict()),
+        }
+        start..self.edges.len()
+    }
+
+    /// Whether asserting `atom` would close a strict cycle in the graph
+    /// without the `dead` edges: the test of `add_edge` for each edge the
+    /// atom would add. For `u = v` the second edge's test may ignore the
+    /// first: a strict path using the fresh weak edge `u → v` to reach `v`
+    /// from `u` would close a strict cycle that is already there.
+    fn refuses(&self, atom: &Atom, dead: Option<&[bool]>) -> bool {
+        if self.unsat {
+            return true;
+        }
+        if self.head.is_empty() {
+            return false;
+        }
+        let closes =
+            |from: Term, to: Term, needed: u8| self.term_path(from, to, needed, dead) >= needed;
+        let (l, r) = (atom.lhs(), atom.rhs());
+        match atom.op() {
+            CompOp::Lt => closes(r, l, 1),
+            CompOp::Le => closes(r, l, 2),
+            CompOp::Eq => closes(r, l, 2) || closes(l, r, 2),
+        }
+    }
+
+    /// [`SatState::path_strictness`] between two terms, either of which
+    /// may be a constant that is not a node. Such a constant would enter
+    /// the chain with one strict edge to the next constant above it and
+    /// one from the next constant below it, and no other edge: a path
+    /// leaving it goes through the constant above, a path reaching it
+    /// through the constant below, and either path is strict.
+    fn term_path(&self, from: Term, to: Term, stop_at: u8, dead: Option<&[bool]>) -> u8 {
+        let (u, u_absent) = match self.node_id(from) {
+            Ok(u) => (Some(u), false),
+            Err(pos) => (self.consts.get(pos).map(|&(_, id)| id), true),
+        };
+        let (v, v_absent) = match self.node_id(to) {
+            Ok(v) => (Some(v), false),
+            Err(pos) => (pos.checked_sub(1).map(|p| self.consts[p].1), true),
+        };
+        match (u, v) {
+            (Some(u), Some(v)) if !u_absent && !v_absent => {
+                self.path_strictness(u, v, stop_at, dead)
+            }
+            (Some(u), Some(v)) if self.path_strictness(u, v, 1, dead) > 0 => 2,
+            _ => 0,
+        }
+    }
+
+    /// The node id of a term, or the position at which an absent constant
+    /// would enter `consts`.
+    fn node_id(&self, t: Term) -> Result<u32, usize> {
+        match t {
+            Term::Var(v) => Ok(v.0),
+            Term::Const(c) => self
+                .consts
+                .binary_search_by(|(x, _)| x.cmp(&c))
+                .map(|pos| self.consts[pos].1),
         }
     }
 
@@ -266,31 +386,26 @@ impl SatState {
         if self.head.is_empty() {
             self.head = vec![NIL; self.n_vars as usize];
         }
-        match t {
-            Term::Var(v) => v.0,
-            Term::Const(c) => {
-                match self.consts.binary_search_by(|(x, _)| x.cmp(&c)) {
-                    Ok(pos) => self.consts[pos].1,
-                    Err(pos) => {
-                        let id = self.head.len() as u32;
-                        self.head.push(NIL);
-                        self.consts.insert(pos, (c, id));
-                        // Built-in order: chain the new constant strictly
-                        // between its value-neighbours. The fresh node has
-                        // no other edges, so these cannot close a cycle.
-                        if pos > 0 {
-                            let prev = self.consts[pos - 1].1;
-                            self.push_edge(prev, id, true);
-                        }
-                        if pos + 1 < self.consts.len() {
-                            let next = self.consts[pos + 1].1;
-                            self.push_edge(id, next, true);
-                        }
-                        id
-                    }
-                }
-            }
+        let pos = match self.node_id(t) {
+            Ok(id) => return id,
+            Err(pos) => pos,
+        };
+        let c = t.as_const().expect("every variable is a node");
+        let id = self.head.len() as u32;
+        self.head.push(NIL);
+        self.consts.insert(pos, (c, id));
+        // Built-in order: chain the new constant strictly between its
+        // value-neighbours. The fresh node has no other edges, so these
+        // cannot close a cycle.
+        if pos > 0 {
+            let prev = self.consts[pos - 1].1;
+            self.push_edge(prev, id, true);
         }
+        if pos + 1 < self.consts.len() {
+            let next = self.consts[pos + 1].1;
+            self.push_edge(id, next, true);
+        }
+        id
     }
 
     /// Append an edge without any cycle check (used for constant chaining,
@@ -322,7 +437,7 @@ impl SatState {
             return;
         }
         let needed = if strict { 1 } else { 2 };
-        if self.path_strictness(to, from, needed) >= needed {
+        if self.path_strictness(to, from, needed, None) >= needed {
             self.unsat = true;
             return;
         }
@@ -332,10 +447,11 @@ impl SatState {
     /// The "strictness level" of the best path `from → to`: `0` if
     /// unreachable, `1` if reachable only through weak edges, `2` if some
     /// path contains a strict edge. Stops early once `stop_at` is reached.
+    /// Edges `e` with `dead[e]` set are left out of the graph.
     ///
     /// Each node is enqueued at most twice (once per level), so a query is
     /// O(edges) with thread-local scratch and no per-call allocation.
-    fn path_strictness(&self, from: u32, to: u32, stop_at: u8) -> u8 {
+    fn path_strictness(&self, from: u32, to: u32, stop_at: u8, dead: Option<&[bool]>) -> u8 {
         thread_local! {
             static SCRATCH: RefCell<(Vec<u8>, Vec<u32>)> =
                 const { RefCell::new((Vec::new(), Vec::new())) };
@@ -357,7 +473,8 @@ impl SatState {
                         strict,
                     } = self.edges[e as usize];
                     let next_level = if strict { 2 } else { level };
-                    if status[y as usize] < next_level {
+                    let live = dead.is_none_or(|d| !d[e as usize]);
+                    if live && status[y as usize] < next_level {
                         status[y as usize] = next_level;
                         if y == to && next_level >= stop_at {
                             return next_level;
@@ -477,6 +594,104 @@ mod tests {
         d.assert_atom(&atom(c(1), CompOp::Lt, v(0)));
         d.assert_atom(&atom(v(0), CompOp::Le, c(2)));
         assert!(a.box_disjoint(&d));
+    }
+
+    /// `admits` against asserting into a clone.
+    fn admits_by_assert(s: &SatState, a: &Atom) -> bool {
+        let mut t = s.clone();
+        t.assert_atom(a);
+        t.verdict()
+    }
+
+    #[test]
+    fn admits_reads_paths_between_nodes() {
+        // x0 ≤ x1 < x2
+        let mut s = SatState::new(3);
+        s.assert_atom(&atom(v(0), CompOp::Le, v(1)));
+        s.assert_atom(&atom(v(1), CompOp::Lt, v(2)));
+        // u < v: refused iff any path v → u.
+        assert!(!s.admits(&atom(v(1), CompOp::Lt, v(0))));
+        assert!(!s.admits(&atom(v(2), CompOp::Lt, v(0))));
+        assert!(s.admits(&atom(v(0), CompOp::Lt, v(1))));
+        // u ≤ v: refused iff a strict path v → u.
+        assert!(s.admits(&atom(v(1), CompOp::Le, v(0))));
+        assert!(!s.admits(&atom(v(2), CompOp::Le, v(0))));
+        // u = v: refused iff a strict path either way.
+        assert!(s.admits(&atom(v(0), CompOp::Eq, v(1))));
+        assert!(!s.admits(&atom(v(0), CompOp::Eq, v(2))));
+        assert!(!s.admits(&atom(v(1), CompOp::Eq, v(2))));
+    }
+
+    #[test]
+    fn admits_present_and_absent_constants() {
+        // 1 ≤ x0 ≤ 3 ∧ x1 = 5
+        let mut s = SatState::new(2);
+        s.assert_atom(&atom(c(1), CompOp::Le, v(0)));
+        s.assert_atom(&atom(v(0), CompOp::Le, c(3)));
+        s.assert_atom(&atom(v(1), CompOp::Eq, c(5)));
+        // Present constants: one path query.
+        assert!(s.admits(&atom(v(0), CompOp::Le, c(1))));
+        assert!(!s.admits(&atom(v(0), CompOp::Lt, c(1))));
+        assert!(s.admits(&atom(v(0), CompOp::Eq, c(3))));
+        assert!(!s.admits(&atom(v(0), CompOp::Eq, c(5))));
+        assert!(!s.admits(&atom(v(1), CompOp::Lt, c(5))));
+        // Absent 4: above it is 5, which x1 reaches; below it is 3, which
+        // x0 reaches.
+        assert!(!s.admits(&atom(v(1), CompOp::Le, c(4))));
+        assert!(s.admits(&atom(v(0), CompOp::Le, c(4))));
+        assert!(!s.admits(&atom(c(4), CompOp::Lt, v(0))));
+        assert!(s.admits(&atom(c(4), CompOp::Le, v(1))));
+        assert!(!s.admits(&atom(v(0), CompOp::Eq, c(4))));
+        assert!(!s.admits(&atom(v(1), CompOp::Eq, c(4))));
+        // Absent 2 lies inside x0's interval; absent 0 and 9 lie past
+        // either end of the chain.
+        assert!(s.admits(&atom(v(0), CompOp::Eq, c(2))));
+        assert!(!s.admits(&atom(v(0), CompOp::Lt, c(0))));
+        assert!(s.admits(&atom(c(0), CompOp::Lt, v(0))));
+        assert!(s.admits(&atom(v(1), CompOp::Lt, c(9))));
+        assert!(!s.admits(&atom(c(9), CompOp::Le, v(1))));
+        for a in [
+            atom(v(0), CompOp::Lt, c(2)),
+            atom(c(4), CompOp::Le, v(0)),
+            atom(v(1), CompOp::Eq, c(0)),
+            atom(v(0), CompOp::Le, v(1)),
+            atom(v(1), CompOp::Lt, v(0)),
+        ] {
+            assert_eq!(s.admits(&a), admits_by_assert(&s, &a), "{a}");
+        }
+    }
+
+    #[test]
+    fn unsatisfiable_state_refuses_and_empty_state_admits() {
+        let mut s = SatState::new(1);
+        s.assert_atom(&atom(v(0), CompOp::Lt, c(0)));
+        s.assert_atom(&atom(c(1), CompOp::Lt, v(0)));
+        assert!(!s.verdict());
+        assert!(!s.admits(&atom(v(0), CompOp::Le, c(7))));
+        let empty = SatState::new(2);
+        assert!(empty.admits(&atom(v(0), CompOp::Lt, v(1))));
+        assert!(empty.admits(&atom(v(1), CompOp::Eq, c(7))));
+    }
+
+    #[test]
+    fn redundant_masks_dropped_atoms() {
+        let atoms = [
+            atom(v(0), CompOp::Lt, v(1)),
+            atom(v(0), CompOp::Le, v(1)),
+            atom(v(0), CompOp::Lt, c(5)),
+            atom(v(1), CompOp::Lt, c(5)),
+        ];
+        // x0 ≤ x1 follows from x0 < x1; x0 < 5 from x0 < x1 < 5. With
+        // x0 ≤ x1 dropped, x0 < x1 is needed.
+        assert_eq!(
+            SatState::redundant(2, &atoms),
+            Some(vec![false, true, true, false])
+        );
+        // Neither half of a weak cycle follows from the other.
+        let pair = [atom(v(0), CompOp::Le, v(1)), atom(v(1), CompOp::Le, v(0))];
+        assert_eq!(SatState::redundant(2, &pair), Some(vec![false, false]));
+        let unsat = [atom(v(0), CompOp::Lt, v(1)), atom(v(1), CompOp::Lt, v(0))];
+        assert_eq!(SatState::redundant(2, &unsat), None);
     }
 
     #[test]

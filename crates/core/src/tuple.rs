@@ -22,7 +22,7 @@
 use crate::atom::{Atom, CompOp, RawAtom, Term, Var};
 use crate::intern::atom_fingerprint;
 use crate::rational::Rational;
-use crate::relation::Conjunction;
+use crate::relation::{simplify_greedy, Conjunction};
 use crate::sat::{SatState, VarBox};
 
 use std::collections::BTreeSet;
@@ -342,20 +342,48 @@ impl Conjunction for GeneralizedTuple {
         }
     }
 
-    /// Conjoin two tuples of the same arity.
+    /// Conjoin two tuples of the same arity. When both bound one column
+    /// on the same side by a constant and the conjunction is satisfiable,
+    /// only the tightest bound per column and side is kept
+    /// (`tightest_bounds`), so `0 ≤ x ≤ 10` conjoined
+    /// with `5 < x` is `5 < x ≤ 10`.
     fn conjoin(&self, other: &GeneralizedTuple) -> GeneralizedTuple {
         assert_eq!(self.arity, other.arity, "conjoin arity mismatch");
         let mut t = self.clone();
         for a in &other.atoms {
             t.push(*a);
         }
-        t
+        let same_side = |(a, b): (&VarBox, &VarBox)| {
+            (a.lo.is_some() && b.lo.is_some()) || (a.hi.is_some() && b.hi.is_some())
+        };
+        if t.is_satisfiable()
+            && self
+                .bounding_box()
+                .iter()
+                .zip(other.bounding_box())
+                .any(same_side)
+        {
+            t.tightest_bounds()
+        } else {
+            t
+        }
     }
 
     /// Decide satisfiability over `(Q, <)`: an O(1) read of the verdict the
     /// tuple's [`SatState`] maintained as its atoms were pushed.
     fn is_satisfiable(&self) -> bool {
         self.sat.verdict()
+    }
+
+    /// Whether `self ∧ atom` is satisfiable: a read of the order graph
+    /// ([`SatState::admits`]), with no clone of the tuple.
+    fn admits(&self, atom: &Atom) -> bool {
+        assert!(
+            atom.vars().all(|v| v.0 < self.arity),
+            "atom {atom} mentions a column outside arity {}",
+            self.arity
+        );
+        self.sat.admits(atom)
     }
 
     /// Whether the bounding boxes prove `self ∧ other` empty — the cheap
@@ -399,6 +427,26 @@ impl Conjunction for GeneralizedTuple {
 
     fn negate(atom: &Atom) -> Vec<Atom> {
         atom.negate()
+    }
+
+    /// The greedy pass of the provided method, decided on one order graph
+    /// over all the atoms ([`SatState::redundant`]) instead of one rebuilt
+    /// tuple per atom; the atoms dropped are the same. A tuple with nothing
+    /// to drop is returned as it is; an unsatisfiable one takes the
+    /// provided path.
+    fn simplify(&self) -> GeneralizedTuple {
+        match SatState::redundant(self.arity, &self.atoms) {
+            None => simplify_greedy(self),
+            Some(dropped) if dropped.contains(&true) => GeneralizedTuple::from_atoms(
+                self.arity,
+                self.atoms
+                    .iter()
+                    .zip(dropped)
+                    .filter(|(_, d)| !d)
+                    .map(|(a, _)| *a),
+            ),
+            Some(_) => self.clone(),
+        }
     }
 
     fn tidy(self) -> GeneralizedTuple {

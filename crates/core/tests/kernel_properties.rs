@@ -1,8 +1,10 @@
 //! Property tests for the tuple kernel's fast paths, each against a slow
-//! reference: the incremental satisfiability verdict and the witness
-//! against the cell decomposition, box-pruned intersection against
-//! conjoining every pair, bounding boxes against satisfiability, and
-//! fingerprints against structural equality.
+//! reference: the incremental satisfiability verdict, the witness and the
+//! graph read `admits` against the cell decomposition, the one-graph
+//! `simplify` and the `admits`-driven subtraction against clone-and-push
+//! loops, box-pruned intersection against conjoining every pair, bounding
+//! boxes against satisfiability, and fingerprints against structural
+//! equality.
 
 use dco_core::prelude::*;
 use proptest::prelude::*;
@@ -66,6 +68,96 @@ fn arb_atoms(arity: u32) -> impl Strategy<Value = Vec<Atom>> {
         })
 }
 
+/// Atoms to test a tuple with: half draw their constants from odd
+/// fourteenths, which the tuple's pools mostly miss, so `admits` must
+/// place a constant that is not a node of the tuple's graph.
+fn arb_probes(arity: u32) -> impl Strategy<Value = Vec<Atom>> {
+    let absent = (-20i64..20).prop_map(|k| Term::cst(rat(2 * k as i128 + 1, 14)));
+    let term = move || prop_oneof![arb_term(arity), absent.clone()];
+    let op = prop_oneof![Just(CompOp::Lt), Just(CompOp::Le), Just(CompOp::Eq)];
+    prop::collection::vec((term(), op, term()), 1..5).prop_map(|triples| {
+        triples
+            .into_iter()
+            .flat_map(|(l, op, r)| Atom::normalized(l, op, r).into_iter().flatten())
+            .collect()
+    })
+}
+
+/// Whether some sample point of the cells over the constants of `t` and
+/// `a` satisfies `t ∧ a`: each such cell lies wholly inside or wholly
+/// outside it.
+fn cells_admit(t: &GeneralizedTuple, a: &Atom) -> bool {
+    let space = CellSpace::new(t.arity(), t.constants().into_iter().chain(a.consts()));
+    space.enumerate().iter().any(|cell| {
+        let p = space.sample(cell);
+        t.contains_point(&p) && a.eval(&p)
+    })
+}
+
+/// The greedy `simplify` with every entailment decided by conjoining an
+/// alternative of the negation to a rebuilt tuple of the other atoms.
+fn simplify_reference(t: &GeneralizedTuple) -> GeneralizedTuple {
+    let mut atoms = t.atoms().to_vec();
+    let mut i = 0;
+    while i < atoms.len() {
+        let rest = atoms.iter().enumerate().filter(|&(j, _)| j != i);
+        let rest = GeneralizedTuple::from_atoms(t.arity(), rest.map(|(_, a)| *a));
+        let entailed = atoms[i].negate().into_iter().all(|alt| {
+            let mut r = rest.clone();
+            r.push(alt);
+            !r.is_satisfiable()
+        });
+        if entailed {
+            atoms.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    GeneralizedTuple::from_atoms(t.arity(), atoms)
+}
+
+/// `subtract` with each piece built by clone → push → verdict, as the
+/// kernel cut before it decided pieces with `admits`.
+fn subtract_reference(a: &GeneralizedRelation, b: &GeneralizedRelation) -> GeneralizedRelation {
+    fn cut(p: GeneralizedTuple, u: &GeneralizedTuple) -> Vec<GeneralizedTuple> {
+        if p.box_disjoint(u) {
+            return vec![p];
+        }
+        if u.subsumes_syntactic(&p) {
+            return Vec::new();
+        }
+        let (mut pieces, mut prefix) = (Vec::new(), p.clone());
+        for a in u.atoms() {
+            let mut entailed = true;
+            for alt in a.negate() {
+                let mut piece = prefix.clone();
+                piece.push(alt);
+                if piece.is_satisfiable() {
+                    entailed = false;
+                    pieces.push(piece.tidy());
+                }
+            }
+            if !entailed {
+                prefix.push(*a);
+                if !prefix.is_satisfiable() {
+                    return vec![p];
+                }
+            }
+        }
+        pieces
+    }
+    let mut r = GeneralizedRelation::empty(a.arity());
+    for t in a.tuples() {
+        let pieces = b.tuples().iter().fold(vec![t.clone()], |ps, u| {
+            ps.into_iter().flat_map(|p| cut(p, u)).collect()
+        });
+        for p in pieces {
+            r.insert_satisfiable(p);
+        }
+    }
+    r
+}
+
 fn build(arity: u32, raws: &[Vec<RawAtom>]) -> GeneralizedRelation {
     let mut rel = GeneralizedRelation::empty(arity);
     for rs in raws {
@@ -122,6 +214,56 @@ proptest! {
                 );
             }
         }
+    }
+
+    // ---- graph reads ≡ cell decomposition and clone-and-push ---------
+
+    #[test]
+    fn admits_matches_cell_decomposition(atoms in arb_atoms(3), probes in arb_probes(3)) {
+        // Every prefix, from the empty tuple to the (often unsatisfiable)
+        // whole, against atoms whose constants it may not mention and
+        // against each of its atoms reversed under every operator, which
+        // close cycles whose verdict hangs on strictness.
+        let mut t = GeneralizedTuple::top(3);
+        for next in atoms.iter().map(Some).chain([None]) {
+            let reversed = t.atoms().iter().flat_map(|a| {
+                [CompOp::Lt, CompOp::Le, CompOp::Eq]
+                    .into_iter()
+                    .flat_map(|op| Atom::normalized(a.rhs(), op, a.lhs()).into_iter().flatten())
+            });
+            for a in &probes.iter().copied().chain(reversed).collect::<Vec<_>>() {
+                prop_assert_eq!(
+                    t.admits(a),
+                    cells_admit(&t, a),
+                    "{} admits {}?",
+                    &t,
+                    a
+                );
+            }
+            if let Some(atom) = next {
+                t.push(*atom);
+            }
+        }
+    }
+
+    #[test]
+    fn simplify_is_the_greedy_reference(atoms in arb_atoms(3)) {
+        let t = GeneralizedTuple::from_atoms(3, atoms);
+        let s = t.simplify();
+        prop_assert_eq!(&s, &simplify_reference(&t), "simplify of {}", &t);
+        let space = CellSpace::new(3, t.constants());
+        for cell in space.enumerate() {
+            let p = space.sample(&cell);
+            prop_assert_eq!(s.contains_point(&p), t.contains_point(&p), "{} at {:?}", &s, p);
+        }
+    }
+
+    #[test]
+    fn subtract_is_the_clone_and_push_reference(a in arb_relation(2), b in arb_relation(2)) {
+        let (a, b) = (build(2, &a), build(2, &b));
+        prop_assert_eq!(a.subtract(&b), subtract_reference(&a, &b));
+        let all = GeneralizedRelation::universe(2);
+        prop_assert_eq!(b.complement(), subtract_reference(&all, &b));
     }
 
     // ---- box pruning never changes intersect results -----------------

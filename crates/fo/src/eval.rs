@@ -605,4 +605,15 @@ mod tests {
         assert!(q.relation.contains_point(&[rat(6, 1)]));
         assert!(!q.relation.contains_point(&[rat(2, 1)]));
     }
+
+    #[test]
+    fn conjunction_keeps_only_the_tightest_bounds() {
+        // The shadow 0 ≤ x ≤ 10 conjoined with x > 5: `0 <= x0` is implied
+        // by `5 < x0` and is dropped, as the quickstart prints it.
+        let db = triangle_db();
+        let shadow = run(&db, "exists y . R(x, y)").relation.narrow(1);
+        let db2 = Database::new(Schema::new().with("S", 1)).with("S", shadow);
+        let q = run(&db2, "S(x) & x > 5");
+        assert_eq!(q.relation.to_string(), "(x0 <= 10 & 5 < x0)");
+    }
 }

@@ -140,7 +140,9 @@ impl LinTuple {
     }
 
     /// Remove syntactically redundant atoms: among atoms with identical
-    /// coefficient vectors, keep only the tightest bound.
+    /// coefficient vectors, keep only the tightest bound, and drop an
+    /// inequality that an equality over the same coefficients (up to
+    /// sign) implies.
     pub fn pruned(&self) -> LinTuple {
         let mut kept: Vec<LinAtom> = Vec::new();
         'outer: for a in &self.atoms {
@@ -375,24 +377,17 @@ impl Conjunction for LinTuple {
 }
 
 /// If `a` implies `b` returns `Some(true)`; if `b` implies `a` returns
-/// `Some(false)`; otherwise `None`. Only detects same-coefficient dominance.
+/// `Some(false)`; otherwise `None`. Only detects dominance between atoms
+/// with the same coefficient vector, and an equality's over an inequality
+/// whose coefficients are the equality's or their negation.
 fn dominance(a: &LinAtom, b: &LinAtom) -> Option<bool> {
-    if a.coeffs() != b.coeffs() {
-        return None;
-    }
-    // e + c1 (op1) 0 vs e + c2 (op2) 0: larger constant is tighter.
     use std::cmp::Ordering::*;
     match (a.op(), b.op()) {
-        (CompOp::Eq, _) | (_, CompOp::Eq) => {
-            // e + c1 = 0 implies e + c2 <= 0 iff c2 <= c1... but also depends
-            // on op; keep it simple and only dedup exact equality.
-            if a == b {
-                Some(true)
-            } else {
-                None
-            }
-        }
-        (aop, bop) => match a.constant().cmp(b.constant()) {
+        (CompOp::Eq, CompOp::Eq) => (a == b).then_some(true),
+        (CompOp::Eq, _) => equality_implies(a, b).then_some(true),
+        (_, CompOp::Eq) => equality_implies(b, a).then_some(false),
+        // e + c1 (op1) 0 vs e + c2 (op2) 0: larger constant is tighter.
+        (aop, bop) if a.coeffs() == b.coeffs() => match a.constant().cmp(b.constant()) {
             Greater => Some(true), // a tighter
             Less => Some(false),   // b tighter
             Equal => match (aop, bop) {
@@ -401,6 +396,30 @@ fn dominance(a: &LinAtom, b: &LinAtom) -> Option<bool> {
                 _ => Some(true), // identical
             },
         },
+        _ => None,
+    }
+}
+
+/// Whether the equality `e + k = 0` implies the inequality `±e + c ρ 0`:
+/// it pins `±e + c` to `c ∓ k`, which must satisfy `ρ 0`. An inequality
+/// the equality violates is never implied, so the pair stays (and stays
+/// unsatisfiable).
+fn equality_implies(eq: &LinAtom, ineq: &LinAtom) -> bool {
+    let pinned = if ineq.coeffs() == eq.coeffs() {
+        ineq.constant() - eq.constant()
+    } else if ineq
+        .coeffs()
+        .iter()
+        .zip(eq.coeffs())
+        .all(|(x, y)| *x == -*y)
+    {
+        ineq.constant() + eq.constant()
+    } else {
+        return false;
+    };
+    match ineq.op() {
+        CompOp::Lt => pinned.is_negative(),
+        _ => !pinned.is_positive(),
     }
 }
 
@@ -535,6 +554,44 @@ mod tests {
         .pruned();
         assert_eq!(t.atoms().len(), 1);
         assert!(!t.contains_point(&pt(&[3])));
+    }
+
+    #[test]
+    fn pruning_lets_an_equality_absorb_the_inequalities_it_implies() {
+        // x0 = 3 ∧ x0 < 6 ∧ 0 < x0 (the last as -x0 < 0) → x0 = 3, in
+        // either insertion order.
+        let eq = atom(&[1], -3, CompOp::Eq);
+        let below = atom(&[1], -6, CompOp::Lt);
+        let above = atom(&[-1], 0, CompOp::Lt);
+        for atoms in [
+            vec![eq.clone(), below.clone(), above.clone()],
+            vec![below.clone(), above.clone(), eq.clone()],
+        ] {
+            let t = LinTuple::from_atoms(1, atoms).pruned();
+            assert_eq!(t.atoms(), std::slice::from_ref(&eq));
+        }
+        // x0 = 3 ∧ x0 ≤ 3 → x0 = 3; over two columns the coefficients
+        // must match up to sign: x0 - x1 = 0 ∧ x1 - x0 ≤ 1 → x0 - x1 = 0.
+        let t = LinTuple::from_atoms(1, vec![eq.clone(), atom(&[1], -3, CompOp::Le)]);
+        assert_eq!(t.pruned().atoms(), std::slice::from_ref(&eq));
+        let diag = atom(&[1, -1], 0, CompOp::Eq);
+        let t = LinTuple::from_atoms(2, vec![diag.clone(), atom(&[-1, 1], -1, CompOp::Le)]);
+        assert_eq!(t.pruned().atoms(), [diag]);
+    }
+
+    #[test]
+    fn pruning_keeps_an_inequality_the_equality_violates() {
+        // x0 = 3 ∧ x0 < 2, and x0 = 3 ∧ x0 < 3: both atoms stay and the
+        // tuple stays unsatisfiable.
+        for k in [-2, -3] {
+            let t = LinTuple::from_atoms(
+                1,
+                vec![atom(&[1], -3, CompOp::Eq), atom(&[1], k, CompOp::Lt)],
+            )
+            .pruned();
+            assert_eq!(t.atoms().len(), 2);
+            assert!(!t.is_satisfiable());
+        }
     }
 
     #[test]
