@@ -7,10 +7,11 @@
 //! incrementally at insert time:
 //!
 //! * each tuple's per-variable interval bounding box
-//!   ([`dco_core::sat::VarBox`], kept atom-by-atom by the tuple's
-//!   `SatState`) feeds a per-column **interval-bound histogram**;
-//! * tuple and atom counts, distinct-constant counts, and the strict/weak
-//!   order-edge density come from the tuple kernel's own accessors.
+//!   ([`dco_core::sat::VarBox`], the implied constant bounds kept
+//!   atom-by-atom by the tuple's `SatState`) feeds a per-column
+//!   **interval-bound histogram**;
+//! * tuple, atom and distinct-constant counts come from the tuple kernel's
+//!   own accessors.
 //!
 //! A [`DbStats`] aggregates one [`RelStats`] per relation and supports
 //! relation-granular incremental update — `dco-store` snapshots one per
@@ -158,10 +159,6 @@ pub struct RelStats {
     pub atoms: u64,
     /// Distinct rational constants mentioned.
     pub distinct_constants: u64,
-    /// Total strict order obligations across tuples.
-    pub strict_edges: u64,
-    /// Total weak order obligations across tuples.
-    pub weak_edges: u64,
     /// One histogram per column.
     pub columns: Vec<ColumnStats>,
 }
@@ -173,13 +170,8 @@ impl RelStats {
         let arity = rel.arity() as usize;
         let mut endpoints: Vec<BTreeSet<Rational>> = vec![BTreeSet::new(); arity];
         let mut atoms = 0u64;
-        let mut strict_edges = 0u64;
-        let mut weak_edges = 0u64;
         for t in rel.tuples() {
             atoms += t.len() as u64;
-            let (s, w) = t.order_edge_counts();
-            strict_edges += s as u64;
-            weak_edges += w as u64;
             for (col, b) in t.bounding_box().iter().enumerate() {
                 if let Some((c, _)) = b.lo {
                     endpoints[col].insert(c);
@@ -221,19 +213,7 @@ impl RelStats {
             tuples: rel.len() as u64,
             atoms,
             distinct_constants: rel.constants().len() as u64,
-            strict_edges,
-            weak_edges,
             columns,
-        }
-    }
-
-    /// Mean order obligations per tuple (strict + weak) — a proxy for how
-    /// much satisfiability work each conjoin against this relation costs.
-    pub fn edge_density(&self) -> f64 {
-        if self.tuples == 0 {
-            0.0
-        } else {
-            (self.strict_edges + self.weak_edges) as f64 / self.tuples as f64
         }
     }
 }
@@ -333,8 +313,8 @@ impl DbStats {
         for (name, r) in &self.relations {
             let _ = write!(
                 out,
-                "{name} arity={} tuples={} atoms={} consts={} strict={} weak={}",
-                r.arity, r.tuples, r.atoms, r.distinct_constants, r.strict_edges, r.weak_edges
+                "{name} arity={} tuples={} atoms={} consts={}",
+                r.arity, r.tuples, r.atoms, r.distinct_constants
             );
             for (i, c) in r.columns.iter().enumerate() {
                 let bounds: Vec<String> = c.boundaries.iter().map(|b| b.to_string()).collect();

@@ -68,8 +68,11 @@ pub trait Conjunction: Clone + PartialEq + Send + Sync {
     fn negate(atom: &Self::Atom) -> Vec<Self::Atom>;
 
     /// The same point set in the tidier form subtraction keeps its pieces
-    /// in (redundant bounds dropped).
-    fn tidy(self) -> Self;
+    /// in (redundant bounds dropped). The provided method returns the
+    /// conjunction as it is, for a type whose `push` already keeps it tidy.
+    fn tidy(self) -> Self {
+        self
+    }
 
     /// `∃v. self` over the same arity (column `v` left unconstrained);
     /// `None` when elimination finds the conjunction unsatisfiable.
@@ -556,8 +559,10 @@ impl Relation<GeneralizedTuple> {
 /// whole. If every alternative of `¬aᵢ` is unsatisfiable, `p` entails
 /// `aᵢ`, which stays out of the prefix; if the prefix turns
 /// unsatisfiable, `p ∧ u = ∅` and `p` stays whole. Kept pieces are
-/// [`Conjunction::tidy`]: for dense order, only their tightest constant
-/// bound per column and side.
+/// [`Conjunction::tidy`]. A dense-order piece is tidy as built, because
+/// its `push` keeps one constant bound per column and side: a cut's bound
+/// that the prefix implies leaves the piece as it was, and a tighter one
+/// replaces the prefix's.
 ///
 /// Each alternative is decided by [`Conjunction::admits`] on the prefix,
 /// so only the pieces kept are built, and the prefix is cloned from `p`

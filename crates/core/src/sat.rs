@@ -1,76 +1,84 @@
-//! Incremental dense-order satisfiability and per-variable bounding boxes.
+//! Incremental dense-order satisfiability and per-variable implied bounds.
 //!
 //! This is the workspace's one dense-order solver. Rather than rebuilding
-//! the order graph on every decision, it carries the closure *forward*: a
+//! anything on every decision, it carries its closure *forward*: a
 //! [`SatState`] lives inside each [`crate::tuple::GeneralizedTuple`] and is
 //! extended atom by atom as the tuple is built, so `is_satisfiable` is a
-//! flag read. Witness points come from quantifier elimination
-//! ([`crate::tuple::GeneralizedTuple::witness`]), and the verdict is tested
-//! against the cell decomposition ([`crate::cell`]), which shares no logic
-//! with it.
+//! flag read. The verdict is tested against the cell decomposition
+//! ([`crate::cell`]), which shares no logic with it.
 //!
-//! The invariant maintained is the dense-order completeness criterion in a
-//! cycle form: a conjunction of normalized atoms over `(Q, <)` is
-//! satisfiable iff its order graph — variables and mentioned constants as
-//! nodes, one directed edge per `<`/`≤` obligation, equalities as a pair of
-//! weak edges, and consecutive mentioned constants chained with built-in
-//! strict edges — contains **no cycle through a strict edge**. (Equivalently:
-//! no strongly connected component holds a strict edge; two distinct
-//! constants in one component would close a cycle through their chain
-//! edge.) Because the graph grows one edge at a time and starts cycle-free,
-//! every new strict cycle must pass through the newest edge — so one
-//! reachability query per inserted edge keeps the invariant, and
-//! unsatisfiability is detected at the exact atom that causes it.
+//! The state has two parts. The *order graph* has the variables as its
+//! only nodes and one directed edge per variable-variable obligation
+//! (`<` strict, `≤` weak, `=` a pair of weak edges). Next to it every
+//! variable keeps its *implied box* ([`VarBox`]): the greatest lower and
+//! least upper constant bound that reaches it along a path of the graph,
+//! strict when the bound or any edge on the path is. Constants are never
+//! nodes. In a dense order without endpoints a variable's feasible values
+//! are exactly the interval between those bounds, so a conjunction of
+//! normalized atoms is satisfiable iff
 //!
-//! **Admission and entailment are reads of the same graph.** Whether
-//! `t ∧ a` is satisfiable ([`SatState::admits`]) is the check
-//! `assert_atom` would make for `a`, run without inserting anything:
-//! `u < v` is refused iff some path leads `v → u`, `u ≤ v` iff some path
-//! `v → u` holds a strict edge, `u = v` iff a strict path runs either way.
-//! A constant `c` that is not yet a node would enter the chain with only
-//! its two strict chain edges, so its nearest mentioned neighbours stand
-//! in for it: `x < c` and `x ≤ c` are refused iff the next constant
-//! *above* `c` reaches `x`, `c < x` and `c ≤ x` iff `x` reaches the next
-//! constant *below* `c`, and `x = c` iff either holds. `t ⊨ a` is then
-//! "every alternative of `¬a` is refused". The greedy simplification of
-//! a tuple ([`SatState::redundant`]) asks the same question on one graph
-//! with the edges of the atoms already dropped (and of the atom under
-//! test) masked out, so no tuple is rebuilt to decide it.
+//! * its graph has **no cycle through a strict edge**, and
+//! * **no implied box is empty**.
 //!
-//! The same state tracks, for free, the tightest *direct* constant bounds on
-//! each variable — the per-variable interval bounding box used by
+//! (In the classic graph with constants as chained nodes, a strict cycle
+//! through a constant runs from a lower bound along variables to an upper
+//! bound below it, or equal and strict somewhere: an empty box here.)
+//! Both parts are kept incrementally. The graph grows one edge at a time
+//! and starts cycle-free, so a new strict cycle passes through the newest
+//! edge: one reachability query per edge. A new bound, or a new edge, only
+//! tightens boxes downstream of it, and the tightening is carried along
+//! out-edges (lower bounds) and in-edges (upper bounds) until nothing
+//! changes. Unsatisfiability is detected at the exact atom that causes it.
+//!
+//! **The boxes are exact projections.** For a satisfiable state, every
+//! value inside a variable's implied box extends to a point of the whole
+//! conjunction, so the box *is* the projection of the tuple's point set on
+//! that column. That makes the questions the relation layer asks reads:
+//!
+//! * whether `t ∧ (x ⋈ c)` is satisfiable ([`SatState::admits`]) is one box
+//!   read: the implied box of `x` cut by the new bound must stay nonempty;
+//! * whether `t ∧ (u ⋈ v)` is satisfiable is one path query (`u < v` is
+//!   refused iff some path leads `v → u`, `u ≤ v` iff some path `v → u`
+//!   holds a strict edge, `u = v` iff a strict path runs either way) plus
+//!   one comparison of `u`'s lower bound with `v`'s upper bound;
+//! * `t ⊨ a` is "every alternative of `¬a` is refused", and the greedy
+//!   simplification of a tuple (`SatState::redundant`) asks it once per
+//!   atom on a state rebuilt from the atoms still kept.
+//!
+//! The same boxes prune tuple pairs that cannot overlap in
 //! [`crate::relation::GeneralizedRelation::intersect`],
 //! [`crate::relation::GeneralizedRelation::subtract`], `simplify` and the
-//! Datalog delta join to skip tuple pairs that cannot overlap (see
-//! [`VarBox`]).
+//! Datalog delta join, and give witnesses without quantifier elimination
+//! ([`crate::tuple::GeneralizedTuple::witness`]).
 
 use crate::atom::{Atom, CompOp, Term, Var};
 use crate::rational::Rational;
 
 use std::cell::RefCell;
-use std::ops::Range;
 
 /// Sentinel for "no entry" in the intrusive adjacency lists.
 const NIL: u32 = u32::MAX;
 
-/// An over-approximate interval for one variable: the tightest lower and
-/// upper bound imposed *directly* by variable-vs-constant atoms (`None`
-/// means unbounded on that side; the `bool` is strictness).
+/// An interval for one variable: a lower and an upper bound (`None` means
+/// unbounded on that side; the `bool` is strictness).
 ///
-/// Deliberately no propagation through variable-variable atoms — the box is
-/// sound (every point of the tuple lies in the box) and O(1) to maintain,
-/// which is all pair pruning needs.
+/// A [`SatState`] keeps one per variable, the *implied* box: every
+/// constant bound reaching the variable along the order graph. The
+/// implied box of a satisfiable tuple is exactly its projection on that
+/// column. The *direct* box of a variable folds only its own
+/// variable-vs-constant atoms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct VarBox {
-    /// Tightest direct lower bound `(c, strict)`: `c < x` or `c ≤ x`.
+    /// Tightest lower bound `(c, strict)`: `c < x` or `c ≤ x`.
     pub lo: Option<(Rational, bool)>,
-    /// Tightest direct upper bound `(c, strict)`: `x < c` or `x ≤ c`.
+    /// Tightest upper bound `(c, strict)`: `x < c` or `x ≤ c`.
     pub hi: Option<(Rational, bool)>,
 }
 
 impl VarBox {
-    /// Tighten the lower bound with `c < x` (strict) or `c ≤ x`.
-    pub fn tighten_lo(&mut self, c: Rational, strict: bool) {
+    /// Tighten the lower bound with `c < x` (strict) or `c ≤ x`; whether
+    /// the bound changed.
+    pub fn tighten_lo(&mut self, c: Rational, strict: bool) -> bool {
         let stronger = match self.lo {
             None => true,
             Some((cur, cur_strict)) => c > cur || (c == cur && strict && !cur_strict),
@@ -78,10 +86,12 @@ impl VarBox {
         if stronger {
             self.lo = Some((c, strict));
         }
+        stronger
     }
 
-    /// Tighten the upper bound with `x < c` (strict) or `x ≤ c`.
-    pub fn tighten_hi(&mut self, c: Rational, strict: bool) {
+    /// Tighten the upper bound with `x < c` (strict) or `x ≤ c`; whether
+    /// the bound changed.
+    pub fn tighten_hi(&mut self, c: Rational, strict: bool) -> bool {
         let stronger = match self.hi {
             None => true,
             Some((cur, cur_strict)) => c < cur || (c == cur && strict && !cur_strict),
@@ -89,17 +99,54 @@ impl VarBox {
         if stronger {
             self.hi = Some((c, strict));
         }
+        stronger
     }
 
-    /// The box as atoms over column `v`: one equality when both sides are
-    /// the same closed endpoint, else one atom per bounded side. Their
-    /// conjunction is equivalent to every variable-vs-constant atom the
-    /// box was folded from.
+    /// Intersect with `other`; whether this box changed.
+    pub fn meet(&mut self, other: &VarBox) -> bool {
+        let lo = other.lo.is_some_and(|(c, s)| self.tighten_lo(c, s));
+        let hi = other.hi.is_some_and(|(c, s)| self.tighten_hi(c, s));
+        lo || hi
+    }
+
+    /// The box of one variable-vs-constant atom, with its variable; `None`
+    /// for an atom between two variables.
+    pub(crate) fn of_atom(atom: &Atom) -> Option<(Var, VarBox)> {
+        let (x, c, upper) = match (atom.lhs(), atom.rhs()) {
+            (Term::Var(x), Term::Const(c)) => (x, c, true),
+            (Term::Const(c), Term::Var(x)) => (x, c, false),
+            _ => return None,
+        };
+        let bound = Some((c, atom.op().is_strict()));
+        let b = match atom.op() {
+            CompOp::Eq => VarBox {
+                lo: bound,
+                hi: bound,
+            },
+            _ if upper => VarBox {
+                lo: None,
+                hi: bound,
+            },
+            _ => VarBox {
+                lo: bound,
+                hi: None,
+            },
+        };
+        Some((x, b))
+    }
+
+    /// Whether both sides are the same closed endpoint.
+    pub(crate) fn is_point(&self) -> bool {
+        matches!((self.lo, self.hi), (Some((l, false)), Some((h, false))) if l == h)
+    }
+
+    /// The box as atoms over column `v`: one equality when it is a point,
+    /// else one atom per bounded side.
     pub(crate) fn atoms(&self, v: Var) -> Vec<Atom> {
         let x = Term::Var(v);
         let op = |strict| if strict { CompOp::Lt } else { CompOp::Le };
         let parts = match (self.lo, self.hi) {
-            (Some((l, false)), Some((h, false))) if l == h => vec![(x, CompOp::Eq, Term::Const(l))],
+            (Some((l, _)), _) if self.is_point() => vec![(x, CompOp::Eq, Term::Const(l))],
             (lo, hi) => lo
                 .map(|(c, strict)| (Term::Const(c), op(strict), x))
                 .into_iter()
@@ -113,74 +160,56 @@ impl VarBox {
             .collect()
     }
 
+    /// Whether no value lies in the box.
+    pub fn is_empty(&self) -> bool {
+        crosses(self.lo, self.hi, false)
+    }
+
     /// Whether the intersection of the two intervals is empty. Since each
-    /// box over-approximates its tuple's projection, `true` implies the two
-    /// tuples share no point on this coordinate.
+    /// box contains its tuple's projection, `true` implies the two tuples
+    /// share no point on this coordinate.
     pub fn disjoint(&self, other: &VarBox) -> bool {
-        let lo = max_lo(self.lo, other.lo);
-        let hi = min_hi(self.hi, other.hi);
-        match (lo, hi) {
-            (Some((l, ls)), Some((h, hs))) => l > h || (l == h && (ls || hs)),
-            _ => false,
-        }
+        let mut meet = *self;
+        meet.meet(other);
+        meet.is_empty()
     }
 }
 
-fn max_lo(a: Option<(Rational, bool)>, b: Option<(Rational, bool)>) -> Option<(Rational, bool)> {
-    match (a, b) {
-        (Some((ca, sa)), Some((cb, sb))) => {
-            if ca > cb || (ca == cb && sa) {
-                Some((ca, sa))
-            } else {
-                Some((cb, sb))
-            }
-        }
-        (x, None) => x,
-        (None, y) => y,
+/// Whether a lower bound and an upper bound, joined by an obligation that
+/// is strict when `strict` is, leave no value between them.
+fn crosses(lo: Option<(Rational, bool)>, hi: Option<(Rational, bool)>, strict: bool) -> bool {
+    match (lo, hi) {
+        (Some((l, ls)), Some((h, hs))) => l > h || (l == h && (ls || hs || strict)),
+        _ => false,
     }
 }
 
-fn min_hi(a: Option<(Rational, bool)>, b: Option<(Rational, bool)>) -> Option<(Rational, bool)> {
-    match (a, b) {
-        (Some((ca, sa)), Some((cb, sb))) => {
-            if ca < cb || (ca == cb && sa) {
-                Some((ca, sa))
-            } else {
-                Some((cb, sb))
-            }
-        }
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-/// One directed obligation `from → to` in the order graph (`from` is
-/// implicit: edges hang off per-node intrusive lists via `next`).
+/// One directed obligation `from → to` in the order graph, on the
+/// intrusive out-list of `from` and in-list of `to`.
 #[derive(Clone, Copy, Debug)]
 struct Edge {
+    from: u32,
     to: u32,
-    next: u32,
+    next_out: u32,
+    next_in: u32,
     strict: bool,
 }
 
-/// The incremental order-graph closure of one generalized tuple.
+/// The incremental order graph and implied boxes of one generalized tuple.
 ///
-/// Node ids: variables are `0..n_vars`; constants get ids `n_vars, n_vars+1,
-/// …` in order of first appearance (the value→id map in `consts` stays
-/// sorted by value so consecutive constants can be chained with strict
-/// edges). All storage is flat `Vec`s, so cloning a tuple clones its state
-/// with a few `memcpy`s and no pointer chasing.
+/// Node ids are the variables `0..n_vars`. All storage is flat `Vec`s,
+/// allocated on first use, so cloning a tuple clones its state with a few
+/// `memcpy`s and no pointer chasing.
 #[derive(Clone, Debug)]
 pub struct SatState {
     unsat: bool,
     n_vars: u32,
-    /// `(value, node id)`, sorted by value.
-    consts: Vec<(Rational, u32)>,
-    /// Head of each node's edge list (index into `edges`), or `NIL`.
-    /// Allocated lazily on the first atom.
-    head: Vec<u32>,
+    /// Heads of each variable's out- and in-edge lists (indices into
+    /// `edges`), or `NIL`; empty until the first variable-variable atom.
+    out_head: Vec<u32>,
+    in_head: Vec<u32>,
     edges: Vec<Edge>,
-    /// Per-variable direct constant bounds; empty until the first
+    /// Per-variable implied bounds; empty until the first
     /// variable-vs-constant atom, then length `n_vars`.
     boxes: Vec<VarBox>,
 }
@@ -191,8 +220,8 @@ impl SatState {
         SatState {
             unsat: false,
             n_vars: arity,
-            consts: Vec::new(),
-            head: Vec::new(),
+            out_head: Vec::new(),
+            in_head: Vec::new(),
             edges: Vec::new(),
             boxes: Vec::new(),
         }
@@ -204,23 +233,16 @@ impl SatState {
         !self.unsat
     }
 
-    /// The per-variable bounding boxes (empty slice when no direct
-    /// variable-vs-constant atom has been seen).
+    /// The per-variable implied boxes (empty slice when no
+    /// variable-vs-constant atom has been seen). For a satisfiable state,
+    /// box `i` is the projection of the point set on column `i`.
     pub fn boxes(&self) -> &[VarBox] {
         &self.boxes
     }
 
-    /// Number of *strict* edges in the order graph, including the built-in
-    /// chain edges between consecutive mentioned constants. The stats layer
-    /// uses this as the strict-obligation density of a tuple.
-    pub fn strict_edge_count(&self) -> usize {
-        self.edges.iter().filter(|e| e.strict).count()
-    }
-
-    /// Number of *weak* edges in the order graph (each equality contributes
-    /// two).
-    pub fn weak_edge_count(&self) -> usize {
-        self.edges.iter().filter(|e| !e.strict).count()
+    /// The implied box of `v`.
+    fn implied(&self, v: Var) -> VarBox {
+        self.boxes.get(v.index()).copied().unwrap_or_default()
     }
 
     /// Whether the two states' boxes prove the underlying point sets
@@ -233,60 +255,15 @@ impl SatState {
     }
 
     /// Extend the state with one normalized atom (called by
-    /// `GeneralizedTuple::push` for each *newly inserted* atom — duplicates
-    /// never reach here).
+    /// `GeneralizedTuple::push` for each atom it keeps).
     pub fn assert_atom(&mut self, atom: &Atom) {
-        self.update_box(atom);
-        self.add_order(atom);
-    }
-
-    /// Whether `self ∧ atom` is satisfiable, decided without changing the
-    /// state: the cycle check [`SatState::assert_atom`] would make, as a
-    /// read of the graph (see the module doc for the rule). An
-    /// unsatisfiable state refuses every atom; a state with no atoms
-    /// admits every normalized atom.
-    pub fn admits(&self, atom: &Atom) -> bool {
-        !self.refuses(atom, None)
-    }
-
-    /// The greedy simplification of the conjunction of `atoms`, in their
-    /// order: `dropped[i]` is whether atom `i` is entailed by the atoms
-    /// after it together with those before it that were kept. One graph
-    /// holds every atom; each test masks the edges of the atom under test
-    /// and of the atoms already dropped. `None` when the atoms are
-    /// unsatisfiable.
-    pub fn redundant(arity: u32, atoms: &[Atom]) -> Option<Vec<bool>> {
-        let mut s = SatState::new(arity);
-        let own: Vec<Range<usize>> = atoms.iter().map(|a| s.add_order(a)).collect();
-        if s.unsat {
-            return None;
+        if let Some((x, b)) = VarBox::of_atom(atom) {
+            self.add_bound(x, &b);
+            return;
         }
-        let mut dead = vec![false; s.edges.len()];
-        let dropped = atoms
-            .iter()
-            .zip(own)
-            .map(|(a, edges)| {
-                dead[edges.clone()].fill(true);
-                let entailed = a.negate().iter().all(|alt| s.refuses(alt, Some(&dead)));
-                if !entailed {
-                    dead[edges].fill(false);
-                }
-                entailed
-            })
-            .collect();
-        Some(dropped)
-    }
-
-    /// Insert the order-graph edges of one atom, returning the range of
-    /// `edges` they occupy (chain edges of newly mentioned constants
-    /// excluded; empty once the state is unsatisfiable).
-    fn add_order(&mut self, atom: &Atom) -> Range<usize> {
-        if self.unsat {
-            return 0..0;
-        }
-        let u = self.node_of(atom.lhs());
-        let v = self.node_of(atom.rhs());
-        let start = self.edges.len();
+        let (Term::Var(u), Term::Var(v)) = (atom.lhs(), atom.rhs()) else {
+            unreachable!("a normalized atom compares a variable")
+        };
         match atom.op() {
             CompOp::Eq => {
                 self.add_edge(u, v, false);
@@ -294,164 +271,190 @@ impl SatState {
             }
             op => self.add_edge(u, v, op.is_strict()),
         }
-        start..self.edges.len()
     }
 
-    /// Whether asserting `atom` would close a strict cycle in the graph
-    /// without the `dead` edges: the test of `add_edge` for each edge the
-    /// atom would add. For `u = v` the second edge's test may ignore the
-    /// first: a strict path using the fresh weak edge `u → v` to reach `v`
-    /// from `u` would close a strict cycle that is already there.
-    fn refuses(&self, atom: &Atom, dead: Option<&[bool]>) -> bool {
+    /// Whether `self ∧ atom` is satisfiable, decided without changing the
+    /// state (see the module doc for the rule). An unsatisfiable state
+    /// refuses every atom; a state with no atoms admits every normalized
+    /// atom.
+    pub fn admits(&self, atom: &Atom) -> bool {
         if self.unsat {
-            return true;
-        }
-        if self.head.is_empty() {
             return false;
         }
-        let closes =
-            |from: Term, to: Term, needed: u8| self.term_path(from, to, needed, dead) >= needed;
-        let (l, r) = (atom.lhs(), atom.rhs());
+        if let Some((x, b)) = VarBox::of_atom(atom) {
+            let mut implied = self.implied(x);
+            implied.meet(&b);
+            return !implied.is_empty();
+        }
+        let (Term::Var(u), Term::Var(v)) = (atom.lhs(), atom.rhs()) else {
+            unreachable!("a normalized atom compares a variable")
+        };
+        let (bu, bv) = (self.implied(u), self.implied(v));
         match atom.op() {
-            CompOp::Lt => closes(r, l, 1),
-            CompOp::Le => closes(r, l, 2),
-            CompOp::Eq => closes(r, l, 2) || closes(l, r, 2),
-        }
-    }
-
-    /// [`SatState::path_strictness`] between two terms, either of which
-    /// may be a constant that is not a node. Such a constant would enter
-    /// the chain with one strict edge to the next constant above it and
-    /// one from the next constant below it, and no other edge: a path
-    /// leaving it goes through the constant above, a path reaching it
-    /// through the constant below, and either path is strict.
-    fn term_path(&self, from: Term, to: Term, stop_at: u8, dead: Option<&[bool]>) -> u8 {
-        let (u, u_absent) = match self.node_id(from) {
-            Ok(u) => (Some(u), false),
-            Err(pos) => (self.consts.get(pos).map(|&(_, id)| id), true),
-        };
-        let (v, v_absent) = match self.node_id(to) {
-            Ok(v) => (Some(v), false),
-            Err(pos) => (pos.checked_sub(1).map(|p| self.consts[p].1), true),
-        };
-        match (u, v) {
-            (Some(u), Some(v)) if !u_absent && !v_absent => {
-                self.path_strictness(u, v, stop_at, dead)
-            }
-            (Some(u), Some(v)) if self.path_strictness(u, v, 1, dead) > 0 => 2,
-            _ => 0,
-        }
-    }
-
-    /// The node id of a term, or the position at which an absent constant
-    /// would enter `consts`.
-    fn node_id(&self, t: Term) -> Result<u32, usize> {
-        match t {
-            Term::Var(v) => Ok(v.0),
-            Term::Const(c) => self
-                .consts
-                .binary_search_by(|(x, _)| x.cmp(&c))
-                .map(|pos| self.consts[pos].1),
-        }
-    }
-
-    /// Fold a variable-vs-constant atom into the boxes.
-    fn update_box(&mut self, atom: &Atom) {
-        let (var, c, var_is_lhs) = match (atom.lhs(), atom.rhs()) {
-            (Term::Var(v), Term::Const(c)) => (v, c, true),
-            (Term::Const(c), Term::Var(v)) => (v, c, false),
-            _ => return,
-        };
-        if self.boxes.is_empty() {
-            self.boxes = vec![VarBox::default(); self.n_vars as usize];
-        }
-        let b = &mut self.boxes[var.index()];
-        match atom.op() {
+            CompOp::Lt => !self.reaches(v, u, 1) && !crosses(bu.lo, bv.hi, true),
+            CompOp::Le => !self.reaches(v, u, 2) && !crosses(bu.lo, bv.hi, false),
             CompOp::Eq => {
-                b.tighten_lo(c, false);
-                b.tighten_hi(c, false);
+                !self.reaches(v, u, 2)
+                    && !self.reaches(u, v, 2)
+                    && !crosses(bu.lo, bv.hi, false)
+                    && !crosses(bv.lo, bu.hi, false)
             }
-            op => {
-                if var_is_lhs {
-                    b.tighten_hi(c, op.is_strict());
-                } else {
-                    b.tighten_lo(c, op.is_strict());
+        }
+    }
+
+    /// The greedy simplification of the satisfiable conjunction of
+    /// `atoms`, in their order: `dropped[i]` is whether atom `i` is
+    /// entailed by the atoms after it together with those before it that
+    /// were kept. Each test runs on one scratch state rebuilt from those
+    /// atoms, except for a variable's only constant bound on each side
+    /// when no edge touches the variable: nothing else can imply it, so it
+    /// is kept untested.
+    pub(crate) fn redundant(arity: u32, atoms: &[Atom]) -> Vec<bool> {
+        // Per variable: whether an edge touches it, and how many lower and
+        // upper constant bounds it has (an equality counts on both sides).
+        let mut shape = vec![(false, 0u32, 0u32); arity as usize];
+        for a in atoms {
+            match VarBox::of_atom(a) {
+                Some((x, b)) => {
+                    let (_, lo, hi) = &mut shape[x.index()];
+                    *lo += u32::from(b.lo.is_some());
+                    *hi += u32::from(b.hi.is_some());
+                }
+                None => a.vars().for_each(|v| shape[v.index()].0 = true),
+            }
+        }
+        let alone = |a: &Atom| {
+            VarBox::of_atom(a)
+                .is_some_and(|(x, _)| matches!(shape[x.index()], (false, 0..=1, 0..=1)))
+        };
+        let mut s = SatState::new(arity);
+        let mut dropped = vec![false; atoms.len()];
+        for i in 0..atoms.len() {
+            if alone(&atoms[i]) {
+                continue;
+            }
+            s.clear();
+            for (j, b) in atoms.iter().enumerate() {
+                if j != i && !dropped[j] {
+                    s.assert_atom(b);
                 }
             }
+            dropped[i] = atoms[i].negate().iter().all(|alt| !s.admits(alt));
         }
+        dropped
     }
 
-    /// The node id of a term, inserting (and chaining) new constants.
-    fn node_of(&mut self, t: Term) -> u32 {
-        if self.head.is_empty() {
-            self.head = vec![NIL; self.n_vars as usize];
-        }
-        let pos = match self.node_id(t) {
-            Ok(id) => return id,
-            Err(pos) => pos,
-        };
-        let c = t.as_const().expect("every variable is a node");
-        let id = self.head.len() as u32;
-        self.head.push(NIL);
-        self.consts.insert(pos, (c, id));
-        // Built-in order: chain the new constant strictly between its
-        // value-neighbours. The fresh node has no other edges, so these
-        // cannot close a cycle.
-        if pos > 0 {
-            let prev = self.consts[pos - 1].1;
-            self.push_edge(prev, id, true);
-        }
-        if pos + 1 < self.consts.len() {
-            let next = self.consts[pos + 1].1;
-            self.push_edge(id, next, true);
-        }
-        id
+    /// Forget every atom, keeping the allocations.
+    fn clear(&mut self) {
+        self.unsat = false;
+        self.out_head.clear();
+        self.in_head.clear();
+        self.edges.clear();
+        self.boxes.clear();
     }
 
-    /// Append an edge without any cycle check (used for constant chaining,
-    /// where the new node cannot be on a cycle).
-    fn push_edge(&mut self, from: u32, to: u32, strict: bool) {
-        let e = self.edges.len() as u32;
-        self.edges.push(Edge {
-            to,
-            next: self.head[from as usize],
-            strict,
-        });
-        self.head[from as usize] = e;
+    /// Fold one variable-vs-constant bound into `x`'s box and carry it
+    /// along the graph.
+    fn add_bound(&mut self, x: Var, b: &VarBox) {
+        if self.boxes.is_empty() {
+            self.boxes.resize(self.n_vars as usize, VarBox::default());
+        }
+        if let Some((c, strict)) = b.lo {
+            self.carry(x.0, c, strict, false);
+        }
+        if let Some((c, strict)) = b.hi {
+            self.carry(x.0, c, strict, true);
+        }
     }
 
     /// Insert the obligation `from (<|≤) to`, detecting any strict cycle it
-    /// closes. The graph has no strict cycle beforehand, so a new one must
-    /// pass through this edge: it exists iff a path `to → from` exists and
-    /// either that path contains a strict edge or this edge is strict.
-    fn add_edge(&mut self, from: u32, to: u32, strict: bool) {
+    /// closes and carrying `from`'s lower bound to `to` and `to`'s upper
+    /// bound to `from`. The graph has no strict cycle beforehand, so a new
+    /// one must pass through this edge: it exists iff a path `to → from`
+    /// exists and either that path contains a strict edge or this edge is
+    /// strict.
+    fn add_edge(&mut self, from: Var, to: Var, strict: bool) {
         if self.unsat {
             return;
         }
-        if from == to {
-            // `x < x` after normalization can only arise transitively; a
-            // weak self-loop is vacuous.
-            if strict {
-                self.unsat = true;
-            }
-            return;
+        debug_assert_ne!(from, to, "normalized atoms are not reflexive");
+        if self.out_head.is_empty() {
+            self.out_head.resize(self.n_vars as usize, NIL);
+            self.in_head.resize(self.n_vars as usize, NIL);
         }
-        let needed = if strict { 1 } else { 2 };
-        if self.path_strictness(to, from, needed, None) >= needed {
+        if self.reaches(to, from, if strict { 1 } else { 2 }) {
             self.unsat = true;
             return;
         }
-        self.push_edge(from, to, strict);
+        let (from, to) = (from.0, to.0);
+        let e = self.edges.len() as u32;
+        self.edges.push(Edge {
+            from,
+            to,
+            next_out: self.out_head[from as usize],
+            next_in: self.in_head[to as usize],
+            strict,
+        });
+        self.out_head[from as usize] = e;
+        self.in_head[to as usize] = e;
+        if self.boxes.is_empty() {
+            return;
+        }
+        if let Some((c, s)) = self.boxes[from as usize].lo {
+            self.carry(to, c, s || strict, false);
+        }
+        if let Some((c, s)) = self.boxes[to as usize].hi {
+            self.carry(from, c, s || strict, true);
+        }
+    }
+
+    /// Tighten `x`'s implied upper bound (`upper`) or lower bound to
+    /// `(c, strict)` and carry the change on: an upper bound to the
+    /// variables below `x` along in-edges, a lower bound to those above it
+    /// along out-edges, strict once a crossed edge is. With `c` fixed a box
+    /// improves at most twice (to weak, then strict), so this stops even
+    /// on weak cycles.
+    fn carry(&mut self, x: u32, c: Rational, strict: bool, upper: bool) {
+        let b = &mut self.boxes[x as usize];
+        let tightened = if upper {
+            b.tighten_hi(c, strict)
+        } else {
+            b.tighten_lo(c, strict)
+        };
+        if self.unsat || !tightened {
+            return;
+        }
+        if b.is_empty() {
+            self.unsat = true;
+            return;
+        }
+        let heads = if upper { &self.in_head } else { &self.out_head };
+        let mut e = heads.get(x as usize).copied().unwrap_or(NIL);
+        while e != NIL {
+            let edge = self.edges[e as usize];
+            let (y, next) = if upper {
+                (edge.from, edge.next_in)
+            } else {
+                (edge.to, edge.next_out)
+            };
+            self.carry(y, c, strict || edge.strict, upper);
+            e = next;
+        }
+    }
+
+    /// Whether a path `from → to` reaches strictness level `needed`: `1`
+    /// for any path, `2` for one through a strict edge.
+    fn reaches(&self, from: Var, to: Var, needed: u8) -> bool {
+        !self.out_head.is_empty() && self.path_strictness(from.0, to.0, needed) >= needed
     }
 
     /// The "strictness level" of the best path `from → to`: `0` if
     /// unreachable, `1` if reachable only through weak edges, `2` if some
     /// path contains a strict edge. Stops early once `stop_at` is reached.
-    /// Edges `e` with `dead[e]` set are left out of the graph.
     ///
     /// Each node is enqueued at most twice (once per level), so a query is
     /// O(edges) with thread-local scratch and no per-call allocation.
-    fn path_strictness(&self, from: u32, to: u32, stop_at: u8, dead: Option<&[bool]>) -> u8 {
+    fn path_strictness(&self, from: u32, to: u32, stop_at: u8) -> u8 {
         thread_local! {
             static SCRATCH: RefCell<(Vec<u8>, Vec<u32>)> =
                 const { RefCell::new((Vec::new(), Vec::new())) };
@@ -459,29 +462,25 @@ impl SatState {
         SCRATCH.with(|s| {
             let (status, stack) = &mut *s.borrow_mut();
             status.clear();
-            status.resize(self.head.len(), 0);
+            status.resize(self.out_head.len(), 0);
             stack.clear();
             status[from as usize] = 1;
             stack.push(from);
             while let Some(x) = stack.pop() {
                 let level = status[x as usize];
-                let mut e = self.head[x as usize];
+                let mut e = self.out_head[x as usize];
                 while e != NIL {
-                    let Edge {
-                        to: y,
-                        next,
-                        strict,
-                    } = self.edges[e as usize];
-                    let next_level = if strict { 2 } else { level };
-                    let live = dead.is_none_or(|d| !d[e as usize]);
-                    if live && status[y as usize] < next_level {
+                    let edge = self.edges[e as usize];
+                    let y = edge.to;
+                    let next_level = if edge.strict { 2 } else { level };
+                    if status[y as usize] < next_level {
                         status[y as usize] = next_level;
                         if y == to && next_level >= stop_at {
                             return next_level;
                         }
                         stack.push(y);
                     }
-                    e = next;
+                    e = edge.next_out;
                 }
             }
             status[to as usize]
@@ -505,6 +504,10 @@ mod tests {
 
     fn c(n: i64) -> Term {
         Term::cst(rat(n as i128, 1))
+    }
+
+    fn bound(n: i64, strict: bool) -> Option<(Rational, bool)> {
+        Some((rat(n as i128, 1), strict))
     }
 
     #[test]
@@ -536,8 +539,8 @@ mod tests {
     }
 
     #[test]
-    fn constant_chain_orders_pins() {
-        // x = 1 ∧ x = 2 is unsat through the built-in constant chain.
+    fn two_pins_empty_the_box() {
+        // x = 1 ∧ x = 2: the box [2, 1] is empty.
         let mut s = SatState::new(1);
         s.assert_atom(&atom(v(0), CompOp::Eq, c(1)));
         assert!(s.verdict());
@@ -560,15 +563,54 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_constant_insertion_chains_correctly() {
-        // Mention 5 first, then 1, then 3: chain must stay sorted by value.
+    fn bounds_propagate_along_variable_paths() {
+        // 0 < x0 ≤ x1 ≤ x2 < 5: x2 inherits x0's strict lower bound and
+        // x0 inherits x2's upper bound, though x1 has no bound of its own.
+        let mut s = SatState::new(3);
+        s.assert_atom(&atom(v(1), CompOp::Le, v(2)));
+        s.assert_atom(&atom(c(0), CompOp::Lt, v(0)));
+        s.assert_atom(&atom(v(2), CompOp::Lt, c(5)));
+        s.assert_atom(&atom(v(0), CompOp::Le, v(1)));
+        for b in s.boxes() {
+            assert_eq!((b.lo, b.hi), (bound(0, true), bound(5, true)));
+        }
+        // An edge adds its own strictness: x1 < x2 with 3 ≤ x1 and x2 ≤ 3.
+        let mut s = SatState::new(3);
+        s.assert_atom(&atom(c(3), CompOp::Le, v(0)));
+        s.assert_atom(&atom(v(0), CompOp::Le, v(1)));
+        s.assert_atom(&atom(v(2), CompOp::Le, c(3)));
+        s.assert_atom(&atom(v(1), CompOp::Le, v(2)));
+        assert!(s.verdict(), "all three equal 3");
+        s.assert_atom(&atom(v(1), CompOp::Lt, v(2)));
+        assert!(!s.verdict());
+    }
+
+    #[test]
+    fn out_of_order_bounds_tighten_the_box() {
+        // Mention 5 first, then 1, then 3: the box ends up [3, 3].
         let mut s = SatState::new(1);
         s.assert_atom(&atom(v(0), CompOp::Lt, c(5)));
         s.assert_atom(&atom(c(1), CompOp::Lt, v(0)));
         s.assert_atom(&atom(v(0), CompOp::Eq, c(3)));
         assert!(s.verdict());
-        // Now contradict through the chain: x < 1 while x = 3.
+        assert_eq!(
+            (s.boxes()[0].lo, s.boxes()[0].hi),
+            (bound(3, false), bound(3, false))
+        );
+        // Now contradict it: x < 1 while x = 3.
         s.assert_atom(&atom(v(0), CompOp::Lt, c(1)));
+        assert!(!s.verdict());
+    }
+
+    #[test]
+    fn a_cycle_through_constants_is_an_empty_box() {
+        // x0 < 1 ∧ 2 < x1 ∧ x1 ≤ x0: in a graph with constants as nodes,
+        // the cycle x0 → 1 → 2 → x1 → x0.
+        let mut s = SatState::new(2);
+        s.assert_atom(&atom(v(0), CompOp::Lt, c(1)));
+        s.assert_atom(&atom(c(2), CompOp::Lt, v(1)));
+        assert!(s.verdict());
+        s.assert_atom(&atom(v(1), CompOp::Le, v(0)));
         assert!(!s.verdict());
     }
 
@@ -594,6 +636,18 @@ mod tests {
         d.assert_atom(&atom(c(1), CompOp::Lt, v(0)));
         d.assert_atom(&atom(v(0), CompOp::Le, c(2)));
         assert!(a.box_disjoint(&d));
+    }
+
+    #[test]
+    fn implied_boxes_prune_what_direct_ones_miss() {
+        // x0 < x1 ∧ x1 < 0 never meets 1 ≤ x0, though x0 has no direct
+        // upper bound.
+        let mut a = SatState::new(2);
+        a.assert_atom(&atom(v(0), CompOp::Lt, v(1)));
+        a.assert_atom(&atom(v(1), CompOp::Lt, c(0)));
+        let mut b = SatState::new(2);
+        b.assert_atom(&atom(c(1), CompOp::Le, v(0)));
+        assert!(a.box_disjoint(&b));
     }
 
     /// `admits` against asserting into a clone.
@@ -624,38 +678,39 @@ mod tests {
 
     #[test]
     fn admits_present_and_absent_constants() {
-        // 1 ≤ x0 ≤ 3 ∧ x1 = 5
-        let mut s = SatState::new(2);
+        // 1 ≤ x0 ≤ 3 ∧ x1 = 5 ∧ x0 < x2: x2's implied box is (1, ∞).
+        let mut s = SatState::new(3);
         s.assert_atom(&atom(c(1), CompOp::Le, v(0)));
         s.assert_atom(&atom(v(0), CompOp::Le, c(3)));
         s.assert_atom(&atom(v(1), CompOp::Eq, c(5)));
-        // Present constants: one path query.
+        s.assert_atom(&atom(v(0), CompOp::Lt, v(2)));
+        // Constants the tuple mentions: one box read.
         assert!(s.admits(&atom(v(0), CompOp::Le, c(1))));
         assert!(!s.admits(&atom(v(0), CompOp::Lt, c(1))));
         assert!(s.admits(&atom(v(0), CompOp::Eq, c(3))));
         assert!(!s.admits(&atom(v(0), CompOp::Eq, c(5))));
         assert!(!s.admits(&atom(v(1), CompOp::Lt, c(5))));
-        // Absent 4: above it is 5, which x1 reaches; below it is 3, which
-        // x0 reaches.
+        assert!(!s.admits(&atom(v(2), CompOp::Le, c(1))));
+        // Constants it does not mention are read the same way.
         assert!(!s.admits(&atom(v(1), CompOp::Le, c(4))));
         assert!(s.admits(&atom(v(0), CompOp::Le, c(4))));
         assert!(!s.admits(&atom(c(4), CompOp::Lt, v(0))));
-        assert!(s.admits(&atom(c(4), CompOp::Le, v(1))));
-        assert!(!s.admits(&atom(v(0), CompOp::Eq, c(4))));
-        assert!(!s.admits(&atom(v(1), CompOp::Eq, c(4))));
-        // Absent 2 lies inside x0's interval; absent 0 and 9 lie past
-        // either end of the chain.
         assert!(s.admits(&atom(v(0), CompOp::Eq, c(2))));
         assert!(!s.admits(&atom(v(0), CompOp::Lt, c(0))));
-        assert!(s.admits(&atom(c(0), CompOp::Lt, v(0))));
-        assert!(s.admits(&atom(v(1), CompOp::Lt, c(9))));
+        assert!(s.admits(&atom(v(2), CompOp::Lt, c(2))));
         assert!(!s.admits(&atom(c(9), CompOp::Le, v(1))));
+        // Between variables: a path query and a bound comparison.
+        assert!(!s.admits(&atom(v(1), CompOp::Le, v(0))));
+        assert!(s.admits(&atom(v(0), CompOp::Lt, v(1))));
+        assert!(!s.admits(&atom(v(2), CompOp::Le, v(0))));
         for a in [
             atom(v(0), CompOp::Lt, c(2)),
             atom(c(4), CompOp::Le, v(0)),
             atom(v(1), CompOp::Eq, c(0)),
             atom(v(0), CompOp::Le, v(1)),
             atom(v(1), CompOp::Lt, v(0)),
+            atom(v(2), CompOp::Eq, v(1)),
+            atom(v(2), CompOp::Eq, v(0)),
         ] {
             assert_eq!(s.admits(&a), admits_by_assert(&s, &a), "{a}");
         }
@@ -674,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn redundant_masks_dropped_atoms() {
+    fn redundant_drops_entailed_atoms_greedily() {
         let atoms = [
             atom(v(0), CompOp::Lt, v(1)),
             atom(v(0), CompOp::Le, v(1)),
@@ -685,13 +740,23 @@ mod tests {
         // x0 ≤ x1 dropped, x0 < x1 is needed.
         assert_eq!(
             SatState::redundant(2, &atoms),
-            Some(vec![false, true, true, false])
+            vec![false, true, true, false]
         );
         // Neither half of a weak cycle follows from the other.
         let pair = [atom(v(0), CompOp::Le, v(1)), atom(v(1), CompOp::Le, v(0))];
-        assert_eq!(SatState::redundant(2, &pair), Some(vec![false, false]));
-        let unsat = [atom(v(0), CompOp::Lt, v(1)), atom(v(1), CompOp::Lt, v(0))];
-        assert_eq!(SatState::redundant(2, &unsat), None);
+        assert_eq!(SatState::redundant(2, &pair), vec![false, false]);
+        // Two bounds on one side of a variable no edge touches are still
+        // tested; bounds on opposite sides are not.
+        let bounds = [
+            atom(v(0), CompOp::Lt, c(3)),
+            atom(v(0), CompOp::Lt, c(5)),
+            atom(c(0), CompOp::Lt, v(1)),
+            atom(v(1), CompOp::Le, c(2)),
+        ];
+        assert_eq!(
+            SatState::redundant(2, &bounds),
+            vec![false, true, false, false]
+        );
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! (typically infinite) set of points of `Q^k` satisfying it. This module
 //! provides the decision procedures the whole engine rests on:
 //!
-//! * **satisfiability** of a conjunction: its order graph over terms must
-//!   contain no cycle through a strict edge (the classic dense-order closure
-//!   argument — density and lack of endpoints make this complete). Each
-//!   tuple carries the graph incrementally ([`crate::sat`]), the one
-//!   dense-order solver of the workspace;
+//! * **satisfiability** of a conjunction: its order graph over the
+//!   variables must contain no cycle through a strict edge, and no
+//!   variable's implied constant bounds may cross (the classic dense-order
+//!   closure argument — density and lack of endpoints make this complete).
+//!   Each tuple carries the graph and the bounds incrementally
+//!   ([`crate::sat`]), the one dense-order solver of the workspace;
 //! * **witness construction** (a concrete rational point satisfying the
-//!   tuple) by quantifier elimination: one column at a time, the columns
-//!   not yet chosen are projected away, which leaves an interval to pick
-//!   from;
+//!   tuple): one column at a time, a point of its implied bounds, which
+//!   are the exact projection of the tuple on that column;
 //! * **single-variable quantifier elimination** (`∃x`), the dense-order QE
 //!   step of \[CK73\]: substitute equalities, then combine every lower bound
 //!   with every upper bound;
@@ -33,7 +33,10 @@ use std::fmt;
 /// The empty conjunction represents all of `Q^arity`. Atoms are kept sorted
 /// and deduplicated; the tuple is *not* guaranteed satisfiable — call
 /// [`GeneralizedTuple::is_satisfiable`] — but trivially-decidable atoms never
-/// appear (they are resolved during normalization).
+/// appear (they are resolved during normalization). Each column has at most
+/// one constant bound per side, or one equality with a constant: pushing a
+/// bound that an existing one implies changes nothing, and pushing a
+/// tighter one replaces it.
 ///
 /// Alongside the atoms the tuple carries derived state maintained
 /// incrementally by [`GeneralizedTuple::push`]:
@@ -43,7 +46,8 @@ use std::fmt;
 ///   the atom vector) and `PartialEq` fast-paths on it; a fingerprint
 ///   collision falls through to the full structural compare, so verdicts
 ///   are never wrong;
-/// * a [`SatState`] — the order-graph closure extended atom by atom, giving
+/// * a [`SatState`] — the order graph over the variables and each
+///   variable's implied constant bounds, extended atom by atom, giving
 ///   O(1) satisfiability and per-variable bounding boxes (see
 ///   [`crate::sat`]).
 ///
@@ -132,39 +136,45 @@ impl GeneralizedTuple {
         crate::intern::fold(self.fp, self.arity as u64)
     }
 
-    /// Per-variable interval bounding box (over-approximate, from direct
-    /// variable-vs-constant atoms). Empty slice when no such atom exists.
+    /// Per-variable interval bounding box: the constant bounds implied on
+    /// each column, which for a satisfiable tuple are exactly its
+    /// projection on that column. Empty slice when no atom compares a
+    /// variable with a constant.
     pub fn bounding_box(&self) -> &[VarBox] {
         self.sat.boxes()
     }
 
-    /// The same point set with at most one constant bound per column and
-    /// side: the variable-vs-constant atoms are replaced by the bounding
-    /// box they fold into (see [`VarBox::atoms`]). Subtraction pieces pile
-    /// up such bounds, one per cut; keeping only the tightest keeps the
-    /// answer, and every later atom-quadratic pass over it, small.
-    pub(crate) fn tightest_bounds(self) -> GeneralizedTuple {
-        let is_bound = |a: &Atom| a.vars().count() == 1 && a.consts().count() == 1;
-        let bounds: Vec<Atom> = self
-            .sat
-            .boxes()
-            .iter()
-            .enumerate()
-            .flat_map(|(i, b)| b.atoms(Var(i as u32)))
-            .collect();
-        // The box atoms are never more than the atoms they came from, and
-        // equally many only when they are those atoms.
-        if bounds.len() == self.atoms.iter().filter(|a| is_bound(a)).count() {
-            return self;
-        }
-        let rest = self.atoms.iter().filter(|a| !is_bound(a)).copied();
-        GeneralizedTuple::from_atoms(self.arity, rest.chain(bounds))
+    /// Insert an atom into the sorted atom vector; whether it was new.
+    fn insert(&mut self, atom: Atom) -> bool {
+        let Err(pos) = self.atoms.binary_search(&atom) else {
+            return false;
+        };
+        self.atoms.insert(pos, atom);
+        // The fingerprint combines per-atom hashes with a wrapping sum —
+        // commutative, so it is insertion-order independent and
+        // maintainable in O(1) here.
+        self.fp = self.fp.wrapping_add(atom_fingerprint(&atom));
+        true
     }
 
-    /// `(strict, weak)` edge counts of the tuple's order graph
-    /// (equalities as two weak edges, constant chaining included).
-    pub fn order_edge_counts(&self) -> (usize, usize) {
-        (self.sat.strict_edge_count(), self.sat.weak_edge_count())
+    /// The direct box of column `x`: its variable-vs-constant atoms,
+    /// folded.
+    fn direct(&self, x: Var) -> VarBox {
+        let mut b = VarBox::default();
+        for (y, a) in self.atoms.iter().filter_map(VarBox::of_atom) {
+            if y == x {
+                b.meet(&a);
+            }
+        }
+        b
+    }
+
+    /// Remove an atom of the tuple from the sorted atom vector.
+    fn remove(&mut self, atom: Atom) {
+        if let Ok(pos) = self.atoms.binary_search(&atom) {
+            self.atoms.remove(pos);
+            self.fp = self.fp.wrapping_sub(atom_fingerprint(&atom));
+        }
     }
 
     /// Whether the conjunction is empty (represents all of `Q^arity`).
@@ -201,33 +211,24 @@ impl GeneralizedTuple {
 
     /// Produce a rational point satisfying the tuple, if one exists.
     ///
-    /// Column by column: with `Pᵢ = ∃xᵢ₊₁…x_{k−1}. self` (from
-    /// [`GeneralizedTuple::eliminate`]), substituting the values chosen for
-    /// `x₀…xᵢ₋₁` into `Pᵢ` leaves only atoms of `xᵢ` against constants, so
-    /// its bounding box is exactly the values `xᵢ` may take — nonempty,
-    /// because elimination is exact. `None` only for an unsatisfiable tuple
-    /// or on rational overflow.
+    /// Column by column, left to right: with the values chosen for
+    /// `x₀…xᵢ₋₁` substituted, the bounding box of `xᵢ` is exactly the
+    /// values it may take (implied boxes are exact projections of a
+    /// satisfiable tuple), so any point of it extends to the rest. `None`
+    /// only for an unsatisfiable tuple or on rational overflow.
     pub fn witness(&self) -> Option<Vec<Rational>> {
         if !self.is_satisfiable() {
             return None;
         }
-        let k = self.arity as usize;
-        // Built from the last column down; reversed, `projections[i]` is `Pᵢ`.
-        let mut projections = vec![self.clone()];
-        for v in (1..self.arity).rev() {
-            let next = projections[projections.len() - 1].eliminate(Var(v))?;
-            projections.push(next);
+        let mut rest = self.clone();
+        let mut point = Vec::with_capacity(self.arity as usize);
+        for i in 0..self.arity {
+            let interval = rest.bounding_box().get(i as usize).copied();
+            let c = point_in(interval.unwrap_or_default())?;
+            point.push(c);
+            rest = rest.substitute(Var(i), Term::Const(c))?;
         }
-        projections.reverse();
-        // Column `j` reads as the value chosen for it once there is one.
-        let mut map: Vec<Term> = (0..self.arity).map(Term::var).collect();
-        // `take`: at arity 0 there is one projection but no column.
-        for (i, p) in projections.iter().enumerate().take(k) {
-            let rest = p.instantiate(self.arity, &map)?;
-            let interval = rest.bounding_box().get(i).copied().unwrap_or_default();
-            map[i] = Term::Const(point_in(interval)?);
-        }
-        map.iter().map(Term::as_const).collect()
+        Some(point)
     }
 
     /// Substitute `v := t` and renormalize. Returns `None` if the result is
@@ -236,56 +237,6 @@ impl GeneralizedTuple {
         let mut map: Vec<Term> = (0..self.arity).map(Term::var).collect();
         map[v.index()] = t;
         self.instantiate(self.arity, &map)
-    }
-
-    /// [`GeneralizedTuple::eliminate`] before the constant bounds are
-    /// folded.
-    fn eliminate_unfolded(&self, v: Var) -> Option<GeneralizedTuple> {
-        // Step 1: if some equality pins v to another term, substitute it.
-        for a in &self.atoms {
-            if a.op() == CompOp::Eq {
-                if a.lhs() == Term::Var(v) && a.rhs() != Term::Var(v) {
-                    return self.substitute(v, a.rhs());
-                }
-                if a.rhs() == Term::Var(v) && a.lhs() != Term::Var(v) {
-                    return self.substitute(v, a.lhs());
-                }
-            }
-        }
-        // Step 2: collect bounds. lower: t (<|<=) v ; upper: v (<|<=) t.
-        let mut rest = GeneralizedTuple::top(self.arity);
-        let mut lowers: Vec<(Term, CompOp)> = Vec::new();
-        let mut uppers: Vec<(Term, CompOp)> = Vec::new();
-        for a in &self.atoms {
-            if !a.mentions(v) {
-                rest.push(*a);
-            } else if a.rhs() == Term::Var(v) {
-                lowers.push((a.lhs(), a.op()));
-            } else {
-                uppers.push((a.rhs(), a.op()));
-            }
-        }
-        // Step 3: combine each lower with each upper. Density and absence of
-        // endpoints make this sound and complete: the interval (max lower,
-        // min upper) is nonempty iff all pairwise bound comparisons hold.
-        for (l, lop) in &lowers {
-            for (u, uop) in &uppers {
-                let op = if lop.is_strict() || uop.is_strict() {
-                    CompOp::Lt
-                } else {
-                    CompOp::Le
-                };
-                match Atom::normalized(*l, op, *u) {
-                    None => return None,
-                    Some(atoms) => {
-                        for a in atoms {
-                            rest.push(a);
-                        }
-                    }
-                }
-            }
-        }
-        Some(rest)
     }
 
     /// Map all constants through a strictly monotone function (an
@@ -319,7 +270,11 @@ impl Conjunction for GeneralizedTuple {
         &self.atoms
     }
 
-    /// Insert an atom, keeping the sorted/deduplicated invariant.
+    /// Insert an atom, keeping the sorted/deduplicated invariant and at
+    /// most one constant bound per column and side: a bound the column's
+    /// direct box already implies is dropped, and a tighter one replaces
+    /// the bounds it implies (two weak bounds on one constant become an
+    /// equality). The resulting atoms do not depend on the push order.
     fn push(&mut self, atom: Atom) {
         for v in atom.vars() {
             assert!(
@@ -329,44 +284,43 @@ impl Conjunction for GeneralizedTuple {
                 self.arity
             );
         }
-        match self.atoms.binary_search(&atom) {
-            Ok(_) => {}
-            Err(pos) => {
-                self.atoms.insert(pos, atom);
-                // The fingerprint combines per-atom hashes with a wrapping
-                // sum — commutative, so it is insertion-order independent
-                // and maintainable in O(1) here.
-                self.fp = self.fp.wrapping_add(atom_fingerprint(&atom));
+        let Some((x, b)) = VarBox::of_atom(&atom) else {
+            if self.insert(atom) {
                 self.sat.assert_atom(&atom);
             }
+            return;
+        };
+        let old = self.direct(x);
+        let mut new = old;
+        if !new.meet(&b) {
+            return;
         }
+        // The atom joins as it is when it sets only sides the column has
+        // no bound on and does not close two weak bounds into a point.
+        let fresh = (b.lo.is_none() || old.lo.is_none()) && (b.hi.is_none() || old.hi.is_none());
+        if fresh && (b.is_point() || !new.is_point()) {
+            self.insert(atom);
+        } else {
+            for a in old.atoms(x) {
+                self.remove(a);
+            }
+            for a in new.atoms(x) {
+                self.insert(a);
+            }
+        }
+        self.sat.assert_atom(&atom);
     }
 
-    /// Conjoin two tuples of the same arity. When both bound one column
-    /// on the same side by a constant and the conjunction is satisfiable,
-    /// only the tightest bound per column and side is kept
-    /// (`tightest_bounds`), so `0 ≤ x ≤ 10` conjoined
-    /// with `5 < x` is `5 < x ≤ 10`.
+    /// Conjoin two tuples of the same arity. [`GeneralizedTuple::push`]
+    /// keeps the tightest constant bound per column and side, so
+    /// `0 ≤ x ≤ 10` conjoined with `5 < x` is `5 < x ≤ 10`.
     fn conjoin(&self, other: &GeneralizedTuple) -> GeneralizedTuple {
         assert_eq!(self.arity, other.arity, "conjoin arity mismatch");
         let mut t = self.clone();
         for a in &other.atoms {
             t.push(*a);
         }
-        let same_side = |(a, b): (&VarBox, &VarBox)| {
-            (a.lo.is_some() && b.lo.is_some()) || (a.hi.is_some() && b.hi.is_some())
-        };
-        if t.is_satisfiable()
-            && self
-                .bounding_box()
-                .iter()
-                .zip(other.bounding_box())
-                .any(same_side)
-        {
-            t.tightest_bounds()
-        } else {
-            t
-        }
+        t
     }
 
     /// Decide satisfiability over `(Q, <)`: an O(1) read of the verdict the
@@ -375,8 +329,9 @@ impl Conjunction for GeneralizedTuple {
         self.sat.verdict()
     }
 
-    /// Whether `self ∧ atom` is satisfiable: a read of the order graph
-    /// ([`SatState::admits`]), with no clone of the tuple.
+    /// Whether `self ∧ atom` is satisfiable: a read of the order graph and
+    /// the implied bounds ([`SatState::admits`]), with no clone of the
+    /// tuple.
     fn admits(&self, atom: &Atom) -> bool {
         assert!(
             atom.vars().all(|v| v.0 < self.arity),
@@ -429,43 +384,79 @@ impl Conjunction for GeneralizedTuple {
         atom.negate()
     }
 
-    /// The greedy pass of the provided method, decided on one order graph
-    /// over all the atoms ([`SatState::redundant`]) instead of one rebuilt
+    /// The greedy pass of the provided method, decided by
+    /// `SatState::redundant` on one scratch state instead of one rebuilt
     /// tuple per atom; the atoms dropped are the same. A tuple with nothing
     /// to drop is returned as it is; an unsatisfiable one takes the
     /// provided path.
     fn simplify(&self) -> GeneralizedTuple {
-        match SatState::redundant(self.arity, &self.atoms) {
-            None => simplify_greedy(self),
-            Some(dropped) if dropped.contains(&true) => GeneralizedTuple::from_atoms(
-                self.arity,
-                self.atoms
-                    .iter()
-                    .zip(dropped)
-                    .filter(|(_, d)| !d)
-                    .map(|(a, _)| *a),
-            ),
-            Some(_) => self.clone(),
+        if !self.is_satisfiable() {
+            return simplify_greedy(self);
         }
-    }
-
-    fn tidy(self) -> GeneralizedTuple {
-        self.tightest_bounds()
+        let dropped = SatState::redundant(self.arity, &self.atoms);
+        if !dropped.contains(&true) {
+            return self.clone();
+        }
+        let kept = self.atoms.iter().zip(dropped).filter(|(_, d)| !d);
+        GeneralizedTuple::from_atoms(self.arity, kept.map(|(a, _)| *a))
     }
 
     /// Dense-order quantifier elimination of a single variable: returns a
     /// tuple over the *same* arity whose constraints no longer mention `v`
     /// and which is equivalent to `∃v. self` (on the remaining columns).
-    /// The result keeps only the tightest constant bound per column and
-    /// side: combining bounds, or substituting an equality, can make a
-    /// constant bound redundant (`x0 <= 10` beside `x0 < 10`).
+    /// Like every tuple, the result keeps only the tightest constant bound
+    /// per column and side: combining bounds, or substituting an equality,
+    /// can make one redundant (`x0 <= 10` beside `x0 < 10`).
     ///
     /// Returns `None` when elimination discovers unsatisfiability.
     fn eliminate(&self, v: Var) -> Option<GeneralizedTuple> {
         // Guard probe: one hit per single-variable QE step.
         crate::guard::probe(crate::guard::ProbeSite::QuantifierElim);
-        self.eliminate_unfolded(v)
-            .map(GeneralizedTuple::tightest_bounds)
+        // Step 1: if some equality pins v to another term, substitute it.
+        for a in &self.atoms {
+            if a.op() == CompOp::Eq {
+                if a.lhs() == Term::Var(v) && a.rhs() != Term::Var(v) {
+                    return self.substitute(v, a.rhs());
+                }
+                if a.rhs() == Term::Var(v) && a.lhs() != Term::Var(v) {
+                    return self.substitute(v, a.lhs());
+                }
+            }
+        }
+        // Step 2: collect bounds. lower: t (<|<=) v ; upper: v (<|<=) t.
+        let mut rest = GeneralizedTuple::top(self.arity);
+        let mut lowers: Vec<(Term, CompOp)> = Vec::new();
+        let mut uppers: Vec<(Term, CompOp)> = Vec::new();
+        for a in &self.atoms {
+            if !a.mentions(v) {
+                rest.push(*a);
+            } else if a.rhs() == Term::Var(v) {
+                lowers.push((a.lhs(), a.op()));
+            } else {
+                uppers.push((a.rhs(), a.op()));
+            }
+        }
+        // Step 3: combine each lower with each upper. Density and absence of
+        // endpoints make this sound and complete: the interval (max lower,
+        // min upper) is nonempty iff all pairwise bound comparisons hold.
+        for (l, lop) in &lowers {
+            for (u, uop) in &uppers {
+                let op = if lop.is_strict() || uop.is_strict() {
+                    CompOp::Lt
+                } else {
+                    CompOp::Le
+                };
+                match Atom::normalized(*l, op, *u) {
+                    None => return None,
+                    Some(atoms) => {
+                        for a in atoms {
+                            rest.push(a);
+                        }
+                    }
+                }
+            }
+        }
+        Some(rest)
     }
 
     /// Instantiate the tuple into a context of `arity` columns: column `j`

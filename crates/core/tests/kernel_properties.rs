@@ -1,10 +1,12 @@
 //! Property tests for the tuple kernel's fast paths, each against a slow
 //! reference: the incremental satisfiability verdict, the witness and the
-//! graph read `admits` against the cell decomposition, the one-graph
+//! graph read `admits` against the cell decomposition, the implied
+//! bounding boxes against quantifier elimination, the one-state
 //! `simplify` and the `admits`-driven subtraction against clone-and-push
 //! loops, box-pruned intersection against conjoining every pair, bounding
-//! boxes against satisfiability, and fingerprints against structural
-//! equality.
+//! boxes against satisfiability, the one-bound-per-side rule of `push`
+//! against its own atom count and push order, and fingerprints against
+//! structural equality.
 
 use dco_core::prelude::*;
 use proptest::prelude::*;
@@ -70,7 +72,7 @@ fn arb_atoms(arity: u32) -> impl Strategy<Value = Vec<Atom>> {
 
 /// Atoms to test a tuple with: half draw their constants from odd
 /// fourteenths, which the tuple's pools mostly miss, so `admits` must
-/// place a constant that is not a node of the tuple's graph.
+/// compare bounds with constants the tuple does not mention.
 fn arb_probes(arity: u32) -> impl Strategy<Value = Vec<Atom>> {
     let absent = (-20i64..20).prop_map(|k| Term::cst(rat(2 * k as i128 + 1, 14)));
     let term = move || prop_oneof![arb_term(arity), absent.clone()];
@@ -213,6 +215,72 @@ proptest! {
                     &t
                 );
             }
+        }
+    }
+
+    // ---- implied boxes ≡ quantifier elimination; one bound per side --
+
+    #[test]
+    fn boxes_are_exact_projections(atoms in arb_atoms(3)) {
+        // Dense-order elimination is exact, so eliminating every other
+        // column leaves the projection on column i as constant bounds.
+        let mut t = GeneralizedTuple::top(3);
+        for atom in atoms {
+            t.push(atom);
+            if !t.is_satisfiable() {
+                break;
+            }
+            for i in 0..3u32 {
+                let projected = (0..3u32)
+                    .filter(|&j| j != i)
+                    .try_fold(t.clone(), |p, j| p.eliminate(Var(j)));
+                prop_assert!(projected.is_some(), "{} eliminates to false", &t);
+                let projected = projected.unwrap();
+                let bx = |u: &GeneralizedTuple| {
+                    u.bounding_box().get(i as usize).copied().unwrap_or_default()
+                };
+                prop_assert_eq!(
+                    bx(&t),
+                    bx(&projected),
+                    "box of x{} in {} against its projection {}",
+                    i,
+                    &t,
+                    &projected
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn push_keeps_one_bound_per_side(atoms in arb_atoms(3)) {
+        let mut t = GeneralizedTuple::top(3);
+        for atom in atoms {
+            t.push(atom);
+            if !t.is_satisfiable() {
+                break;
+            }
+            // (lower, upper, equality) constant atoms per column.
+            let mut counts = [(0, 0, 0); 3];
+            for a in t.atoms() {
+                match (a.lhs(), a.op(), a.rhs()) {
+                    (Term::Var(x), CompOp::Eq, Term::Const(_)) => counts[x.index()].2 += 1,
+                    (Term::Var(x), _, Term::Const(_)) => counts[x.index()].1 += 1,
+                    (Term::Const(_), _, Term::Var(x)) => counts[x.index()].0 += 1,
+                    _ => {}
+                }
+            }
+            for (lo, hi, eq) in counts {
+                prop_assert!(
+                    (lo <= 1 && hi <= 1 && eq == 0) || (lo == 0 && hi == 0 && eq == 1),
+                    "{} has {} lower, {} upper and {} equality bounds on one column",
+                    &t,
+                    lo,
+                    hi,
+                    eq
+                );
+            }
+            let reversed = GeneralizedTuple::from_atoms(3, t.atoms().iter().rev().copied());
+            prop_assert_eq!(&reversed, &t);
         }
     }
 
