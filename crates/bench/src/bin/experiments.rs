@@ -89,7 +89,11 @@ fn main() {
         &[2, 4, 8, 16, 32]
     };
     let tiny: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4, 5] };
-    let e4_sizes: &[usize] = if quick { &[4, 8] } else { &[4, 8, 16, 24] };
+    let e4_sizes: &[usize] = if quick {
+        &[4, 8]
+    } else {
+        &[4, 8, 16, 24, 32, 64, 128]
+    };
 
     if want("e1") {
         print_table(

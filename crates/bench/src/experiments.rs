@@ -266,7 +266,8 @@ pub fn e3(max_rank: usize) -> Vec<ExperimentRow> {
 //     engine (E9 covers the homeomorphism half).
 // ---------------------------------------------------------------------
 
-/// Run E4; `sizes` are path lengths.
+/// Run E4; `sizes` are path lengths. Each row after the first also
+/// gives the log–log slope of eval time against the row before it.
 pub fn e4(sizes: &[usize]) -> Vec<ExperimentRow> {
     let program = parse_program(
         "tc(x, y) :- e(x, y).\n\
@@ -281,6 +282,7 @@ pub fn e4(sizes: &[usize]) -> Vec<ExperimentRow> {
             &AnalysisOptions::default(),
         ),
     );
+    let mut previous: Option<(usize, f64)> = None;
     sizes
         .iter()
         .map(|&n| {
@@ -293,11 +295,16 @@ pub fn e4(sizes: &[usize]) -> Vec<ExperimentRow> {
                 stages = fix.stats.stages;
                 final_size = fix.stats.final_size;
             });
+            let slope = previous.map_or("-".to_string(), |(m, before)| {
+                format!("{:.2}", (ms / before).ln() / (n as f64 / m as f64).ln())
+            });
+            previous = Some((n, ms));
             ExperimentRow::new(format!("path n={n}"))
                 .col("enc bytes", size)
                 .col("stages", stages)
                 .col("tc atoms", final_size)
                 .col("eval ms", format!("{ms:.2}"))
+                .col("log-log slope", slope)
         })
         .collect()
 }

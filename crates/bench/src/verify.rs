@@ -10,8 +10,8 @@ use dco::datalog::{parse_program, run_with, EngineConfig, Program};
 use dco::prelude::*;
 
 /// `n` constraint edges `[i, i+1/2] × [i+1, i+3/2]`: genuine boxes, so
-/// transitive closure cannot take the finite-graph points fast path and
-/// every stage runs the full DNF algebra (product, intersect, project).
+/// every stage of transitive closure works on intervals, not points
+/// (intersect, project, and `absorb`'s subsumption tests).
 fn chain_db(n: usize) -> Database {
     let tuples = (0..n).map(|i| {
         let lo = 2 * i as i128;

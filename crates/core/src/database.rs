@@ -147,6 +147,21 @@ impl Database {
         self.relations.get(name).cloned()
     }
 
+    /// Change a relation instance in place with `f`, which must keep its
+    /// arity; `None` if the relation is not declared. Copy-on-write: the
+    /// representation is copied only while another handle shares it.
+    pub fn update<R>(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&mut GeneralizedRelation) -> R,
+    ) -> Option<R> {
+        let rel = Arc::make_mut(self.relations.get_mut(name)?);
+        let arity = rel.arity();
+        let out = f(rel);
+        assert_eq!(rel.arity(), arity, "update changed the arity of {name}");
+        Some(out)
+    }
+
     /// Builder-style `set` that panics on schema violations (tests/examples).
     pub fn with(mut self, name: &str, rel: GeneralizedRelation) -> Database {
         self.set(name, rel).expect("schema violation");

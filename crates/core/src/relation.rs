@@ -278,6 +278,37 @@ impl<T: Conjunction> Relation<T> {
         r
     }
 
+    /// Fold `delta` into `self` in place and return the part that was
+    /// new: the tuples of `delta` that no tuple of `self` covers on its
+    /// own, simplified, as they were inserted. A tuple covered only by a
+    /// union of `self`'s tuples counts as new: the exact difference would
+    /// splinter it into fragments, while this costs at most a wasted
+    /// re-derivation. The fixpoint engine's stage step: the relation grew
+    /// iff the result is nonempty, and the result is the next stage's
+    /// delta.
+    pub fn absorb(&mut self, delta: &Relation<T>) -> Relation<T> {
+        assert_eq!(self.arity, delta.arity, "absorb arity mismatch");
+        // Stored tuples are satisfiable, so one whose box misses `t`'s
+        // cannot contain it: the entailment test is skipped for it.
+        let fresh: Vec<T> = delta
+            .tuples
+            .iter()
+            .filter(|t| {
+                !self
+                    .tuples
+                    .iter()
+                    .any(|u| !u.box_disjoint(t) && u.subsumes(t))
+            })
+            .map(|t| t.simplify())
+            .collect();
+        let mut added = Relation::empty(self.arity);
+        for t in fresh {
+            self.insert_satisfiable(t.clone());
+            added.insert_satisfiable(t);
+        }
+        added
+    }
+
     /// Set intersection (pairwise conjunction of disjuncts).
     ///
     /// The conjoin-and-decide work over all tuple pairs runs in parallel
@@ -519,13 +550,6 @@ impl Relation<GeneralizedTuple> {
         self.tuples.iter().find_map(|t| t.witness())
     }
 
-    /// If every disjunct is a classical point tuple, the finite list of
-    /// points (the "equality-constraint" fragment — finite relational
-    /// databases embedded as in §2 of the paper).
-    pub fn as_points(&self) -> Option<Vec<Vec<Rational>>> {
-        self.tuples.iter().map(|t| t.as_point()).collect()
-    }
-
     /// All constants mentioned in the representation.
     pub fn constants(&self) -> BTreeSet<Rational> {
         self.tuples.iter().flat_map(|t| t.constants()).collect()
@@ -674,6 +698,18 @@ mod tests {
     }
 
     #[test]
+    fn absorb_returns_what_it_added() {
+        let mut r = interval(0, 10);
+        let added = r.absorb(&interval(2, 3).union(&interval(20, 30)));
+        assert_eq!(added, interval(20, 30));
+        assert!(r.equivalent(&interval(0, 10).union(&interval(20, 30))));
+        assert!(r.absorb(&added).is_empty());
+        // Covered only by the union of stored tuples: counted new.
+        assert_eq!(r.absorb(&interval(10, 20)).len(), 1);
+        assert_eq!(r.absorb(&interval(5, 25)), interval(5, 25));
+    }
+
+    #[test]
     fn disjoint_intersection_is_empty() {
         let a = interval(0, 1);
         let b = interval(5, 6);
@@ -729,10 +765,13 @@ mod tests {
             1,
             vec![raw(c(0), RawOp::Lt, v(0)), raw(v(0), RawOp::Lt, c(10))],
         );
-        let ends = interval(0, 10).subtract(&open).as_points();
-        let mut ends = ends.expect("both pieces are point tuples");
-        ends.sort();
-        assert_eq!(ends, vec![vec![rat(0, 1)], vec![rat(10, 1)]]);
+        let ends = interval(0, 10).subtract(&open);
+        let points = GeneralizedRelation::from_points(1, [vec![rat(0, 1)], vec![rat(10, 1)]]);
+        assert_eq!(ends.len(), 2);
+        assert!(
+            ends.tuples().iter().all(|t| points.tuples().contains(t)),
+            "{ends}"
+        );
         // A tuple whose box misses every subtrahend stays whole.
         let a = interval(0, 1).union(&interval(5, 6));
         assert_eq!(a.subtract(&interval(2, 3)), a);

@@ -165,13 +165,15 @@ impl VarBox {
         crosses(self.lo, self.hi, false)
     }
 
-    /// Whether the intersection of the two intervals is empty. Since each
-    /// box contains its tuple's projection, `true` implies the two tuples
+    /// Whether the intersection of the two intervals is empty: one box is,
+    /// or one box's lower bound crosses the other's upper. Since each box
+    /// contains its tuple's projection, `true` implies the two tuples
     /// share no point on this coordinate.
     pub fn disjoint(&self, other: &VarBox) -> bool {
-        let mut meet = *self;
-        meet.meet(other);
-        meet.is_empty()
+        crosses(self.lo, other.hi, false)
+            || crosses(other.lo, self.hi, false)
+            || self.is_empty()
+            || other.is_empty()
     }
 }
 

@@ -182,28 +182,6 @@ impl GeneralizedTuple {
         self.atoms.is_empty()
     }
 
-    /// If the tuple pins every column to a constant (a classical tuple
-    /// `x₀ = a₀ ∧ … ∧ x_{k-1} = a_{k-1}`), return the point. Conservative:
-    /// any non-equality atom or variable-variable equality yields `None`
-    /// even if the denotation happens to be a single point.
-    pub fn as_point(&self) -> Option<Vec<Rational>> {
-        let mut vals: Vec<Option<Rational>> = vec![None; self.arity as usize];
-        for a in &self.atoms {
-            if a.op() != CompOp::Eq {
-                return None;
-            }
-            let (v, c) = match (a.lhs(), a.rhs()) {
-                (Term::Var(v), Term::Const(c)) | (Term::Const(c), Term::Var(v)) => (v, c),
-                _ => return None,
-            };
-            match &vals[v.index()] {
-                Some(prev) if *prev != c => return None, // unsatisfiable pin
-                _ => vals[v.index()] = Some(c),
-            }
-        }
-        vals.into_iter().collect()
-    }
-
     /// All rational constants mentioned.
     pub fn constants(&self) -> BTreeSet<Rational> {
         self.atoms.iter().flat_map(|a| a.consts()).collect()

@@ -85,6 +85,42 @@ fn arb_probes(arity: u32) -> impl Strategy<Value = Vec<Atom>> {
     })
 }
 
+/// Comparisons between two variables of `t` whose implied bounds meet at
+/// one constant (`u`'s lower bound is `v`'s upper), whose verdict hangs
+/// on the strictness the comparison and the two bounds add up to.
+fn meeting_probes(t: &GeneralizedTuple) -> Vec<Atom> {
+    let boxes = t.bounding_box();
+    let mut probes = Vec::new();
+    for (u, bu) in (0..).zip(boxes) {
+        for (v, bv) in (0..).zip(boxes) {
+            let meet = matches!((bu.lo, bv.hi), (Some((l, _)), Some((h, _))) if l == h);
+            if u == v || !meet {
+                continue;
+            }
+            for op in [CompOp::Lt, CompOp::Le, CompOp::Eq] {
+                probes.extend(
+                    Atom::normalized(Term::var(u), op, Term::var(v))
+                        .into_iter()
+                        .flatten(),
+                );
+            }
+        }
+    }
+    probes
+}
+
+/// Intervals over the pool `{-1, 0, 1}`, each side absent, open or
+/// closed, so two boxes often share an endpoint.
+fn arb_box() -> impl Strategy<Value = VarBox> {
+    let side = || {
+        prop_oneof![
+            1 => Just(None),
+            3 => (-1i64..2, prop::bool::ANY).prop_map(|(c, strict)| Some((rat(c as i128, 1), strict))),
+        ]
+    };
+    (side(), side()).prop_map(|(lo, hi)| VarBox { lo, hi })
+}
+
 /// Whether some sample point of the cells over the constants of `t` and
 /// `a` satisfies `t ∧ a`: each such cell lies wholly inside or wholly
 /// outside it.
@@ -289,9 +325,10 @@ proptest! {
     #[test]
     fn admits_matches_cell_decomposition(atoms in arb_atoms(3), probes in arb_probes(3)) {
         // Every prefix, from the empty tuple to the (often unsatisfiable)
-        // whole, against atoms whose constants it may not mention and
-        // against each of its atoms reversed under every operator, which
-        // close cycles whose verdict hangs on strictness.
+        // whole, against atoms whose constants it may not mention, against
+        // each of its atoms reversed under every operator, which close
+        // cycles whose verdict hangs on strictness, and against
+        // comparisons of variables whose implied bounds meet.
         let mut t = GeneralizedTuple::top(3);
         for next in atoms.iter().map(Some).chain([None]) {
             let reversed = t.atoms().iter().flat_map(|a| {
@@ -299,7 +336,8 @@ proptest! {
                     .into_iter()
                     .flat_map(|op| Atom::normalized(a.rhs(), op, a.lhs()).into_iter().flatten())
             });
-            for a in &probes.iter().copied().chain(reversed).collect::<Vec<_>>() {
+            let derived = reversed.chain(meeting_probes(&t));
+            for a in &probes.iter().copied().chain(derived).collect::<Vec<_>>() {
                 prop_assert_eq!(
                     t.admits(a),
                     cells_admit(&t, a),
@@ -343,6 +381,13 @@ proptest! {
     }
 
     // ---- boxes are sound over-approximations -------------------------
+
+    #[test]
+    fn box_disjoint_is_an_empty_meet(a in arb_box(), b in arb_box()) {
+        let mut meet = a;
+        meet.meet(&b);
+        prop_assert_eq!(a.disjoint(&b), meet.is_empty(), "{:?} against {:?}", a, b);
+    }
 
     #[test]
     fn box_disjoint_implies_empty_conjunction(a in arb_raws(2), b in arb_raws(2)) {

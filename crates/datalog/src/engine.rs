@@ -17,6 +17,14 @@
 //!    monotone in it, so a fixpoint is reached in at most `#cells` stages —
 //!    polynomially many in the input size for a fixed program, which is the
 //!    easy half of Theorem 4.4 (Datalog¬ ⊆ PTIME).
+//!
+//! The stage loop is the paper's `R_{i+1} = R_i ∪ Δ(R_i)` as one fold:
+//! every rule body runs through [`eval_in_ctx`] and
+//! [`Relation::project_onto`], and [`Relation::absorb`] folds each head's
+//! facts into the store in place, returning what they added. A stage
+//! changed the store iff some `absorb` returned something. Semi-naive
+//! stages (see [`EngineConfig::use_deltas`]) read those returns as delta
+//! relations, named outside the program's predicates.
 
 use crate::ast::{Literal, Program, Rule};
 use dco_core::guard::{probe, stage_completed, ProbeSite};
@@ -24,7 +32,7 @@ use dco_core::par::par_map_coarse;
 use dco_core::prelude::*;
 use dco_fo::eval_in_ctx;
 use dco_logic::Formula;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors during fixpoint evaluation.
@@ -150,9 +158,17 @@ pub fn run_with(
             )));
         }
         schema = schema.with(p, arities[p]);
-        if use_deltas {
-            schema = schema.with(&delta_name(p), arities[p]);
-        }
+    }
+    // The program's predicates are the whole schema so far, so delta names
+    // chosen outside that set cannot shadow an input relation.
+    let deltas = if use_deltas {
+        delta_names(&idb, arities.keys())
+    } else {
+        BTreeMap::new()
+    };
+    let output_schema = schema.clone();
+    for (p, d) in &deltas {
+        schema = schema.with(d, arities[p]);
     }
     let mut store = Database::new(schema);
     for p in program.edb_predicates() {
@@ -160,45 +176,36 @@ pub fn run_with(
         // arity) in the EDB validation loop above, and the schema entry was
         // added in the same pass — both expects are unreachable.
         store
-            .set(&p, input.get(&p).expect("checked above").clone())
+            .set_shared(&p, input.get_shared(&p).expect("checked above"))
             .expect("schema matches");
     }
 
     let compiled: Vec<Compiled> = program.rules.iter().map(compile_rule).collect();
     // Delta-restricted variants: one per positive IDB body literal, with
-    // that literal redirected to the predicate's shadow delta relation. A
-    // fact new at stage n must use at least one fact that was new at stage
+    // that literal redirected to the predicate's delta relation. A fact
+    // new at stage n must use at least one fact that was new at stage
     // n-1, so the union over variants derives everything the full rule
     // would — the classical semi-naive argument, unchanged by constraint
-    // relations.
-    let delta_compiled: Vec<Compiled> = if use_deltas {
-        let mut variants = Vec::new();
-        for r in &program.rules {
-            for (i, lit) in r.body.iter().enumerate() {
-                let Literal::Pos(name, _) = lit else { continue };
-                if !idb.contains(name) {
-                    continue;
-                }
-                let mut variant = r.clone();
-                if let Literal::Pos(n, _) = &mut variant.body[i] {
-                    *n = delta_name(name);
-                }
-                variants.push(compile_rule(&variant));
+    // relations. Without deltas, `deltas` is empty and so is this.
+    let mut delta_compiled = Vec::new();
+    for r in &program.rules {
+        for (i, lit) in r.body.iter().enumerate() {
+            let Literal::Pos(name, _) = lit else { continue };
+            let Some(delta) = deltas.get(name) else {
+                continue;
+            };
+            let mut variant = r.clone();
+            if let Literal::Pos(n, _) = &mut variant.body[i] {
+                n.clone_from(delta);
             }
+            delta_compiled.push(Compiled {
+                display: r.to_string(),
+                ..compile_rule(&variant)
+            });
         }
-        variants
-    } else {
-        Vec::new()
-    };
+    }
 
     let mut stats = EngineStats::default();
-    // Per-predicate set of delta tuples already folded into (or found
-    // covered by) the store in an earlier stage. Tuples hash by their
-    // fingerprint, so membership costs one fingerprint probe — the store is
-    // inflationary, so a tuple seen once is covered forever and never needs
-    // the O(|store|) subsumption scan again. The set lives only as long as
-    // this evaluation.
-    let mut seen: BTreeMap<String, HashSet<GeneralizedTuple>> = BTreeMap::new();
     loop {
         // Guard probe: one hit per fixpoint stage boundary — the natural
         // cancellation point of the engine (deadlines and external
@@ -218,124 +225,36 @@ pub fn run_with(
         } else {
             &compiled
         };
-        // Deltas are computed against the *current* stage store (inflationary
-        // semantics evaluates all rules on the same stage), then merged.
-        // Rules are independent given the store, so they evaluate in
-        // parallel; the merge below is sequential in rule order, keeping
-        // the result identical to a single-threaded run.
+        // Every rule reads the same stage store (inflationary semantics),
+        // so rules evaluate in parallel; the fold below is sequential in
+        // rule order, keeping the result identical to a single-threaded
+        // run.
         stats.body_evals += stage_rules.len();
         let derived = par_map_coarse(stage_rules, |rule| eval_compiled(&store, rule));
-        let mut deltas: BTreeMap<String, GeneralizedRelation> = BTreeMap::new();
+        let mut heads: BTreeMap<&str, GeneralizedRelation> = BTreeMap::new();
         for (rule, result) in stage_rules.iter().zip(derived) {
             let expanded = result?;
-            deltas
-                .entry(rule.head.clone())
+            heads
+                .entry(rule.head.as_str())
                 .and_modify(|d| *d = d.union(&expanded))
                 .or_insert(expanded);
         }
+        // Fold each head's facts into the store; what they added is the
+        // predicate's delta for the next stage's restricted variants.
+        // INVARIANT for the expects below: every IDB predicate and its
+        // delta relation are in the schema, and `absorb` keeps the
+        // declared arity — `update` and `set` cannot fail for them.
         let mut changed = false;
-        if use_deltas {
-            // Fold the genuinely-new part of each delta into the store and
-            // publish it as the predicate's shadow relation for the next
-            // stage's restricted variants.
-            // INVARIANT for the expects below: every IDB predicate and its
-            // shadow delta were added to the schema before the loop, and
-            // relations written here keep their declared arity — `get` and
-            // `set` cannot fail for them.
-            for p in &idb {
-                let old = store.get(p).expect("idb in schema").clone();
-                let delta = deltas
-                    .remove(p)
-                    .unwrap_or_else(|| GeneralizedRelation::empty(arities[p]));
-                // The "new part" is over-approximated by a per-tuple
-                // subsumption filter rather than the exact complement-based
-                // difference: difference splinters boxes into fragments that
-                // bloat both the shadow and the store, while a delta tuple
-                // covered only by a *union* of old tuples is merely wasted
-                // work next stage (it is re-filtered once it is in the store,
-                // so the loop still reaches the same fixpoint).
-                let fresh = match delta.as_points() {
-                    Some(points) => GeneralizedRelation::from_points(
-                        delta.arity(),
-                        points
-                            .into_iter()
-                            .filter(|pt| !old.contains_point(pt))
-                            .collect::<Vec<_>>(),
-                    ),
-                    None => {
-                        let covered = seen.entry(p.clone()).or_default();
-                        let fresh = GeneralizedRelation::from_tuples(
-                            delta.arity(),
-                            delta
-                                .tuples()
-                                .iter()
-                                .filter(|t| {
-                                    if covered.contains(t) {
-                                        return false;
-                                    }
-                                    // A store tuple whose bounding box is
-                                    // disjoint from `t`'s cannot contain it;
-                                    // skip the subsumption test for such
-                                    // pairs.
-                                    !old.tuples()
-                                        .iter()
-                                        .any(|u| !u.box_disjoint(t) && u.subsumes(t))
-                                })
-                                .cloned(),
-                        );
-                        // Every delta tuple is covered from here on: the
-                        // subsumed ones already were, the fresh ones are
-                        // merged into the store below.
-                        for t in delta.tuples() {
-                            if !covered.contains(t) {
-                                covered.insert(t.clone());
-                            }
-                        }
-                        fresh
-                    }
-                };
-                if fresh.is_empty() {
-                    store.set(&delta_name(p), fresh).expect("schema matches");
-                    continue;
-                }
-                changed = true;
-                // Simplify only the fresh part before merging: every store
-                // tuple was simplified when it was first folded in, so
-                // re-simplifying the whole accumulated store each stage is
-                // O(|store|) work per stage for no semantic gain — on chain
-                // workloads it dominates the fixpoint wall clock. Union's
-                // insert still prunes syntactic subsumption between old and
-                // fresh in both directions.
-                let fresh = if fresh.as_points().is_none() {
-                    fresh.simplify()
-                } else {
-                    fresh
-                };
-                let merged = old.union(&fresh);
-                store.set(p, merged).expect("schema matches");
-                store.set(&delta_name(p), fresh).expect("schema matches");
-            }
-        } else {
-            for (pred, delta) in deltas {
-                // INVARIANT: `deltas` keys are rule heads, all IDB
-                // predicates declared in the schema above.
-                let old = store.get(&pred).expect("idb in schema").clone();
-                // Point-set fast path for the inclusion test, generic otherwise.
-                let included = match delta.as_points() {
-                    Some(points) => points.iter().all(|p| old.contains_point(p)),
-                    None => delta.is_subset(&old),
-                };
-                if included {
-                    continue;
-                }
-                changed = true;
-                let merged = old.union(&delta);
-                let merged = if merged.as_points().is_none() {
-                    merged.simplify()
-                } else {
-                    merged
-                };
-                store.set(&pred, merged).expect("schema matches");
+        for p in &idb {
+            let facts = heads
+                .remove(p.as_str())
+                .unwrap_or_else(|| GeneralizedRelation::empty(arities[p]));
+            let added = store
+                .update(p, |rel| rel.absorb(&facts))
+                .expect("idb in schema");
+            changed |= !added.is_empty();
+            if let Some(delta) = deltas.get(p) {
+                store.set(delta, added).expect("schema matches");
             }
         }
         stage_completed();
@@ -357,42 +276,32 @@ pub fn run_with(
     global
         .counter("datalog.body_evals")
         .add(stats.body_evals as u64);
-    let database = if use_deltas {
-        strip_shadows(&store, program, &arities)
-    } else {
-        store
-    };
+    // The fixpoint database shares every relation with the working store.
+    let mut database = Database::new(output_schema.clone());
+    for (p, _) in output_schema.relations() {
+        database
+            .set_shared(p, store.get_shared(p).expect("in store"))
+            .expect("schema matches");
+    }
     Ok(FixpointResult { database, stats })
 }
 
-/// Shadow relation carrying the facts a predicate gained at the previous
-/// stage (delta mode only).
-fn delta_name(p: &str) -> String {
-    format!("__delta_{p}")
-}
-
-/// Rebuild the fixpoint database without the shadow delta relations.
-fn strip_shadows(store: &Database, program: &Program, arities: &BTreeMap<String, u32>) -> Database {
-    let mut schema = Schema::new();
-    for p in program.edb_predicates() {
-        schema = schema.with(&p, arities[&p]);
-    }
-    for p in program.idb_predicates() {
-        schema = schema.with(&p, arities[&p]);
-    }
-    let mut out = Database::new(schema);
-    for p in program
-        .edb_predicates()
-        .into_iter()
-        .chain(program.idb_predicates())
-    {
-        // INVARIANT: the working store declares every EDB and IDB predicate
-        // (built in `run_with`), and the output schema mirrors it minus the
-        // shadows — both expects are unreachable.
-        out.set(&p, store.get(&p).expect("in store").clone())
-            .expect("schema matches");
-    }
-    out
+/// The relation names that hold each IDB predicate's facts of the last
+/// stage: the predicate with one more trailing `'` than any predicate of
+/// the program ends in, so no delta name is a predicate and distinct
+/// predicates get distinct names.
+fn delta_names<'a>(
+    idb: &[String],
+    predicates: impl Iterator<Item = &'a String>,
+) -> BTreeMap<String, String> {
+    let primes = predicates
+        .map(|p| p.len() - p.trim_end_matches('\'').len())
+        .max()
+        .unwrap_or(0);
+    let suffix = "'".repeat(primes + 1);
+    idb.iter()
+        .map(|p| (p.clone(), format!("{p}{suffix}")))
+        .collect()
 }
 
 /// A rule precompiled for stage evaluation: body formula, evaluation
@@ -402,8 +311,6 @@ struct Compiled {
     head: String,
     ctx: Vec<String>,
     body: Formula,
-    literals: Vec<Literal>,
-    head_vars: Vec<String>,
     layout: Vec<u32>,
     display: String,
 }
@@ -439,8 +346,6 @@ fn compile_rule(r: &Rule) -> Compiled {
         head: r.head.clone(),
         ctx,
         body,
-        literals: r.body.clone(),
-        head_vars: r.head_vars.clone(),
         layout,
         display: r.to_string(),
     }
@@ -450,12 +355,6 @@ fn compile_rule(r: &Rule) -> Compiled {
 /// head relation (full head arity). Read-only with respect to the store,
 /// so stage rules may run concurrently.
 fn eval_compiled(store: &Database, rule: &Compiled) -> Result<GeneralizedRelation, EngineError> {
-    // Fast path: when every positive body relation is a finite point set,
-    // evaluate the rule by enumeration (classical Datalog hash join)
-    // instead of symbolic algebra.
-    if let Some(expanded) = eval_rule_points(store, &rule.literals, &rule.head_vars) {
-        return Ok(expanded);
-    }
     let rel = eval_in_ctx(store, &rule.body, &rule.ctx).map_err(|source| EngineError::Body {
         rule: rule.display.clone(),
         source,
@@ -463,148 +362,6 @@ fn eval_compiled(store: &Database, rule: &Compiled) -> Result<GeneralizedRelatio
     // Project away the non-head columns and lay the rest out in head
     // order; a repeated head variable reads its first column again.
     Ok(rel.project_onto(&rule.layout))
-}
-
-/// Enumerative rule evaluation for the finite fragment: succeeds when every
-/// positive predicate literal's relation is a point set and the rule is
-/// fully "bound" (all constraint and head variables bound by positives;
-/// negated literals ground at check time). Returns `None` to signal the
-/// caller to use the generic symbolic path.
-/// A positive literal resolved to points: `(predicate, args, point rows)`.
-type BoundPositive<'a> = (&'a str, &'a [dco_logic::ArgTerm], Vec<Vec<Rational>>);
-
-fn eval_rule_points(
-    store: &Database,
-    literals: &[Literal],
-    head_vars: &[String],
-) -> Option<GeneralizedRelation> {
-    use dco_logic::ArgTerm;
-    use std::collections::BTreeMap;
-    let mut positives: Vec<BoundPositive> = Vec::new();
-    let mut negatives: Vec<(&str, &[dco_logic::ArgTerm])> = Vec::new();
-    let mut constraints: Vec<&Literal> = Vec::new();
-    for lit in literals {
-        match lit {
-            Literal::Pos(name, args) => {
-                let rel = store.get(name)?;
-                positives.push((name, args, rel.as_points()?));
-            }
-            Literal::Neg(name, args) => {
-                store.get(name)?;
-                negatives.push((name, args));
-            }
-            Literal::Constraint(..) => constraints.push(lit),
-        }
-    }
-    // Join positives by nested-loop unification.
-    let mut bindings: Vec<BTreeMap<String, Rational>> = vec![BTreeMap::new()];
-    for (_, args, points) in &positives {
-        let mut next = Vec::new();
-        for b in &bindings {
-            'point: for p in points {
-                let mut b2 = b.clone();
-                for (arg, val) in args.iter().zip(p) {
-                    match arg {
-                        ArgTerm::Const(c) => {
-                            if c != val {
-                                continue 'point;
-                            }
-                        }
-                        ArgTerm::Var(v) => match b2.get(v) {
-                            Some(bound) if bound != val => continue 'point,
-                            Some(_) => {}
-                            None => {
-                                b2.insert(v.clone(), *val);
-                            }
-                        },
-                    }
-                }
-                next.push(b2);
-            }
-        }
-        bindings = next;
-        if bindings.is_empty() {
-            break;
-        }
-    }
-    // Constraints: all mentioned variables must be bound.
-    let eval_expr = |e: &dco_logic::LinExpr, b: &BTreeMap<String, Rational>| -> Option<Rational> {
-        let mut acc = e.constant;
-        for (v, c) in &e.coeffs {
-            acc = acc + (c * b.get(v)?);
-        }
-        Some(acc)
-    };
-    for lit in &constraints {
-        let Literal::Constraint(l, op, r) = lit else {
-            unreachable!()
-        };
-        // Verify boundness on one binding template (vars are uniform);
-        // when no bindings survive the join the rule derives nothing.
-        if let Some(b) = bindings.first() {
-            if eval_expr(l, b).is_none() || eval_expr(r, b).is_none() {
-                return None; // constraint on unbound variable: generic path
-            }
-        }
-        // INVARIANT: the template check above verified every variable of
-        // this constraint is bound, and the join binds a *uniform* variable
-        // set across bindings (each positive literal extends all of them
-        // identically) — so the expects cannot fire on later bindings.
-        bindings.retain(|b| {
-            let lv = eval_expr(l, b).expect("checked bound");
-            let rv = eval_expr(r, b).expect("checked bound");
-            op.eval(&lv, &rv)
-        });
-    }
-    // Negations: ground membership tests against arbitrary relations.
-    for (name, args) in &negatives {
-        // INVARIANT: membership of `name` in the store was verified when the
-        // literal was collected into `negatives`; the boundness template
-        // below plus uniform binding domains make the `b[v]` index safe.
-        let rel = store.get(name).expect("checked above");
-        // boundness check
-        if let Some(b) = bindings.first() {
-            for arg in args.iter() {
-                if let ArgTerm::Var(v) = arg {
-                    if !b.contains_key(v) {
-                        return None;
-                    }
-                }
-            }
-        }
-        bindings.retain(|b| {
-            let point: Vec<Rational> = args
-                .iter()
-                .map(|arg| match arg {
-                    ArgTerm::Const(c) => *c,
-                    ArgTerm::Var(v) => b[v],
-                })
-                .collect();
-            !rel.contains_point(&point)
-        });
-    }
-    // Head projection: all head vars must be bound.
-    if let Some(b) = bindings.first() {
-        for v in head_vars {
-            if !b.contains_key(v) {
-                return None;
-            }
-        }
-    }
-    let points: Vec<Vec<Rational>> = bindings
-        .into_iter()
-        .map(|b| head_vars.iter().map(|v| b[v]).collect())
-        .collect();
-    // dedup
-    let mut seen = std::collections::BTreeSet::new();
-    let points: Vec<Vec<Rational>> = points
-        .into_iter()
-        .filter(|p| seen.insert(p.clone()))
-        .collect();
-    Some(GeneralizedRelation::from_points(
-        head_vars.len() as u32,
-        points,
-    ))
 }
 
 #[cfg(test)]
@@ -730,6 +487,50 @@ mod tests {
             delta.stats.body_evals,
             full.stats.body_evals
         );
+    }
+
+    #[test]
+    fn delta_relations_never_shadow_input() {
+        // An input relation may carry any name a delta relation could
+        // get; the deltas must not overwrite it. `tc'` (a name the parser
+        // cannot produce) is a second recursive predicate named like a
+        // delta relation of `tc`.
+        let parsed = parse_program(
+            "tc(x, y) :- __delta_tc(x, y).\n\
+             tc(x, y) :- tc(x, z), __delta_tc(z, y).\n\
+             primed(x, y) :- __delta_tc(x, y).\n\
+             primed(x, y) :- primed(x, z), __delta_tc(z, y).\n",
+        )
+        .unwrap();
+        let prime = |name: &mut String| {
+            if name == "primed" {
+                *name = "tc'".into();
+            }
+        };
+        let mut rules = parsed.rules;
+        for r in &mut rules {
+            prime(&mut r.head);
+            for lit in &mut r.body {
+                if let Literal::Pos(name, _) = lit {
+                    prime(name);
+                }
+            }
+        }
+        let p = Program::new(rules).unwrap();
+        let db = Database::new(Schema::new().with("__delta_tc", 2))
+            .with("__delta_tc", points(&[(1, 2), (2, 3), (3, 4)]));
+        let naive = EngineConfig {
+            use_deltas: false,
+            ..EngineConfig::default()
+        };
+        let delta = run(&p, &db).unwrap().database;
+        let full = run_with(&p, &db, &naive).unwrap().database;
+        assert!(delta.equivalent(&full));
+        assert_eq!(delta.schema(), full.schema());
+        for name in ["tc", "tc'"] {
+            let tc = delta.get(name).unwrap();
+            assert!(tc.contains_point(&[rat(1, 1), rat(4, 1)]), "{name}: {tc}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::ast::{Program, Rule};
 use crate::engine::{run_with, EngineConfig, EngineError, EngineStats};
 use dco_analysis::DepGraph;
-use dco_core::prelude::{Database, Schema};
+use dco_core::prelude::Database;
 use std::fmt;
 
 /// Errors from stratification.
@@ -107,25 +107,25 @@ pub fn run_stratified_with(
         dco_core::guard::probe(dco_core::guard::ProbeSite::FixpointStage);
         let fix = run_with(stratum, &store, config)?;
         stats.push(fix.stats.clone());
-        // fold the stratum's IDB results into the store as new EDB facts.
+        // Fold the stratum's IDB results into the store as new EDB facts,
+        // sharing every relation with `store` and the stratum's result.
         // INVARIANT for the expects below: the engine's output database
         // always contains every IDB predicate of the program it ran, and
         // `next`'s schema is built right here from those same relations —
-        // neither `get` nor `set` can fail.
-        let mut schema = Schema::new();
-        for (name, rel) in store.relations() {
-            schema = schema.with(name, rel.arity());
-        }
-        for p in stratum.idb_predicates() {
-            let rel = fix.database.get(&p).expect("stratum IDB");
-            schema = schema.with(&p, rel.arity());
+        // neither `get_shared` nor `set_shared` can fail.
+        let idb = stratum.idb_predicates();
+        let mut schema = store.schema().clone();
+        for p in &idb {
+            let rel = fix.database.get(p).expect("stratum IDB");
+            schema = schema.with(p, rel.arity());
         }
         let mut next = Database::new(schema);
-        for (name, rel) in store.relations() {
-            next.set(name, rel.clone()).expect("schema matches");
+        for (name, _) in store.relations() {
+            next.set_shared(name, store.get_shared(name).expect("in store"))
+                .expect("schema matches");
         }
-        for p in stratum.idb_predicates() {
-            next.set(&p, fix.database.get(&p).expect("stratum IDB").clone())
+        for p in &idb {
+            next.set_shared(p, fix.database.get_shared(p).expect("stratum IDB"))
                 .expect("schema matches");
         }
         store = next;
