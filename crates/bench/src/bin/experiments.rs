@@ -4,18 +4,14 @@
 //!   experiments                    # run everything at default scales
 //!   experiments e4 e5              # run selected experiments
 //!   experiments --quick            # smaller scales (CI-friendly)
-//!   experiments --threads N        # force N eval workers for the tables
-//!   experiments --verify-parallel  # seq vs parallel divergence check, exit 1 on mismatch
 //!
 //! An unknown experiment name or flag prints this usage to stderr and
 //! exits 2.
 
-use dco::prelude::{set_eval_config, EvalConfig};
 use dco_bench::experiments as ex;
 use dco_bench::experiments::print_table;
-use dco_bench::verify;
 
-const USAGE: &str = "usage: experiments [--quick] [--threads N] [--verify-parallel] [e1 … e9]";
+const USAGE: &str = "usage: experiments [--quick] [e1 … e9]";
 
 const EXPERIMENTS: [&str; 9] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"];
 
@@ -23,8 +19,6 @@ const EXPERIMENTS: [&str; 9] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", 
 #[derive(Debug, Default, PartialEq, Eq)]
 struct Args {
     quick: bool,
-    threads: Option<usize>,
-    verify_parallel: bool,
     /// Experiments to run; empty means all of them.
     selected: Vec<String>,
 }
@@ -33,18 +27,9 @@ struct Args {
 /// unknown with a one-line reason.
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut out = Args::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
             "--quick" => out.quick = true,
-            "--verify-parallel" => out.verify_parallel = true,
-            "--threads" => {
-                let value = it.next().ok_or("--threads needs a value")?;
-                let n = value
-                    .parse()
-                    .map_err(|_| format!("--threads: not a thread count: {value:?}"))?;
-                out.threads = Some(n);
-            }
             name if EXPERIMENTS.contains(&name) => out.selected.push(name.to_string()),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -59,27 +44,6 @@ fn main() {
         std::process::exit(2);
     });
     let quick = args.quick;
-
-    if args.verify_parallel {
-        let n = args.threads.unwrap_or(4).max(2);
-        match verify::verify_parallel(n) {
-            Ok(()) => {
-                println!("verify-parallel: sequential and {n}-thread results identical");
-                return;
-            }
-            Err(e) => {
-                eprintln!("verify-parallel FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(n) = args.threads {
-        set_eval_config(EvalConfig {
-            threads: n,
-            parallel_threshold: if n > 1 { 1 } else { 192 },
-        });
-    }
 
     let want = |name: &str| args.selected.is_empty() || args.selected.iter().any(|s| s == name);
 
@@ -166,19 +130,16 @@ mod tests {
 
     #[test]
     fn experiments_and_flags_mix_in_any_order() {
-        let args = parse(&["e4", "--quick", "--threads", "3", "e1"]).unwrap();
+        let args = parse(&["e4", "--quick", "e1"]).unwrap();
         assert_eq!(
             args,
             Args {
                 quick: true,
-                threads: Some(3),
-                verify_parallel: false,
                 selected: vec!["e4".into(), "e1".into()],
             }
         );
-        let args = parse(&["--verify-parallel", "--threads", "4"]).unwrap();
-        assert!(args.verify_parallel);
-        assert_eq!(args.threads, Some(4));
+        let args = parse(&["--quick"]).unwrap();
+        assert!(args.quick);
         assert!(args.selected.is_empty());
     }
 
@@ -190,6 +151,8 @@ mod tests {
             &["--json", "out.json"],
             &["--threads"],
             &["--threads", "many"],
+            &["--threads", "4"],
+            &["--verify-parallel"],
             &["e1", "--quick", "--verbose"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");

@@ -1,4 +1,4 @@
-//! Instance generators shared by the experiments and the parallel check.
+//! Instance generators shared by the experiments.
 
 use dco::prelude::*;
 

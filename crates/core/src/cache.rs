@@ -7,11 +7,12 @@
 //! [`crate::sat::SatState`]. Keys are kept in canonical form (sorted,
 //! deduplicated atom vectors), so structurally identical conjunctions
 //! arising in different operations hash to the same key and are decided
-//! exactly once. The cache is sharded 16 ways so parallel workers deciding
-//! different tuples rarely contend on the same lock, and the expensive
-//! computation always happens *outside* the lock (two workers may race to
-//! decide the same tuple; both get the same verdict, one write wins —
-//! benign).
+//! exactly once. The cache is one per process, so concurrent evaluations
+//! (the store's worker pool) share it; it is sharded 16 ways so they
+//! rarely contend on the same lock when deciding different tuples, and the
+//! expensive computation always happens *outside* the lock (two threads
+//! may race to decide the same tuple; both get the same verdict, one write
+//! wins — benign).
 //!
 //! Keys hash in O(1) when their `Hash` writes a precomputed fingerprint
 //! (see [`crate::intern`]); a fingerprint collision falls through to the
@@ -27,7 +28,7 @@
 //! fixpoint workloads that straddle the capacity boundary, and the batched
 //! sweep keeps eviction amortized O(1) per insert.
 //!
-//! Shard locks are *poison-tolerant*: a worker unwinding through a guard
+//! Shard locks are *poison-tolerant*: an evaluation unwinding through a guard
 //! abort (or any panic) while holding a shard lock leaves the shard in a
 //! trivially consistent state — the critical sections only touch a map
 //! entry and plain counters, and values are computed before insertion and

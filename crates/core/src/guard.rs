@@ -30,10 +30,10 @@
 //! a guard never pays more than one thread-local flag read per probe and
 //! keeps the seed behaviour bit for bit.
 //!
-//! Worker threads spawned by [`crate::par`] inherit the installing
-//! thread's guard, so a budget is global to the evaluation, not per
-//! thread; a fault tripped in one worker raises the shared cancel flag and
-//! the sibling workers stop at their next probe.
+//! An evaluation runs on the thread that installed its guard, so every
+//! probe it fires is charged to that one guard. A panic out of the
+//! evaluation is not retried: [`run_guarded`] reports it as
+//! [`EvalErrorKind::WorkerPanicked`].
 //!
 //! The [`faults`] submodule is a deterministic fault-injection harness:
 //! a seeded [`faults::FaultPlan`] arms exactly one synthetic fault
@@ -162,8 +162,8 @@ pub enum EvalErrorKind {
     /// The evaluation was cancelled via a [`CancelToken`] (or an injected
     /// cancellation fault).
     Cancelled,
-    /// A worker (or the evaluation itself) panicked with a non-guard
-    /// payload, and the one-shot sequential retry panicked again.
+    /// The evaluation panicked with a non-guard payload. There is no
+    /// retry: the panic's message is reported as it was raised.
     WorkerPanicked(String),
 }
 
@@ -189,9 +189,8 @@ impl fmt::Display for EvalErrorKind {
 
 /// Partial-progress counters, snapshotted both on success and on fault.
 ///
-/// Counters are process-wide per guarded evaluation (workers share the
-/// installing thread's guard), updated with relaxed atomics: exact in
-/// sequential runs, lower-bound-accurate under concurrency.
+/// Counters are per guarded evaluation and exact: the evaluation charges
+/// them from the one thread it runs on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Total probe hits across all sites.
@@ -202,8 +201,6 @@ pub struct GuardStats {
     pub atoms_materialized: u64,
     /// Fixpoint stages completed.
     pub stages_completed: u64,
-    /// Parallel workers that panicked and were retried sequentially.
-    pub worker_retries: u64,
     /// Wall time from guard installation to the snapshot, in milliseconds.
     pub elapsed_ms: u64,
 }
@@ -320,14 +317,12 @@ struct GuardShared {
     tuples: AtomicU64,
     atoms: AtomicU64,
     stages: AtomicU64,
-    retries: AtomicU64,
 }
 
 /// A live resource governor for one evaluation.
 ///
-/// Cheap to clone (an `Arc`); workers spawned by [`crate::par`] share the
-/// installing thread's guard, so budgets and cancellation are global to
-/// the evaluation.
+/// Cheap to clone (an `Arc`): a [`CancelToken`] shares its cancel flag
+/// with another thread.
 #[derive(Clone)]
 pub struct EvalGuard {
     shared: Arc<GuardShared>,
@@ -357,7 +352,6 @@ impl EvalGuard {
                 tuples: AtomicU64::new(0),
                 atoms: AtomicU64::new(0),
                 stages: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
             }),
         }
     }
@@ -370,7 +364,6 @@ impl EvalGuard {
             tuples_materialized: s.tuples.load(Ordering::Relaxed),
             atoms_materialized: s.atoms.load(Ordering::Relaxed),
             stages_completed: s.stages.load(Ordering::Relaxed),
-            worker_retries: s.retries.load(Ordering::Relaxed),
             elapsed_ms: s.started.elapsed().as_millis() as u64,
         }
     }
@@ -430,9 +423,8 @@ thread_local! {
     static ACTIVE: RefCell<Option<EvalGuard>> = const { RefCell::new(None) };
 }
 
-/// The guard active on this thread, if any. Used by [`crate::par`] to
-/// propagate the guard into scoped workers.
-pub fn current() -> Option<EvalGuard> {
+/// The guard active on this thread, if any.
+fn current() -> Option<EvalGuard> {
     if !GUARDED.with(Cell::get) {
         return None;
     }
@@ -440,8 +432,7 @@ pub fn current() -> Option<EvalGuard> {
 }
 
 /// Install `guard` (or clear with `None`) on this thread, returning the
-/// previous value. Callers must restore the previous value — use
-/// [`ScopedGuard`] unless you are the worker-spawn path.
+/// previous value, which the caller must restore: [`ScopedGuard`] does.
 fn swap_current(guard: Option<EvalGuard>) -> Option<EvalGuard> {
     GUARDED.with(|g| g.set(guard.is_some()));
     ACTIVE.with(|a| a.replace(guard))
@@ -467,10 +458,10 @@ impl Drop for ScopedGuard {
     }
 }
 
-/// The sentinel unwind payload used for guard aborts. Private to the
-/// crate: [`run_guarded`] and the parallel layer are the only code that
-/// inspects payloads, and the quiet panic hook suppresses its backtrace.
-pub(crate) struct GuardAbort;
+/// The sentinel unwind payload used for guard aborts: [`run_guarded`] is
+/// the only code that inspects payloads, and the quiet panic hook
+/// suppresses its backtrace.
+struct GuardAbort;
 
 /// Suppress the default "thread panicked" stderr noise for the two
 /// sentinel payloads the guard layer unwinds with; real panics keep the
@@ -489,41 +480,11 @@ fn install_quiet_hook() {
 }
 
 /// Record `kind` as the evaluation's fault (first trip wins), raise the
-/// shared cancel flag so sibling workers stop at their next probe, and
-/// unwind to the [`run_guarded`] boundary.
+/// cancel flag, and unwind to the [`run_guarded`] boundary.
 fn trip_and_abort(shared: &GuardShared, kind: EvalErrorKind) -> ! {
     let _ = shared.tripped.set(kind);
     shared.cancel.store(true, Ordering::Release);
     panic::panic_any(GuardAbort);
-}
-
-/// Install `guard` on a fresh worker thread. No restore is needed: the
-/// worker's thread-locals die with it at the end of the scoped region.
-pub(crate) fn install_for_worker(guard: Option<EvalGuard>) {
-    if guard.is_some() {
-        let _ = swap_current(guard);
-    }
-}
-
-/// Record a worker-panic fault on the active guard, if any. Returns
-/// whether a guard was active (so the caller knows the abort sentinel
-/// will be understood at a boundary).
-pub(crate) fn trip_worker_panic(message: String) -> bool {
-    match current() {
-        Some(g) => {
-            let _ = g.shared.tripped.set(EvalErrorKind::WorkerPanicked(message));
-            g.shared.cancel.store(true, Ordering::Release);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Note a successful one-shot sequential retry of a panicked worker.
-pub(crate) fn note_worker_retry() {
-    if let Some(g) = current() {
-        g.shared.retries.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// A probe point: no-op when unguarded, otherwise count the hit, charge
@@ -644,8 +605,8 @@ pub struct Guarded<T> {
 ///
 /// * a tripped limit, cancellation, or overflow returns its typed
 ///   [`EvalError`];
-/// * any other panic out of `f` (after the parallel layer's one-shot
-///   retry) is caught and reported as [`EvalErrorKind::WorkerPanicked`];
+/// * any other panic out of `f` is caught and reported as
+///   [`EvalErrorKind::WorkerPanicked`], without a retry;
 /// * on success the result is structurally identical to an unguarded run
 ///   (probes observe, they never alter the computation).
 ///
@@ -655,7 +616,9 @@ pub fn run_guarded<T>(limits: GuardLimits, f: impl FnOnce() -> T) -> Result<Guar
 }
 
 /// [`run_guarded`] with a caller-created guard, e.g. to hand out a
-/// [`CancelToken`] before the evaluation starts.
+/// [`CancelToken`] before the evaluation starts. `f` runs once, on the
+/// calling thread: a panic out of it (the evaluation panicked) is
+/// reported as [`EvalErrorKind::WorkerPanicked`] and not retried.
 pub fn run_with_guard<T>(guard: EvalGuard, f: impl FnOnce() -> T) -> Result<Guarded<T>, EvalError> {
     install_quiet_hook();
     let scoped = ScopedGuard::install(guard.clone());
@@ -666,9 +629,7 @@ pub fn run_with_guard<T>(guard: EvalGuard, f: impl FnOnce() -> T) -> Result<Guar
         Ok(value) => Ok(Guarded { value, stats }),
         Err(payload) => {
             let kind = if payload.is::<GuardAbort>() {
-                // The fault was recorded before the sentinel unwind began;
-                // Cancelled covers the only raceless gap (a sibling set the
-                // cancel flag and this thread unwound before recording).
+                // The fault was recorded before the sentinel unwind began.
                 guard.fault().unwrap_or(EvalErrorKind::Cancelled)
             } else {
                 EvalErrorKind::WorkerPanicked(panic_message(payload.as_ref()))
@@ -679,7 +640,7 @@ pub fn run_with_guard<T>(guard: EvalGuard, f: impl FnOnce() -> T) -> Result<Guar
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -709,15 +670,15 @@ pub mod faults {
 
     /// The payload type of an injected panic. Distinct from the guard's
     /// abort sentinel on purpose: an injected panic must look like a
-    /// *genuine* worker panic to exercise the containment and retry paths.
-    pub(crate) struct InjectedPanic;
+    /// *genuine* panic to exercise the containment path.
+    pub(super) struct InjectedPanic;
 
     /// The synthetic fault classes the harness can arm.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum InjectedFault {
         /// Behave as if rational arithmetic overflowed at the probe.
         Overflow,
-        /// Panic with a non-guard payload (exercises containment/retry).
+        /// Panic with a non-guard payload (exercises containment).
         Panic,
         /// Sleep for the given duration (exercises deadlines).
         Delay(Duration),

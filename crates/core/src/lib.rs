@@ -18,11 +18,9 @@
 //! * order automorphisms of Q and the genericity machinery of Definition 3.1
 //!   ([`automorphism`]);
 //! * schemas and database instances ([`database`]);
-//! * a parallel evaluation layer — scoped-thread data parallelism gated by
-//!   an [`par::EvalConfig`] ([`par`]); an incremental satisfiability
-//!   kernel with per-variable bounding boxes ([`sat`]); tuple fingerprints
-//!   ([`intern`]); and a sharded memo cache for costlier decision
-//!   procedures ([`cache`]);
+//! * an incremental satisfiability kernel with per-variable bounding
+//!   boxes ([`sat`]); tuple fingerprints ([`intern`]); and a sharded memo
+//!   cache for costlier decision procedures ([`cache`]);
 //! * a runtime resource governor — deadlines, tuple/atom budgets,
 //!   cooperative cancellation, panic containment, and a deterministic
 //!   fault-injection harness for chaos testing ([`guard`]).
@@ -52,7 +50,6 @@
 
 #![warn(missing_docs)]
 
-pub mod algebra;
 pub mod atom;
 pub mod automorphism;
 pub mod cache;
@@ -61,7 +58,6 @@ pub mod database;
 #[deny(clippy::unwrap_used)]
 pub mod guard;
 pub mod intern;
-pub mod par;
 pub mod rational;
 pub mod relation;
 pub mod sat;
@@ -78,7 +74,6 @@ pub mod prelude {
         run_guarded, BudgetKind, CancelToken, EvalError as GuardError,
         EvalErrorKind as GuardErrorKind, EvalGuard, GuardLimits, GuardStats, Guarded, ProbeSite,
     };
-    pub use crate::par::{eval_config, set_eval_config, with_eval_config, EvalConfig};
     pub use crate::rational::{rat, Rational};
     pub use crate::relation::{Conjunction, GeneralizedRelation, Relation};
     pub use crate::sat::{SatState, VarBox};

@@ -18,7 +18,6 @@
 
 use crate::atom::{RawAtom, Term, Var};
 use crate::guard::{probe_charge, ProbeSite};
-use crate::par::{par_map, par_map_when, should_parallelize};
 use crate::rational::Rational;
 use crate::tuple::GeneralizedTuple;
 
@@ -34,7 +33,7 @@ use std::fmt;
 /// methods that depend on the constraint class are deciding a
 /// conjunction and [`Conjunction::eliminate`] (one quantifier); the rest
 /// is bookkeeping.
-pub trait Conjunction: Clone + PartialEq + Send + Sync {
+pub trait Conjunction: Clone + PartialEq {
     /// One atomic constraint.
     type Atom: Clone;
 
@@ -310,30 +309,20 @@ impl<T: Conjunction> Relation<T> {
     }
 
     /// Set intersection (pairwise conjunction of disjuncts).
-    ///
-    /// The conjoin-and-decide work over all tuple pairs runs in parallel
-    /// when the pair count clears the configured threshold; the subsumption
-    /// merge is sequential and order-preserving, so the result is identical
-    /// to the sequential one.
     pub fn intersect(&self, other: &Relation<T>) -> Relation<T> {
         assert_eq!(self.arity, other.arity, "intersect arity mismatch");
-        let pairs = self.tuples.len().saturating_mul(other.tuples.len());
-        let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |a| {
-            other
-                .tuples
-                .iter()
-                // Bounding-box pre-filter: pairs with provably disjoint
-                // boxes conjoin to an unsatisfiable tuple, which the
-                // filter below would discard anyway — skipping them here
-                // changes nothing structurally, it only avoids the work.
-                .filter(|b| !a.box_disjoint(b))
-                .map(|b| a.conjoin(b))
-                .filter(|t| t.is_satisfiable())
-                .collect::<Vec<_>>()
-        });
         let mut r = Relation::empty(self.arity);
-        for t in chunks.into_iter().flatten() {
-            r.insert_satisfiable(t);
+        for a in &self.tuples {
+            // Bounding-box pre-filter: pairs with provably disjoint boxes
+            // conjoin to an unsatisfiable tuple, which the satisfiability
+            // test would discard anyway — skipping them here changes
+            // nothing structurally, it only avoids the work.
+            for b in other.tuples.iter().filter(|b| !a.box_disjoint(b)) {
+                let t = a.conjoin(b);
+                if t.is_satisfiable() {
+                    r.insert_satisfiable(t);
+                }
+            }
         }
         r
     }
@@ -351,20 +340,17 @@ impl<T: Conjunction> Relation<T> {
     /// pairwise disjoint pieces (see `cut`), so the cost follows the
     /// pieces produced, not the size of `¬other` over all of `Q^k`. Every
     /// piece created is charged to [`ProbeSite::DnfInsert`], so budgets
-    /// and deadlines fire in the middle of a subtraction. Tuples of `self`
-    /// are cut in parallel when the pair count clears the configured
-    /// threshold; the merge is sequential and order-preserving.
+    /// and deadlines fire in the middle of a subtraction.
     pub fn subtract(&self, other: &Relation<T>) -> Relation<T> {
         assert_eq!(self.arity, other.arity, "subtract arity mismatch");
-        let pairs = self.tuples.len().saturating_mul(other.tuples.len());
-        let chunks = par_map_when(should_parallelize(pairs), &self.tuples, |t| {
-            other.tuples.iter().fold(vec![t.clone()], |pieces, u| {
-                pieces.into_iter().flat_map(|p| cut(p, u)).collect()
-            })
-        });
         let mut r = Relation::empty(self.arity);
-        for p in chunks.into_iter().flatten() {
-            r.insert_satisfiable(p);
+        for t in &self.tuples {
+            let pieces = other.tuples.iter().fold(vec![t.clone()], |pieces, u| {
+                pieces.into_iter().flat_map(|p| cut(p, u)).collect()
+            });
+            for p in pieces {
+                r.insert_satisfiable(p);
+            }
         }
         r
     }
@@ -374,12 +360,11 @@ impl<T: Conjunction> Relation<T> {
     /// `∃` distributes over `∨`, so each tuple is eliminated independently —
     /// this is the closed-form bottom-up evaluation step of \[KKR90\].
     pub fn project_out(&self, v: Var) -> Relation<T> {
-        let eliminated = par_map(&self.tuples, |t| {
-            t.eliminate(v).filter(|e| e.is_satisfiable())
-        });
         let mut r = Relation::empty(self.arity);
-        for e in eliminated.into_iter().flatten() {
-            r.insert_satisfiable(e);
+        for e in self.tuples.iter().filter_map(|t| t.eliminate(v)) {
+            if e.is_satisfiable() {
+                r.insert_satisfiable(e);
+            }
         }
         r
     }
@@ -461,18 +446,16 @@ impl<T: Conjunction> Relation<T> {
     pub fn is_subset(&self, other: &Relation<T>) -> bool {
         // A disjunct of `other` whose box misses `t`'s cannot cover the
         // (satisfiable) `t`, so the entailment test is skipped for it.
-        let covered = par_map(&self.tuples, |t| {
-            other
-                .tuples
-                .iter()
-                .any(|u| !u.box_disjoint(t) && u.subsumes(t))
-        });
         let leftover: Vec<T> = self
             .tuples
             .iter()
-            .zip(&covered)
-            .filter(|&(_, c)| !c)
-            .map(|(t, _)| t.clone())
+            .filter(|t| {
+                !other
+                    .tuples
+                    .iter()
+                    .any(|u| !u.box_disjoint(t) && u.subsumes(t))
+            })
+            .cloned()
             .collect();
         if leftover.is_empty() {
             return true;
@@ -489,15 +472,11 @@ impl<T: Conjunction> Relation<T> {
         self.is_subset(other) && other.is_subset(self)
     }
 
-    /// Simplify the representation: minimize each tuple (in parallel — each
-    /// minimization is a batch of independent entailment refutations) and
-    /// drop disjuncts subsumed by other disjuncts. The stable sort and the
-    /// sequential kept-loop make the output deterministic regardless of
-    /// thread count.
+    /// Simplify the representation: minimize each tuple and drop
+    /// disjuncts subsumed by other disjuncts, shortest tuples first (a
+    /// stable sort, so ties keep their order).
     pub fn simplify(&self) -> Relation<T> {
-        let work: usize = self.tuples.iter().map(|t| t.atoms().len()).sum();
-        let mut tuples: Vec<T> =
-            par_map_when(should_parallelize(work), &self.tuples, |t| t.simplify());
+        let mut tuples: Vec<T> = self.tuples.iter().map(|t| t.simplify()).collect();
         tuples.sort_by_key(|t| t.atoms().len());
         let mut kept: Vec<T> = Vec::new();
         for t in tuples {

@@ -267,3 +267,20 @@ proptest! {
         prop_assert!(space.equivalent(&c, &reference), "¬({}) = ({})", a, c);
     }
 }
+
+// Subsumption pruning on insert drops disjuncts, never points.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn pruned_construction_preserves_semantics(raws in prop::collection::vec(arb_tuple(2), 0..6)) {
+        let tuples: Vec<GeneralizedTuple> = raws
+            .into_iter()
+            .flat_map(|r| GeneralizedTuple::from_raw(2, r))
+            .collect();
+        let pruned = GeneralizedRelation::from_tuples(2, tuples.iter().cloned());
+        let unpruned = GeneralizedRelation::from_tuples_unpruned(2, tuples.iter().cloned());
+        prop_assert!(pruned.len() <= unpruned.len());
+        prop_assert!(pruned.equivalent(&unpruned));
+    }
+}

@@ -28,7 +28,6 @@
 
 use crate::ast::{Literal, Program, Rule};
 use dco_core::guard::{probe, stage_completed, ProbeSite};
-use dco_core::par::par_map_coarse;
 use dco_core::prelude::*;
 use dco_fo::eval_in_ctx;
 use dco_logic::Formula;
@@ -225,15 +224,12 @@ pub fn run_with(
         } else {
             &compiled
         };
-        // Every rule reads the same stage store (inflationary semantics),
-        // so rules evaluate in parallel; the fold below is sequential in
-        // rule order, keeping the result identical to a single-threaded
-        // run.
+        // Every rule reads the same stage store (inflationary semantics);
+        // their facts are folded in below, after the whole stage.
         stats.body_evals += stage_rules.len();
-        let derived = par_map_coarse(stage_rules, |rule| eval_compiled(&store, rule));
         let mut heads: BTreeMap<&str, GeneralizedRelation> = BTreeMap::new();
-        for (rule, result) in stage_rules.iter().zip(derived) {
-            let expanded = result?;
+        for rule in stage_rules {
+            let expanded = eval_compiled(&store, rule)?;
             heads
                 .entry(rule.head.as_str())
                 .and_modify(|d| *d = d.union(&expanded))

@@ -343,24 +343,3 @@ proptest! {
         prop_assert!(pos.intersect(&neg).is_empty());
     }
 }
-
-// The parallel layer must return the same canonical DNF as a sequential
-// run — structural equality, not mere equivalence — for arbitrary
-// formulas. Run with more cases than the semantic suite: these checks are
-// cheap (two evaluations, no reference semantics).
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn parallel_eval_identical_to_sequential(f in arb_formula(2), db in arb_db()) {
-        let ctx = vec!["x".to_string(), "y".to_string()];
-        let seq = with_eval_config(EvalConfig::sequential(), || eval_in_ctx(&db, &f, &ctx))
-            .expect("evaluates");
-        let par = with_eval_config(
-            EvalConfig { threads: 4, parallel_threshold: 1 },
-            || eval_in_ctx(&db, &f, &ctx),
-        )
-        .expect("evaluates");
-        prop_assert_eq!(seq, par, "parallel DNF diverges for {}", f);
-    }
-}

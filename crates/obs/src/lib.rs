@@ -38,7 +38,7 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use slowlog::{SlowLog, SlowQueryEntry};
-pub use trace::{ProbeAggs, TraceRecord, TraceRing};
+pub use trace::{TraceRecord, TraceRing};
 
 use std::sync::OnceLock;
 

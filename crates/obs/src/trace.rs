@@ -8,51 +8,33 @@
 //!
 //! Zero cost when disabled: with no trace active on the thread,
 //! [`probe_hit`] is a single thread-local `Cell` read, and [`begin`]
-//! refuses to nest. Parallel evaluation workers inherit the probe sink
-//! by value ([`probe_sink`] / [`adopt_probe_sink`]), the same way they
-//! inherit the evaluation guard, so probes fired on worker threads land
-//! in the owning query's aggregates.
+//! refuses to nest. The evaluation runs on the thread that owns the
+//! trace, so every probe it fires lands in that trace's aggregates.
 
 use crate::PROBE_SITES;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Per-probe-site aggregates of one query: hit count plus the tuple and
-/// atom budget charges, per site. Shared (`Arc`) between the owning
-/// thread and any parallel evaluation workers.
-#[derive(Debug)]
-pub struct ProbeAggs {
-    counts: [AtomicU64; PROBE_SITES.len()],
-    tuples: [AtomicU64; PROBE_SITES.len()],
-    atoms: [AtomicU64; PROBE_SITES.len()],
-}
-
-impl Default for ProbeAggs {
-    fn default() -> ProbeAggs {
-        ProbeAggs {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            tuples: std::array::from_fn(|_| AtomicU64::new(0)),
-            atoms: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+/// atom budget charges, per site.
+#[derive(Debug, Default)]
+struct ProbeAggs {
+    counts: [u64; PROBE_SITES.len()],
+    tuples: [u64; PROBE_SITES.len()],
+    atoms: [u64; PROBE_SITES.len()],
 }
 
 impl ProbeAggs {
-    fn record(&self, site: usize, tuples: u64, atoms: u64) {
+    fn record(&mut self, site: usize, tuples: u64, atoms: u64) {
         if site >= PROBE_SITES.len() {
             return;
         }
-        self.counts[site].fetch_add(1, Ordering::Relaxed);
-        if tuples > 0 {
-            self.tuples[site].fetch_add(tuples, Ordering::Relaxed);
-        }
-        if atoms > 0 {
-            self.atoms[site].fetch_add(atoms, Ordering::Relaxed);
-        }
+        self.counts[site] += 1;
+        self.tuples[site] += tuples;
+        self.atoms[site] += atoms;
     }
 }
 
@@ -169,17 +151,14 @@ struct Builder {
     started: Instant,
     queue_wait_ns: u64,
     spans: Vec<Span>,
-    probes: Arc<ProbeAggs>,
+    probes: ProbeAggs,
 }
 
 thread_local! {
-    /// Fast-path flag mirroring `CURRENT.is_some() || SINK.is_some()`:
-    /// an untraced probe fan-out costs one `Cell` read.
+    /// Fast-path flag mirroring `CURRENT.is_some()`: an untraced probe
+    /// fan-out costs one `Cell` read.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static CURRENT: RefCell<Option<Builder>> = const { RefCell::new(None) };
-    /// Probe sink for this thread: the owner's during a trace, or an
-    /// adopted clone on a parallel evaluation worker.
-    static SINK: RefCell<Option<Arc<ProbeAggs>>> = const { RefCell::new(None) };
     /// Queue wait handed over by the serving layer, consumed by the next
     /// [`begin`] on this thread.
     static PENDING_QUEUE_WAIT: Cell<u64> = const { Cell::new(0) };
@@ -200,8 +179,6 @@ pub fn begin(label: &str) -> bool {
     if CURRENT.with(|c| c.borrow().is_some()) {
         return false;
     }
-    let probes = Arc::new(ProbeAggs::default());
-    SINK.with(|s| *s.borrow_mut() = Some(probes.clone()));
     ACTIVE.with(|a| a.set(true));
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(Builder {
@@ -209,7 +186,7 @@ pub fn begin(label: &str) -> bool {
             started: Instant::now(),
             queue_wait_ns,
             spans: Vec::with_capacity(4),
-            probes,
+            probes: ProbeAggs::default(),
         })
     });
     true
@@ -235,36 +212,18 @@ pub fn child(name: &'static str, dur: Duration) {
 }
 
 /// Fan-out target of `dco_core::guard`'s probes: charge `site` (an index
-/// into [`PROBE_SITES`]) on the active probe sink. One `Cell` read when
-/// no trace is active.
+/// into [`PROBE_SITES`]) on this thread's active trace. One `Cell` read
+/// when no trace is active.
 #[inline]
 pub fn probe_hit(site: usize, tuples: u64, atoms: u64) {
     if !ACTIVE.with(Cell::get) {
         return;
     }
-    SINK.with(|s| {
-        if let Some(aggs) = s.borrow().as_ref() {
-            aggs.record(site, tuples, atoms);
+    CURRENT.with(|c| {
+        if let Some(b) = c.borrow_mut().as_mut() {
+            b.probes.record(site, tuples, atoms);
         }
     });
-}
-
-/// The active probe sink, for handing to a parallel evaluation worker
-/// (capture before spawn, [`adopt_probe_sink`] inside the worker).
-pub fn probe_sink() -> Option<Arc<ProbeAggs>> {
-    if !ACTIVE.with(Cell::get) {
-        return None;
-    }
-    SINK.with(|s| s.borrow().clone())
-}
-
-/// Install a probe sink on a worker thread whose thread-locals die with
-/// it (mirrors `guard::install_for_worker`).
-pub fn adopt_probe_sink(sink: Option<Arc<ProbeAggs>>) {
-    if let Some(aggs) = sink {
-        ACTIVE.with(|a| a.set(true));
-        SINK.with(|s| *s.borrow_mut() = Some(aggs));
-    }
 }
 
 /// Finish the trace begun on this thread, returning its record. The
@@ -273,7 +232,6 @@ pub fn adopt_probe_sink(sink: Option<Arc<ProbeAggs>>) {
 pub fn finish() -> Option<TraceRecord> {
     let b = CURRENT.with(|c| c.borrow_mut().take())?;
     ACTIVE.with(|a| a.set(false));
-    SINK.with(|s| *s.borrow_mut() = None);
     let mut spans = Vec::with_capacity(b.spans.len() + 1);
     if b.queue_wait_ns > 0 {
         spans.push(Span {
@@ -287,12 +245,12 @@ pub fn finish() -> Option<TraceRecord> {
         .iter()
         .enumerate()
         .filter_map(|(i, site)| {
-            let count = b.probes.counts[i].load(Ordering::Relaxed);
+            let count = b.probes.counts[i];
             (count > 0).then(|| ProbeLine {
                 site,
                 count,
-                tuples: b.probes.tuples[i].load(Ordering::Relaxed),
-                atoms: b.probes.atoms[i].load(Ordering::Relaxed),
+                tuples: b.probes.tuples[i],
+                atoms: b.probes.atoms[i],
             })
         })
         .collect();
@@ -338,25 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn probes_from_adopted_sinks_land_in_the_owners_trace() {
-        assert!(begin("q"));
-        let sink = probe_sink();
-        assert!(sink.is_some());
-        let t = std::thread::spawn(move || {
-            adopt_probe_sink(sink);
-            probe_hit(3, 7, 0);
-        });
-        t.join().unwrap();
-        child("eval", Duration::from_micros(1));
-        let rec = finish().unwrap();
-        assert_eq!(rec.probes[0].site, "fourier_motzkin");
-        assert_eq!(rec.probes[0].tuples, 7);
-    }
-
-    #[test]
     fn probe_hit_without_a_trace_is_a_noop() {
         probe_hit(0, 1_000_000, 1_000_000);
-        assert!(probe_sink().is_none());
+        assert!(begin("after"));
+        let rec = finish().unwrap();
+        assert!(rec.probes.is_empty(), "an untraced hit leaks into no trace");
     }
 
     #[test]

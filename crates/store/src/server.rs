@@ -74,7 +74,6 @@ use crate::store::{ReplBacklog, Store, StoreError};
 use crate::wire::{self, QueryOpts, Request};
 use dco_analysis::cost;
 use dco_core::guard::GuardLimits;
-use dco_core::prelude::eval_config;
 use dco_encoding::relation_from_json_str;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -504,15 +503,18 @@ pub fn serve(store: Store, addr: &str) -> io::Result<ServerHandle> {
 }
 
 /// Spawn the evaluator worker pool: a few threads draining the job
-/// queue through [`respond_ctx`]. Sized by the evaluator's thread
-/// budget — the reactor multiplexes any number of connections onto it.
+/// queue through [`respond_ctx`], one per available CPU and at least
+/// two — the reactor multiplexes any number of connections onto it.
+/// Each request is evaluated on the worker that dequeued it.
 fn spawn_workers(
     store: &Store,
     jobs: &Arc<JobQueue>,
     counters: &Arc<ServeCounters>,
     wake: &Arc<WakeToken>,
 ) -> Vec<JoinHandle<()>> {
-    let n = eval_config().effective_threads().max(2);
+    let n = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .max(2);
     counters.workers.store(n as u64, Ordering::Relaxed);
     (0..n)
         .map(|_| {

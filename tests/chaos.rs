@@ -223,12 +223,13 @@ fn seeded_injection_sweep() {
                     "case {case} ({s:?} {site:?} {fault:?}@{at}): survived injection \
                      but result diverged from the unguarded baseline"
                 );
-                // An injected overflow always unwinds; surviving it means
-                // the plan cannot have fired.
-                if matches!(fault, InjectedFault::Overflow) {
+                // An injected overflow or panic always unwinds (a panic is
+                // not retried); surviving it means the plan cannot have
+                // fired.
+                if matches!(fault, InjectedFault::Overflow | InjectedFault::Panic) {
                     assert!(
                         !plan_ref.has_fired(),
-                        "case {case}: overflow fired yet evaluation succeeded"
+                        "case {case}: {fault:?} fired yet evaluation succeeded"
                     );
                 }
                 outcomes[if plan_ref.has_fired() { 0 } else { 2 }] += 1;
@@ -240,10 +241,7 @@ fn seeded_injection_sweep() {
                     InjectedFault::Overflow => {
                         matches!(f.kind, GuardErrorKind::Overflow(_))
                     }
-                    InjectedFault::Panic => matches!(
-                        f.kind,
-                        GuardErrorKind::WorkerPanicked(_) | GuardErrorKind::Cancelled
-                    ),
+                    InjectedFault::Panic => matches!(f.kind, GuardErrorKind::WorkerPanicked(_)),
                     InjectedFault::Delay(_) => {
                         matches!(f.kind, GuardErrorKind::DeadlineExceeded { .. })
                     }

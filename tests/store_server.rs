@@ -18,6 +18,14 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The size of the served store's worker pool: one per available CPU,
+/// at least two.
+fn server_workers() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .max(2)
+}
+
 /// The pairwise-disjoint unit interval `[3k, 3k+1]` — gaps of width 1
 /// between intervals keep subsumption pruning from ever merging two.
 fn unit(k: i128) -> GeneralizedRelation {
@@ -451,9 +459,10 @@ fn more_clients_than_the_connection_cap_all_complete() {
     let handle = serve(store.clone(), "127.0.0.1:0").unwrap();
     let addr = handle.addr();
 
-    // Far more simultaneous connections than effective_threads: excess
-    // connections queue on the gate and must all eventually be served.
-    let clients = eval_config().effective_threads().max(2) * 3;
+    // Far more simultaneous connections than the server has workers:
+    // excess connections queue on the gate and must all eventually be
+    // served.
+    let clients = server_workers() * 3;
     let threads: Vec<_> = (0..clients)
         .map(|_| {
             std::thread::spawn(move || {
@@ -558,7 +567,7 @@ fn overload_sheds_typed_and_keeps_goodput() {
     // request carrying a deadline of ~2 service times — tight enough
     // that queueing behind 2+ workers' worth of jobs is already fatal,
     // so the server must shed rather than serve everyone late.
-    let workers = eval_config().effective_threads().max(2);
+    let workers = server_workers();
     let clients = (4 * workers).min(24);
     let deadline_ms = (2 * per_query_ms).max(15);
     const RUN: Duration = Duration::from_secs(3);
