@@ -4,8 +4,8 @@
 //!
 //! The estimated side is produced here from [`DbStats`] alone (a pure
 //! static analysis); the actual side is recorded by the FO evaluator
-//! itself (`dco_fo::explain`), which, with plan capture on, notes the
-//! width of every intermediate relation it builds. [`PlanNode::render`]
+//! itself (`dco_fo::evaluate` with `explain` set), which, with plan
+//! capture on, notes the width of every intermediate relation it builds. [`PlanNode::render`]
 //! prints the tree with `est=` and `act=` on every line, which is also
 //! the payload of the store's `EXPLAIN` protocol verb.
 
@@ -121,7 +121,8 @@ impl QueryPlan {
 
 /// Build the estimates-only plan of `formula` under `stats` — no
 /// evaluation, no actuals. The slow-query log sets the root's actual on
-/// it; a full measured plan comes from `dco_fo::explain`.
+/// it; a full measured plan comes from `dco_fo::evaluate` with `explain`
+/// set.
 pub fn explain_formula(formula: &Formula, stats: &DbStats) -> QueryPlan {
     QueryPlan {
         planned: formula.to_string(),

@@ -10,9 +10,11 @@
 
 use dco::complex::{CCalc, CFormula, RatTerm, SetRef};
 use dco::datalog::programs::{cardinality_is_even, is_connected as datalog_connected};
+use dco::datalog::run as run_datalog;
 use dco::ef::structure::generators::{cycle, linear_order, two_cycles};
 use dco::ef::{ef_equivalent, encode_binary};
 use dco::encoding::{compress, encode, encoded_size, integerize};
+use dco::fo::eval;
 use dco::geo::instances::{broken_staircase, staircase};
 use dco::geo::region::Region;
 use dco::geo::{component_count, is_connected_via_datalog};
@@ -126,7 +128,7 @@ pub fn e1(sizes: &[usize]) -> Vec<ExperimentRow> {
             let size = encoded_size(&db);
             let mut out_size = 0;
             let ms = time_ms(|| {
-                let q = eval_linear(&db, &f).expect("FO+ evaluates");
+                let q = eval::<LinTuple>(&db, &f).expect("FO+ evaluates");
                 out_size = q.relation.size();
             });
             ExperimentRow::new(format!("n={n}"))
@@ -292,8 +294,8 @@ pub fn e4(sizes: &[usize]) -> Vec<ExperimentRow> {
             let mut final_size = 0;
             let ms = time_ms(|| {
                 let fix = run_datalog(&program, &db).expect("fixpoint");
-                stages = fix.stats.stages;
-                final_size = fix.stats.final_size;
+                stages = fix.stats[0].stages;
+                final_size = fix.stats[0].final_size;
             });
             let slope = previous.map_or("-".to_string(), |(m, before)| {
                 format!("{:.2}", (ms / before).ln() / (n as f64 / m as f64).ln())
@@ -532,7 +534,7 @@ pub fn e8(sizes: &[usize]) -> Vec<ExperimentRow> {
             let size = encoded_size(&db);
             let mut closed_form = 0usize;
             let ms = time_ms(|| {
-                let q = eval_fo(&db, &f).expect("FO evaluates");
+                let q = eval::<GeneralizedTuple>(&db, &f).expect("FO evaluates");
                 // Closure check: answer re-encodes as a database relation.
                 let out =
                     Database::new(Schema::new().with("Out", 1)).with("Out", q.relation.narrow(1));
@@ -568,8 +570,12 @@ pub fn e9(sizes: &[usize]) -> Vec<ExperimentRow> {
             let rational_db = seventhify(&interval_db(n));
             let (int_db, map) = integerize(&rational_db);
             assert!(dco::encoding::is_integer_defined(&int_db));
-            let q_rat = eval_fo(&rational_db, &f).expect("evaluates").relation;
-            let q_int = eval_fo(&int_db, &f).expect("evaluates").relation;
+            let q_rat = eval::<GeneralizedTuple>(&rational_db, &f)
+                .expect("evaluates")
+                .relation;
+            let q_int = eval::<GeneralizedTuple>(&int_db, &f)
+                .expect("evaluates")
+                .relation;
             // map the rational-side answer forward and compare
             let mapped = map.to_automorphism().apply_relation(&q_rat);
             let agree = mapped.equivalent(&q_int);

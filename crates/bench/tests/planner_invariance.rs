@@ -5,12 +5,15 @@
 //! harness generates 128 deterministic random cases across the three
 //! evaluators (FO, FO+linear, Datalog) and demands that the planned
 //! form evaluates to a relation equivalent to the unplanned one (or
-//! fails identically when the unplanned form fails). FO+linear runs
-//! through FO's evaluator, so its EXPLAIN is checked here too.
+//! fails identically when the unplanned form fails). For FO and
+//! FO+linear (one evaluator over two domains) the guarded entry point is
+//! checked too: `evaluate` of the planned form, with EXPLAIN and without,
+//! gives the reference answer, and the plan is fully measured.
 
 use dco::analysis::stats::DbStats;
 use dco::analysis::{plan_formula, plan_rule};
 use dco::datalog::{run as run_datalog, Program};
+use dco::fo::{eval, evaluate, Domain, Options};
 use dco::prelude::*;
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants) — no external RNG
@@ -128,6 +131,40 @@ fn random_formula_src(rng: &mut Lcg, depth: u32, linear: bool) -> String {
     }
 }
 
+/// `evaluate` of `planned`, with EXPLAIN under `stats` and without it,
+/// must give `reference` (the unguarded `eval` of `planned`) exactly,
+/// and every node of the plan must carry its measured width.
+fn check_evaluate<D: Domain>(
+    case: u64,
+    db: &Database,
+    planned: &Formula,
+    stats: &DbStats,
+    reference: &Relation<D>,
+) {
+    let explained = Options {
+        limits: None,
+        explain: Some(stats),
+    };
+    let run = |options: &Options| {
+        evaluate::<D>(db, planned, options)
+            .unwrap_or_else(|e| panic!("case {case}: evaluate of {planned}: {e}"))
+            .value
+    };
+    let (ex, plain) = (run(&explained), run(&Options::default()));
+    assert!(
+        ex.relation == *reference && plain.relation == *reference,
+        "case {case}: evaluate diverges from eval of {planned}"
+    );
+    assert!(plain.plan.is_none(), "case {case}: a plan without EXPLAIN");
+    let plan = ex.plan.expect("EXPLAIN records a plan");
+    assert!(
+        plan.root.fully_measured(),
+        "case {case}:\n{}",
+        plan.render()
+    );
+    assert_eq!(plan.root.actual, Some(reference.len() as u64));
+}
+
 #[test]
 fn fo_planned_order_is_result_invariant_64_cases() {
     for case in 0..64u64 {
@@ -135,8 +172,10 @@ fn fo_planned_order_is_result_invariant_64_cases() {
         let db = random_db(&mut rng);
         let src = random_formula_src(&mut rng, 1 + (case % 3) as u32, false);
         let formula = parse_formula(&src).unwrap_or_else(|e| panic!("case {case} `{src}`: {e}"));
-        let planned = plan_formula(&formula, &DbStats::of_database(&db));
-        match (eval_fo(&db, &formula), eval_fo(&db, &planned)) {
+        let stats = DbStats::of_database(&db);
+        let planned = plan_formula(&formula, &stats);
+        let eval = eval::<GeneralizedTuple>;
+        match (eval(&db, &formula), eval(&db, &planned)) {
             (Ok(base), Ok(opt)) => {
                 assert!(
                     base.relation.equivalent(&opt.relation),
@@ -146,6 +185,7 @@ fn fo_planned_order_is_result_invariant_64_cases() {
                     base.columns, opt.columns,
                     "case {case}: planned columns diverge for {src}"
                 );
+                check_evaluate(case, &db, &planned, &stats, &opt.relation);
             }
             (Err(_), Err(_)) => {} // both reject (e.g. linear atom in FO)
             (b, o) => panic!(
@@ -164,21 +204,16 @@ fn linear_planned_order_is_result_invariant_32_cases() {
         let db = random_db(&mut rng);
         let src = random_formula_src(&mut rng, 1 + (case % 2) as u32, true);
         let formula = parse_formula(&src).unwrap_or_else(|e| panic!("case {case} `{src}`: {e}"));
-        let planned = plan_formula(&formula, &DbStats::of_database(&db));
-        match (eval_linear(&db, &formula), eval_linear(&db, &planned)) {
+        let stats = DbStats::of_database(&db);
+        let planned = plan_formula(&formula, &stats);
+        let eval = eval::<LinTuple>;
+        match (eval(&db, &formula), eval(&db, &planned)) {
             (Ok(base), Ok(opt)) => {
                 assert!(
                     base.relation.equivalent(&opt.relation),
                     "case {case}: planned linear result diverges\n  query: {src}\n  planned: {planned}"
                 );
-                // EXPLAIN plans, then evaluates with plan capture on: the
-                // same answer, and a root measured at its width.
-                let ex = explain_linear(&db, &formula).expect("evaluates like eval_linear");
-                assert!(
-                    ex.result.relation.equivalent(&base.relation),
-                    "case {case}: explained linear result diverges for {src}"
-                );
-                assert_eq!(ex.plan.root.actual, Some(ex.result.relation.len() as u64));
+                check_evaluate(case, &db, &planned, &stats, &opt.relation);
             }
             (Err(_), Err(_)) => {}
             (b, o) => panic!(

@@ -23,6 +23,11 @@
 //!
 //! ## Quickstart
 //!
+//! Each query language has one entry point, `evaluate`, taking an options
+//! value: [`fo::evaluate`] for FO (and FO+, as `evaluate::<LinTuple>`) and
+//! [`datalog::evaluate`] for Datalog¬; the prelude names them
+//! `evaluate_fo` and `evaluate_datalog`.
+//!
 //! ```
 //! use dco::prelude::*;
 //!
@@ -35,16 +40,17 @@
 //! let db = Database::new(Schema::new().with("R", 2)).with("R", triangle);
 //!
 //! // FO query, evaluated bottom-up in closed form:
-//! let q = dco::fo::eval_str(&db, "exists y . (R(x, y) & x < y)").unwrap();
-//! assert!(q.relation.contains_point(&[rat(3, 1)]));
+//! let f = parse_formula("exists y . (R(x, y) & x < y)").unwrap();
+//! let q = evaluate_fo::<GeneralizedTuple>(&db, &f, &FoOptions::default()).unwrap();
+//! assert!(q.value.relation.contains_point(&[rat(3, 1)]));
 //! ```
 //!
-//! ## Analyze, plan, then evaluate under a guard
+//! ## Analyze, plan, then evaluate
 //!
 //! The [`analysis`] passes run before evaluation and reject bad queries
 //! with span-carrying diagnostics instead of panicking or failing
 //! mid-evaluation. The store chains the same steps for every query:
-//! preflight, plan against the database's statistics, guarded run.
+//! preflight, plan against the database's statistics, `evaluate`.
 //!
 //! ```
 //! use dco::prelude::*;
@@ -58,12 +64,16 @@
 //! let diags = preflight_formula(&bad, Some(db.schema()), &opts).unwrap_err();
 //! assert_eq!(diags[0].code, "DCO102");
 //!
-//! // A clean query: preflight, plan, then the guarded evaluator.
+//! // A clean query: preflight, plan, then evaluate, recording the
+//! // measured plan (EXPLAIN) under the statistics it was planned with.
 //! let q = parse_formula("exists y . (e(x, y) & x < y)").unwrap();
 //! preflight_formula(&q, Some(db.schema()), &opts).unwrap();
-//! let planned = plan_formula(&q, &DbStats::of_database(&db));
-//! let out = try_eval_with(&db, &planned, GuardLimits::none()).unwrap();
+//! let stats = DbStats::of_database(&db);
+//! let planned = plan_formula(&q, &stats);
+//! let options = FoOptions { limits: None, explain: Some(&stats) };
+//! let out = evaluate_fo::<GeneralizedTuple>(&db, &planned, &options).unwrap();
 //! assert!(out.value.relation.contains_point(&[rat(1, 1)]));
+//! assert!(out.value.plan.unwrap().root.fully_measured());
 //!
 //! // A statically-dead rule body is reported before the fixpoint runs.
 //! let p = parse_program(
@@ -71,33 +81,36 @@
 //!      tc(x,y) :- e(x,y), x < y, y < x.\n").unwrap();
 //! let diags = analyze_program(&p, Some(db.schema()), &AnalysisOptions::inflationary());
 //! assert!(diags.iter().any(|d| d.code == "DCO401" && d.severity == Severity::Warning));
+//! let fix = evaluate_datalog(&p, &db, &DatalogOptions::default()).unwrap();
+//! assert!(fix.value.database.get("tc").unwrap().contains_point(&[rat(1, 1), rat(2, 1)]));
 //! ```
 //!
 //! ## Fault-tolerant evaluation
 //!
-//! Every evaluator has a `try_*` variant that runs under a runtime
-//! guard ([`core::guard`]): deadlines, tuple/atom budgets, cooperative
-//! cancellation, checked arithmetic, and panic containment. A fault-free
-//! guarded run returns exactly the unguarded result plus
-//! [`core::guard::GuardStats`];
-//! any trip comes back as a typed fault, never a process abort:
+//! `evaluate` runs under a runtime guard ([`core::guard`]): deadlines,
+//! tuple/atom budgets, cooperative cancellation, checked arithmetic, and
+//! panic containment. Its options' `limits` set them; `None` means the
+//! analyzer's default budgets. A fault-free run returns exactly the
+//! unguarded result plus [`core::guard::GuardStats`]; any trip comes back
+//! as a typed fault, never a process abort:
 //!
 //! ```
 //! use dco::prelude::*;
 //! use std::time::Duration;
 //!
 //! let db = Database::new(Schema::new());
+//! let formula = parse_formula("exists x . (0 < x & x < 1)").unwrap();
 //! // Fault-free: identical to the unguarded evaluator, plus stats.
-//! let out = try_eval_str(&db, "exists x . (0 < x & x < 1)").unwrap();
+//! let out = evaluate_fo::<GeneralizedTuple>(&db, &formula, &FoOptions::default()).unwrap();
 //! assert_eq!(out.value.as_bool(), Some(true));
 //!
 //! // A zero deadline trips deterministically with a typed error.
 //! let limits = GuardLimits::none().with_deadline(Duration::ZERO);
-//! let formula = parse_formula("exists x . (0 < x & x < 1)").unwrap();
-//! let err = dco::fo::try_eval_with(&db, &formula, limits).unwrap_err();
+//! let options = FoOptions { limits: Some(limits), explain: None };
+//! let err = evaluate_fo::<GeneralizedTuple>(&db, &formula, &options).unwrap_err();
 //! assert!(matches!(
 //!     err,
-//!     dco::fo::TryEvalError::Fault(GuardError {
+//!     TryEvalError::Fault(GuardError {
 //!         kind: GuardErrorKind::DeadlineExceeded { .. },
 //!         ..
 //!     })
@@ -127,17 +140,13 @@ pub mod prelude {
     };
     pub use dco_core::prelude::*;
     pub use dco_datalog::{
-        parse_program, run as run_datalog, try_run as try_run_datalog, try_run_stratified,
-        try_run_stratified_with, try_run_with as try_run_datalog_with, TryRunError,
+        evaluate as evaluate_datalog, parse_program, Options as DatalogOptions, Semantics,
+        TryRunError,
     };
     pub use dco_fo::{
-        eval as eval_fo, eval_str as eval_fo_str, try_eval, try_eval_str, try_eval_with, EvalError,
-        TryEvalError,
+        evaluate as evaluate_fo, EvalError, Evaluation, Options as FoOptions, TryEvalError,
     };
-    pub use dco_linear::{
-        eval_linear, eval_linear_str, explain_linear, try_eval_linear, try_eval_linear_str,
-        try_eval_linear_with,
-    };
+    pub use dco_linear::LinTuple;
     pub use dco_logic::{parse_formula, Formula};
     pub use dco_store::{serve, Client, Store, StoreError, StoreOptions};
 }

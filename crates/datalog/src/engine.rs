@@ -47,7 +47,7 @@ pub enum EngineError {
     /// Input database is missing an EDB relation or has a wrong arity.
     BadInput(String),
     /// Stage limit exceeded (a safety valve; cannot happen for valid
-    /// dense-order programs unless the limit is set too low).
+    /// dense-order programs).
     StageLimit(usize),
 }
 
@@ -74,11 +74,13 @@ pub struct EngineStats {
     pub final_size: usize,
 }
 
+/// Hard cap on stages: a safety valve, since a valid dense-order program
+/// reaches its fixpoint within the finite cell lattice long before.
+const MAX_STAGES: usize = 10_000;
+
 /// Configuration for the engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Hard cap on stages (safety valve; default 10 000).
-    pub max_stages: usize,
     /// Restrict rule evaluation to the previous stage's deltas
     /// (semi-naive, default true). Applied only when no rule negates an
     /// IDB predicate: the inflationary same-stage semantics of §4 makes
@@ -87,16 +89,14 @@ pub struct EngineConfig {
     /// the exact paper semantics. Negated EDB predicates never change
     /// during a run, so the rule bodies stay monotone in the IDB and
     /// deltas stay sound — which always holds inside one stratum of a
-    /// stratified run.
+    /// stratified run. Naive stages are the reference delta stages are
+    /// tested against.
     pub use_deltas: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig {
-            max_stages: 10_000,
-            use_deltas: true,
-        }
+        EngineConfig { use_deltas: true }
     }
 }
 
@@ -105,17 +105,20 @@ impl Default for EngineConfig {
 pub struct FixpointResult {
     /// Fixpoint database over EDB ∪ IDB schema.
     pub database: Database,
-    /// Statistics.
-    pub stats: EngineStats,
+    /// Statistics, one entry per stratum (a single one for an
+    /// inflationary run).
+    pub stats: Vec<EngineStats>,
 }
 
-/// Run a program on an input database to its inflationary fixpoint.
+/// Run a program on an input database to its inflationary fixpoint,
+/// unguarded: the reference the guarded [`evaluate`](crate::evaluate)
+/// agrees with.
 pub fn run(program: &Program, input: &Database) -> Result<FixpointResult, EngineError> {
     run_with(program, input, &EngineConfig::default())
 }
 
-/// Run with explicit configuration.
-pub fn run_with(
+/// [`run`] with explicit configuration.
+pub(crate) fn run_with(
     program: &Program,
     input: &Database,
     config: &EngineConfig,
@@ -211,8 +214,8 @@ pub fn run_with(
         // cancellation take effect between stages even if no algebra
         // probe fires inside one).
         probe(ProbeSite::FixpointStage);
-        if stats.stages >= config.max_stages {
-            return Err(EngineError::StageLimit(config.max_stages));
+        if stats.stages >= MAX_STAGES {
+            return Err(EngineError::StageLimit(MAX_STAGES));
         }
         stats.stages += 1;
         // Stage 1 always evaluates the full rules (IDBs are empty, so all
@@ -279,7 +282,10 @@ pub fn run_with(
             .set_shared(p, store.get_shared(p).expect("in store"))
             .expect("schema matches");
     }
-    Ok(FixpointResult { database, stats })
+    Ok(FixpointResult {
+        database,
+        stats: vec![stats],
+    })
 }
 
 /// The relation names that hold each IDB predicate's facts of the last
@@ -429,9 +435,9 @@ mod tests {
         let tc = result.database.get("tc").unwrap();
         assert!(tc.equivalent(&e), "TC of a transitive relation is itself");
         assert!(
-            result.stats.stages <= 4,
+            result.stats[0].stages <= 4,
             "should converge fast, took {}",
-            result.stats.stages
+            result.stats[0].stages
         );
     }
 
@@ -467,10 +473,7 @@ mod tests {
         let db = Database::new(Schema::new().with("e", 2).with("b", 1))
             .with("e", points(&edges))
             .with("b", b);
-        let naive = EngineConfig {
-            use_deltas: false,
-            ..EngineConfig::default()
-        };
+        let naive = EngineConfig { use_deltas: false };
         let delta = run(&p, &db).unwrap();
         let full = run_with(&p, &db, &naive).unwrap();
         let ok = delta.database.get("ok").unwrap();
@@ -478,10 +481,10 @@ mod tests {
         assert!(ok.contains_point(&[rat(1, 1), rat(4, 1)]));
         assert!(!ok.contains_point(&[rat(1, 1), rat(6, 1)]));
         assert!(
-            delta.stats.body_evals < full.stats.body_evals,
+            delta.stats[0].body_evals < full.stats[0].body_evals,
             "deltas off: {} vs {} body evaluations",
-            delta.stats.body_evals,
-            full.stats.body_evals
+            delta.stats[0].body_evals,
+            full.stats[0].body_evals
         );
     }
 
@@ -515,10 +518,7 @@ mod tests {
         let p = Program::new(rules).unwrap();
         let db = Database::new(Schema::new().with("__delta_tc", 2))
             .with("__delta_tc", points(&[(1, 2), (2, 3), (3, 4)]));
-        let naive = EngineConfig {
-            use_deltas: false,
-            ..EngineConfig::default()
-        };
+        let naive = EngineConfig { use_deltas: false };
         let delta = run(&p, &db).unwrap().database;
         let full = run_with(&p, &db, &naive).unwrap().database;
         assert!(delta.equivalent(&full));
@@ -603,13 +603,13 @@ mod tests {
         let short = {
             let p = parse_program("tc(x,y) :- e(x,y).\ntc(x,y) :- tc(x,z), e(z,y).\n").unwrap();
             let db = Database::new(Schema::new().with("e", 2)).with("e", points(&[(1, 2), (2, 3)]));
-            run(&p, &db).unwrap().stats.stages
+            run(&p, &db).unwrap().stats[0].stages
         };
         let long = {
             let p = parse_program("tc(x,y) :- e(x,y).\ntc(x,y) :- tc(x,z), e(z,y).\n").unwrap();
             let edges: Vec<(i64, i64)> = (1..8).map(|i| (i, i + 1)).collect();
             let db = Database::new(Schema::new().with("e", 2)).with("e", points(&edges));
-            run(&p, &db).unwrap().stats.stages
+            run(&p, &db).unwrap().stats[0].stages
         };
         assert!(long > short);
     }

@@ -1,27 +1,27 @@
-//! Fault-tolerant Datalog¬ evaluation: `try_*` entry points that run the
-//! fixpoint engine under a `dco_core::guard::EvalGuard`.
+//! The guarded entry point: [`evaluate`] runs a program to its fixpoint,
+//! inflationary or stratified, under a `dco_core::guard::EvalGuard`.
 //!
-//! Same contract as `dco_fo::guarded` (which FO+ shares): a
-//! fault-free guarded run returns a fixpoint structurally identical to the
-//! unguarded [`crate::run`]; any resource trip, overflow, cancellation, or
-//! contained worker panic comes back as a typed [`GuardError`] carrying
-//! partial-progress statistics (including `stages_completed`, which counts
-//! fixpoint stages that finished before the trip).
+//! Same contract as `dco_fo::evaluate`: a fault-free guarded run returns
+//! a fixpoint structurally identical to the unguarded [`crate::run`]; any
+//! resource trip, overflow, cancellation, or contained panic comes back as
+//! a typed [`GuardError`] carrying partial-progress statistics (including
+//! `stages_completed`, which counts fixpoint stages that finished before
+//! the trip).
 
 use crate::ast::{Literal, Program};
 use crate::engine::{run_with, EngineConfig, EngineError, FixpointResult};
-use crate::stratified::{run_stratified_with, StratifiedResult, StratifyError};
+use crate::stratified::{run_stratified, StratifyError};
 use dco_core::guard::{run_guarded, EvalError as GuardError, GuardLimits, Guarded};
 use dco_core::prelude::Database;
 use dco_logic::Formula;
 use std::fmt;
 
-/// Why a fault-tolerant Datalog run did not produce a fixpoint.
+/// Why a guarded Datalog run did not produce a fixpoint.
 #[derive(Debug)]
 pub enum TryRunError {
     /// A semantic error independent of resources (bad input, stage limit).
     Invalid(EngineError),
-    /// Stratification failure (stratified entry points only).
+    /// Stratification failure (stratified semantics only).
     Unstratifiable(StratifyError),
     /// The guard tripped or a panic was contained.
     Fault(GuardError),
@@ -39,8 +39,27 @@ impl fmt::Display for TryRunError {
 
 impl std::error::Error for TryRunError {}
 
-/// Shorthand for the result of the inflationary `try_*` entry points.
-pub type TryRunResult = Result<Guarded<FixpointResult>, TryRunError>;
+/// Which fixpoint [`evaluate`] computes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Semantics {
+    /// §4's inflationary semantics: negation reads the current stage.
+    #[default]
+    Inflationary,
+    /// Stratum by stratum: a negation reads its predicate's fixpoint.
+    Stratified,
+}
+
+/// How [`evaluate`] runs a program.
+#[derive(Debug, Clone, Default)]
+pub struct Options {
+    /// Inflationary or stratified.
+    pub semantics: Semantics,
+    /// The guard's limits; `None` means [`default_limits`], with no
+    /// deadline.
+    pub limits: Option<GuardLimits>,
+    /// The engine's configuration.
+    pub engine: EngineConfig,
+}
 
 /// Analyzer-suggested default budgets for a program over a database: the
 /// static cost model's predicted cell count over the combined constant set,
@@ -60,66 +79,62 @@ pub fn default_limits(program: &Program, input: &Database) -> GuardLimits {
     dco_analysis::cost::suggested_limits(constants.len(), widest)
 }
 
-/// Run the inflationary engine under the analyzer-suggested default budgets.
-pub fn try_run(program: &Program, input: &Database) -> TryRunResult {
-    try_run_with(
-        program,
-        input,
-        &EngineConfig::default(),
-        default_limits(program, input),
-    )
+/// Run `program` on `input` to the fixpoint `options.semantics` names,
+/// under the guard.
+pub fn evaluate(
+    program: &Program,
+    input: &Database,
+    options: &Options,
+) -> Result<Guarded<FixpointResult>, TryRunError> {
+    let limits = options
+        .limits
+        .clone()
+        .unwrap_or_else(|| default_limits(program, input));
+    let guarded = run_guarded(limits, || match options.semantics {
+        Semantics::Inflationary => {
+            run_with(program, input, &options.engine).map_err(TryRunError::Invalid)
+        }
+        Semantics::Stratified => run_stratified(program, input, &options.engine),
+    })
+    .map_err(TryRunError::Fault)?;
+    Ok(Guarded {
+        value: guarded.value?,
+        stats: guarded.stats,
+    })
 }
 
-/// Run the inflationary engine under explicit guard limits.
+/// [`evaluate`] with inflationary semantics under explicit limits. Kept
+/// for the benchmark adapter, which calls it; it goes when the adapter
+/// moves to [`evaluate`].
 pub fn try_run_with(
     program: &Program,
     input: &Database,
     config: &EngineConfig,
     limits: GuardLimits,
-) -> TryRunResult {
-    match run_guarded(limits, || run_with(program, input, config)) {
-        Ok(guarded) => match guarded.value {
-            Ok(value) => Ok(Guarded {
-                value,
-                stats: guarded.stats,
-            }),
-            Err(e) => Err(TryRunError::Invalid(e)),
-        },
-        Err(fault) => Err(TryRunError::Fault(fault)),
-    }
+) -> Result<Guarded<FixpointResult>, TryRunError> {
+    let options = Options {
+        semantics: Semantics::Inflationary,
+        limits: Some(limits),
+        engine: config.clone(),
+    };
+    evaluate(program, input, &options)
 }
 
-/// Shorthand for the result of the stratified `try_*` entry points.
-pub type TryStratifiedResult = Result<Guarded<StratifiedResult>, TryRunError>;
-
-/// Run under stratified semantics with the analyzer-suggested budgets.
-pub fn try_run_stratified(program: &Program, input: &Database) -> TryStratifiedResult {
-    try_run_stratified_with(
-        program,
-        input,
-        &EngineConfig::default(),
-        default_limits(program, input),
-    )
-}
-
-/// Run under stratified semantics with explicit guard limits.
+/// [`evaluate`] with stratified semantics under explicit limits. Kept for
+/// the benchmark adapter, which calls it; it goes when the adapter moves
+/// to [`evaluate`].
 pub fn try_run_stratified_with(
     program: &Program,
     input: &Database,
     config: &EngineConfig,
     limits: GuardLimits,
-) -> TryStratifiedResult {
-    match run_guarded(limits, || run_stratified_with(program, input, config)) {
-        Ok(guarded) => match guarded.value {
-            Ok(value) => Ok(Guarded {
-                value,
-                stats: guarded.stats,
-            }),
-            Err(StratifyError::Engine(e)) => Err(TryRunError::Invalid(e)),
-            Err(e) => Err(TryRunError::Unstratifiable(e)),
-        },
-        Err(fault) => Err(TryRunError::Fault(fault)),
-    }
+) -> Result<Guarded<FixpointResult>, TryRunError> {
+    let options = Options {
+        semantics: Semantics::Stratified,
+        limits: Some(limits),
+        engine: config.clone(),
+    };
+    evaluate(program, input, &options)
 }
 
 #[cfg(test)]
@@ -138,6 +153,20 @@ mod tests {
         .unwrap()
     }
 
+    fn limited(limits: GuardLimits) -> Options {
+        Options {
+            limits: Some(limits),
+            ..Options::default()
+        }
+    }
+
+    fn stratified() -> Options {
+        Options {
+            semantics: Semantics::Stratified,
+            ..Options::default()
+        }
+    }
+
     fn chain_db(n: i64) -> Database {
         let e = GeneralizedRelation::from_points(
             2,
@@ -152,9 +181,9 @@ mod tests {
     fn fault_free_guarded_run_matches_unguarded() {
         let db = chain_db(6);
         let unguarded = crate::run(&tc(), &db).unwrap();
-        let guarded = try_run(&tc(), &db).unwrap();
+        let guarded = evaluate(&tc(), &db, &Options::default()).unwrap();
         assert!(guarded.value.database.equivalent(&unguarded.database));
-        assert_eq!(guarded.value.stats.stages, unguarded.stats.stages);
+        assert_eq!(guarded.value.stats, unguarded.stats);
         assert!(guarded.stats.probes > 0, "fixpoint stages must hit probes");
         assert!(guarded.stats.stages_completed > 0);
     }
@@ -163,7 +192,7 @@ mod tests {
     fn tuple_budget_trips_with_partial_progress() {
         let db = chain_db(10);
         let limits = GuardLimits::none().with_max_tuples(3);
-        let err = try_run_with(&tc(), &db, &EngineConfig::default(), limits).unwrap_err();
+        let err = evaluate(&tc(), &db, &limited(limits)).unwrap_err();
         let TryRunError::Fault(f) = err else {
             panic!("expected a fault");
         };
@@ -175,7 +204,7 @@ mod tests {
     fn deadline_trips_as_typed_fault() {
         let db = chain_db(10);
         let limits = GuardLimits::none().with_deadline(Duration::ZERO);
-        let err = try_run_with(&tc(), &db, &EngineConfig::default(), limits).unwrap_err();
+        let err = evaluate(&tc(), &db, &limited(limits)).unwrap_err();
         assert!(matches!(
             err,
             TryRunError::Fault(GuardError {
@@ -189,7 +218,7 @@ mod tests {
     fn semantic_errors_stay_typed() {
         let p = parse_program("p(x) :- q(x).\n").unwrap();
         let db = Database::new(Schema::new());
-        let err = try_run(&p, &db).unwrap_err();
+        let err = evaluate(&p, &db, &Options::default()).unwrap_err();
         assert!(matches!(err, TryRunError::Invalid(_)));
     }
 
@@ -214,9 +243,10 @@ mod tests {
                 ),
             )
             .with("v", v);
-        let unguarded = crate::run_stratified(&p, &db).unwrap();
-        let guarded = try_run_stratified(&p, &db).unwrap();
+        let unguarded = run_stratified(&p, &db, &EngineConfig::default()).unwrap();
+        let guarded = evaluate(&p, &db, &stratified()).unwrap();
         assert!(guarded.value.database.equivalent(&unguarded.database));
+        assert_eq!(guarded.value.stats.len(), 2, "one entry per stratum");
     }
 
     #[test]
@@ -228,7 +258,7 @@ mod tests {
         .unwrap();
         let v = GeneralizedRelation::from_points(1, vec![vec![rat(1, 1)]]);
         let db = Database::new(Schema::new().with("v", 1)).with("v", v);
-        let err = try_run_stratified(&p, &db).unwrap_err();
+        let err = evaluate(&p, &db, &stratified()).unwrap_err();
         assert!(matches!(err, TryRunError::Unstratifiable(_)));
     }
 }

@@ -6,11 +6,13 @@
 //! PTIME queries over dense-order constraint databases. This crate
 //! implements the language: rules with positive/negated predicate literals
 //! and dense-order constraints, evaluated bottom-up in closed form to the
-//! inflationary fixpoint.
+//! inflationary fixpoint. [`evaluate`] is the one guarded entry point
+//! (inflationary or stratified semantics, limits); [`run`] is the
+//! unguarded inflationary reference it agrees with.
 //!
 //! ```
 //! use dco_core::prelude::*;
-//! use dco_datalog::{parse_program, run};
+//! use dco_datalog::{evaluate, parse_program, Options};
 //!
 //! let program = parse_program(
 //!     "tc(x, y) :- e(x, y).\n\
@@ -20,7 +22,7 @@
 //!     vec![rat(2, 1), rat(3, 1)],
 //! ]);
 //! let db = Database::new(Schema::new().with("e", 2)).with("e", e);
-//! let fix = run(&program, &db).unwrap();
+//! let fix = evaluate(&program, &db, &Options::default()).unwrap().value;
 //! assert!(fix.database.get("tc").unwrap().contains_point(&[rat(1, 1), rat(3, 1)]));
 //! ```
 
@@ -34,11 +36,9 @@ pub mod programs;
 pub mod stratified;
 
 pub use ast::{Literal, Program, ProgramError, Rule};
-pub use engine::{run, run_with, EngineConfig, EngineError, EngineStats, FixpointResult};
+pub use engine::{run, EngineConfig, EngineError, EngineStats, FixpointResult};
 pub use guarded::{
-    try_run, try_run_stratified, try_run_stratified_with, try_run_with, TryRunError,
+    evaluate, try_run_stratified_with, try_run_with, Options, Semantics, TryRunError,
 };
 pub use parser::{parse_program, DatalogParseError};
-pub use stratified::{
-    run_stratified, run_stratified_with, stratify, StratifiedResult, StratifyError,
-};
+pub use stratified::{stratify, StratifyError};

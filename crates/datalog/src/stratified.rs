@@ -16,19 +16,18 @@
 //! each stratum inherits the engine's closure and termination guarantees.
 
 use crate::ast::{Program, Rule};
-use crate::engine::{run_with, EngineConfig, EngineError, EngineStats};
+use crate::engine::{run_with, EngineConfig, FixpointResult};
+use crate::guarded::TryRunError;
 use dco_analysis::DepGraph;
 use dco_core::prelude::Database;
 use std::fmt;
 
-/// Errors from stratification.
+/// Why a program has no stratification.
 #[derive(Debug)]
 pub enum StratifyError {
     /// A dependency cycle passes through negation. The payload is the full
     /// cycle path, first and last predicate equal (`[p, q, …, p]`).
     NegativeCycle(Vec<String>),
-    /// Underlying engine error while running a stratum.
-    Engine(EngineError),
 }
 
 impl fmt::Display for StratifyError {
@@ -41,18 +40,11 @@ impl fmt::Display for StratifyError {
                     path.join(" -> ")
                 )
             }
-            StratifyError::Engine(e) => write!(f, "stratum failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for StratifyError {}
-
-impl From<EngineError> for StratifyError {
-    fn from(e: EngineError) -> StratifyError {
-        StratifyError::Engine(e)
-    }
-}
 
 /// Split a program into an ordered list of sub-programs, one per stratum
 /// of its predicate dependency graph ([`dco_analysis::DepGraph`]).
@@ -75,38 +67,22 @@ pub fn stratify(program: &Program) -> Result<Vec<Program>, StratifyError> {
         .collect())
 }
 
-/// Result of a stratified run.
-#[derive(Debug, Clone)]
-pub struct StratifiedResult {
-    /// The final database over EDB ∪ all IDB relations.
-    pub database: Database,
-    /// Per-stratum statistics.
-    pub stats: Vec<EngineStats>,
-}
-
-/// Run a program under stratified semantics.
-pub fn run_stratified(
-    program: &Program,
-    input: &Database,
-) -> Result<StratifiedResult, StratifyError> {
-    run_stratified_with(program, input, &EngineConfig::default())
-}
-
-/// Run under stratified semantics with engine configuration.
-pub fn run_stratified_with(
+/// Run a program under stratified semantics: each stratum to its
+/// fixpoint, with all earlier strata's results as its input.
+pub(crate) fn run_stratified(
     program: &Program,
     input: &Database,
     config: &EngineConfig,
-) -> Result<StratifiedResult, StratifyError> {
-    let strata = stratify(program)?;
+) -> Result<FixpointResult, TryRunError> {
+    let strata = stratify(program).map_err(TryRunError::Unstratifiable)?;
     let mut store = input.clone();
     let mut stats = Vec::with_capacity(strata.len());
     for stratum in &strata {
         // Guard probe: one hit per stratum boundary (each stratum's inner
         // stages probe again inside `run_with`).
         dco_core::guard::probe(dco_core::guard::ProbeSite::FixpointStage);
-        let fix = run_with(stratum, &store, config)?;
-        stats.push(fix.stats.clone());
+        let fix = run_with(stratum, &store, config).map_err(TryRunError::Invalid)?;
+        stats.extend(fix.stats);
         // Fold the stratum's IDB results into the store as new EDB facts,
         // sharing every relation with `store` and the stratum's result.
         // INVARIANT for the expects below: the engine's output database
@@ -131,7 +107,7 @@ pub fn run_stratified_with(
         store = next;
         dco_core::guard::stage_completed();
     }
-    Ok(StratifiedResult {
+    Ok(FixpointResult {
         database: store,
         stats,
     })
@@ -142,6 +118,10 @@ mod tests {
     use super::*;
     use crate::parser::parse_program;
     use dco_core::prelude::*;
+
+    fn run_stratified(p: &Program, db: &Database) -> Result<FixpointResult, TryRunError> {
+        super::run_stratified(p, db, &EngineConfig::default())
+    }
 
     fn points(pairs: &[(i64, i64)]) -> GeneralizedRelation {
         GeneralizedRelation::from_points(
@@ -173,10 +153,7 @@ mod tests {
              b(x) :- v(x), not a(x).\n",
         )
         .unwrap();
-        let err = stratify(&p).unwrap_err();
-        let StratifyError::NegativeCycle(path) = err else {
-            panic!("expected NegativeCycle, got {err}");
-        };
+        let StratifyError::NegativeCycle(path) = stratify(&p).unwrap_err();
         assert_eq!(path.first(), path.last());
         assert_eq!(path.len(), 3, "a -> b -> a, got {path:?}");
         assert!(path.contains(&"a".to_string()) && path.contains(&"b".to_string()));

@@ -4,9 +4,28 @@
 //! point and non-point encodings of the same input).
 
 use dco_core::prelude::*;
-use dco_datalog::{parse_program, run, run_stratified};
+use dco_datalog::{evaluate, parse_program, run, EngineConfig, Options, Semantics};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// The fixpoint of `program` over `db` under `semantics`, with or without
+/// delta stages, run with no budgets.
+fn fixpoint(
+    program: &dco_datalog::Program,
+    db: &Database,
+    semantics: Semantics,
+    use_deltas: bool,
+) -> Database {
+    let options = Options {
+        semantics,
+        limits: Some(GuardLimits::none()),
+        engine: EngineConfig { use_deltas },
+    };
+    evaluate(program, db, &options)
+        .expect("fixpoint")
+        .value
+        .database
+}
 
 fn tc_program() -> dco_datalog::Program {
     parse_program(
@@ -117,9 +136,7 @@ proptest! {
     fn stratified_agrees_with_inflationary_on_negation_free(edges in arb_graph()) {
         let db = Database::new(Schema::new().with("e", 2)).with("e", edge_relation(&edges));
         let inf = run(&tc_program(), &db).expect("fixpoint").database.get("tc").expect("tc").clone();
-        let strat = run_stratified(&tc_program(), &db)
-            .expect("stratified")
-            .database
+        let strat = fixpoint(&tc_program(), &db, Semantics::Stratified, true)
             .get("tc")
             .expect("tc")
             .clone();
@@ -173,20 +190,16 @@ proptest! {
 
     #[test]
     fn delta_engine_agrees_with_naive(edges in arb_graph()) {
-        use dco_datalog::{run_stratified_with, run_with, EngineConfig};
         let db = Database::new(Schema::new().with("e", 2)).with("e", obfuscated_edges(&edges));
-        let naive = EngineConfig { use_deltas: false, ..EngineConfig::default() };
-        let a = run_with(&tc_program(), &db, &EngineConfig::default()).expect("fixpoint");
-        let b = run_with(&tc_program(), &db, &naive).expect("fixpoint");
-        prop_assert!(a.database.equivalent(&b.database));
+        let a = fixpoint(&tc_program(), &db, Semantics::Inflationary, true);
+        let b = fixpoint(&tc_program(), &db, Semantics::Inflationary, false);
+        prop_assert!(a.equivalent(&b));
         // Negation inside a stratum names only predicates of earlier
         // strata, which that stratum's run reads as EDB: its recursive
         // `far` rules run on deltas, and must agree with naive stages.
-        let a = run_stratified_with(&negated_recursion_program(), &db, &EngineConfig::default())
-            .expect("stratified fixpoint");
-        let b = run_stratified_with(&negated_recursion_program(), &db, &naive)
-            .expect("stratified fixpoint");
-        prop_assert!(a.database.equivalent(&b.database));
+        let a = fixpoint(&negated_recursion_program(), &db, Semantics::Stratified, true);
+        let b = fixpoint(&negated_recursion_program(), &db, Semantics::Stratified, false);
+        prop_assert!(a.equivalent(&b));
     }
 }
 
@@ -213,23 +226,18 @@ fn box_chain(n: i128) -> GeneralizedRelation {
 
 #[test]
 fn delta_engine_agrees_with_naive_on_box_chains() {
-    use dco_datalog::{run_with, EngineConfig};
-    let naive = EngineConfig {
-        use_deltas: false,
-        ..EngineConfig::default()
-    };
     for n in [3, 5, 7] {
         let edges = box_chain(n);
         assert_eq!(edges.len(), n as usize, "every edge is a box of its own");
         let db = Database::new(Schema::new().with("e", 2)).with("e", edges);
-        let a = run_with(&tc_program(), &db, &EngineConfig::default()).expect("fixpoint");
-        let b = run_with(&tc_program(), &db, &naive).expect("fixpoint");
+        let a = fixpoint(&tc_program(), &db, Semantics::Inflationary, true);
+        let b = fixpoint(&tc_program(), &db, Semantics::Inflationary, false);
         assert!(
-            a.database.equivalent(&b.database),
+            a.equivalent(&b),
             "box chain of {n}: semi-naive fixpoint not equivalent to naive"
         );
         // Box i reaches box j for every i < j: the corner point of each.
-        let tc = a.database.get("tc").expect("tc");
+        let tc = a.get("tc").expect("tc");
         for i in 0..n {
             for j in 0..n {
                 let p = [rat(2 * i, 2), rat(2 * j + 2, 2)];

@@ -22,8 +22,12 @@
 //! ([`GeneralizedTuple`]) is FO; `dco-linear`'s `LinTuple` is FO+, which
 //! so gets the planner's conjunct order, EXPLAIN, the guard and `A ∖ B`
 //! for `A ∧ ¬B` from the same code.
+//!
+//! EXPLAIN is the same recursion handed a sink for plan nodes, so the
+//! measured cardinalities are the ones a plain evaluation of the formula
+//! pays.
 
-use dco_analysis::explain::{operator, PlanNode};
+use dco_analysis::explain::{operator, PlanNode, QueryPlan};
 use dco_analysis::planner::estimate_formula;
 use dco_analysis::stats::DbStats;
 use dco_core::prelude::*;
@@ -73,18 +77,22 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// The result of evaluating a query: named output columns and the
-/// relation over them (dense-order unless `R` says otherwise). Arity 0
-/// encodes boolean queries (universe = true, empty = false).
+/// The result of evaluating a query: named output columns, the relation
+/// over them (dense-order unless `R` says otherwise) and, for an explained
+/// evaluation, its measured plan. Arity 0 encodes boolean queries
+/// (universe = true, empty = false).
 #[derive(Debug, Clone)]
-pub struct QueryResult<R = GeneralizedRelation> {
+pub struct Evaluation<R = GeneralizedRelation> {
     /// Output column names, in column order.
     pub columns: Vec<String>,
     /// The denoted relation.
     pub relation: R,
+    /// The plan tree with estimated and actual cardinality per node, when
+    /// the evaluation ran with [`Options::explain`](crate::Options::explain).
+    pub plan: Option<QueryPlan>,
 }
 
-impl<T: Conjunction> QueryResult<Relation<T>> {
+impl<T: Conjunction> Evaluation<Relation<T>> {
     /// For boolean (sentence) queries: the truth value.
     pub fn as_bool(&self) -> Option<bool> {
         if self.columns.is_empty() {
@@ -124,28 +132,40 @@ impl Domain for GeneralizedTuple {
     }
 }
 
-/// Evaluate an FO formula against a database.
+/// Evaluate a formula over the constraint domain `D` (dense order for FO,
+/// `LinTuple` for FO+), unguarded: the reference the guarded
+/// [`evaluate`](crate::evaluate) agrees with.
 ///
 /// The output columns are the formula's free variables in sorted order.
-pub fn eval(db: &Database, formula: &Formula) -> Result<QueryResult, EvalError> {
-    eval_domain(db, formula)
-}
-
-/// Evaluate `formula` over the constraint domain `D`; [`eval`] is
-/// `eval_domain::<GeneralizedTuple>`.
-pub fn eval_domain<D: Domain>(
+pub fn eval<D: Domain>(
     db: &Database,
     formula: &Formula,
-) -> Result<QueryResult<Relation<D>>, EvalError> {
-    let columns: Vec<String> = formula.free_vars().into_iter().collect();
-    let relation = eval_node(db, formula, &columns, None)?;
-    Ok(QueryResult { columns, relation })
+) -> Result<Evaluation<Relation<D>>, EvalError> {
+    eval_explained(db, formula, None)
 }
 
-/// Evaluate a formula string (parse + eval).
-pub fn eval_str(db: &Database, src: &str) -> Result<QueryResult, Box<dyn std::error::Error>> {
-    let f = dco_logic::parse_formula(src)?;
-    Ok(eval(db, &f)?)
+/// [`eval`]; with `stats`, the evaluation also records one plan node per
+/// connective, with its estimate under `stats`.
+pub(crate) fn eval_explained<D: Domain>(
+    db: &Database,
+    formula: &Formula,
+    stats: Option<&DbStats>,
+) -> Result<Evaluation<Relation<D>>, EvalError> {
+    let columns: Vec<String> = formula.free_vars().into_iter().collect();
+    let mut sink = stats.map(PlanSink::new);
+    let relation = eval_node(db, formula, &columns, sink.as_mut())?;
+    let plan = sink.map(|mut sink| QueryPlan {
+        planned: formula.to_string(),
+        root: sink
+            .nodes
+            .pop()
+            .expect("an evaluation with capture on records its root node"),
+    });
+    Ok(Evaluation {
+        columns,
+        relation,
+        plan,
+    })
 }
 
 /// Evaluate `formula` over the given context (which must contain all its
@@ -162,13 +182,13 @@ pub fn eval_in_ctx(
 /// Where an evaluation with plan capture on records its [`PlanNode`]s:
 /// the statistics the estimates come from, and the nodes recorded so far
 /// under one parent, in evaluation order.
-pub(crate) struct PlanSink<'s> {
-    pub(crate) stats: &'s DbStats,
-    pub(crate) nodes: Vec<PlanNode>,
+struct PlanSink<'s> {
+    stats: &'s DbStats,
+    nodes: Vec<PlanNode>,
 }
 
 impl<'s> PlanSink<'s> {
-    pub(crate) fn new(stats: &'s DbStats) -> PlanSink<'s> {
+    fn new(stats: &'s DbStats) -> PlanSink<'s> {
         PlanSink {
             stats,
             nodes: Vec::new(),
@@ -180,7 +200,7 @@ impl<'s> PlanSink<'s> {
 /// records one [`PlanNode`] there: the planner's estimate, the width of
 /// the relation it produced, and the nodes its own operands recorded.
 /// Without one, the only extra work is this branch.
-pub(crate) fn eval_node<D: Domain>(
+fn eval_node<D: Domain>(
     db: &Database,
     formula: &Formula,
     ctx: &[String],
@@ -463,7 +483,7 @@ mod tests {
         Database::new(Schema::new().with("R", 2)).with("R", tri)
     }
 
-    fn run(db: &Database, src: &str) -> QueryResult {
+    fn run(db: &Database, src: &str) -> Evaluation {
         eval(db, &parse_formula(src).unwrap()).unwrap()
     }
 
@@ -563,7 +583,10 @@ mod tests {
     fn unknown_predicate_is_error() {
         let db = Database::new(Schema::new());
         let f = parse_formula("Zap(x)").unwrap();
-        assert!(matches!(eval(&db, &f), Err(EvalError::UnknownPredicate(_))));
+        assert!(matches!(
+            eval::<GeneralizedTuple>(&db, &f),
+            Err(EvalError::UnknownPredicate(_))
+        ));
     }
 
     #[test]
@@ -571,7 +594,7 @@ mod tests {
         let db = triangle_db();
         let f = parse_formula("R(x)").unwrap();
         assert!(matches!(
-            eval(&db, &f),
+            eval::<GeneralizedTuple>(&db, &f),
             Err(EvalError::ArityMismatch { .. })
         ));
     }
@@ -580,7 +603,10 @@ mod tests {
     fn linear_atom_rejected() {
         let db = Database::new(Schema::new());
         let f = parse_formula("x + y < 1").unwrap();
-        assert!(matches!(eval(&db, &f), Err(EvalError::NotDenseOrder(_))));
+        assert!(matches!(
+            eval::<GeneralizedTuple>(&db, &f),
+            Err(EvalError::NotDenseOrder(_))
+        ));
     }
 
     #[test]

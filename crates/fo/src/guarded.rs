@@ -1,32 +1,32 @@
-//! Fault-tolerant FO evaluation: `try_*` entry points that run the
-//! bottom-up evaluator under a `dco_core::guard::EvalGuard`.
+//! The guarded entry point: [`evaluate`] runs the bottom-up evaluator
+//! under a `dco_core::guard::EvalGuard`.
 //!
 //! Static analysis (`dco_analysis::preflight_formula`) *predicts* which
 //! queries are hopeless; this module *enforces*: the evaluation runs with
 //! a deadline, tuple/atom budgets, and a cancellation token, and
 //! every failure mode — budget trip, deadline, external cancellation,
-//! arithmetic overflow, even a worker panic — is contained at this
-//! boundary and returned as a typed [`GuardError`] carrying
-//! partial-progress statistics. A fault-free guarded run returns a result
-//! structurally identical to the unguarded [`crate::eval::eval`].
+//! arithmetic overflow, even a panic — is contained at this boundary and
+//! returned as a typed [`GuardError`] carrying partial-progress
+//! statistics. A fault-free guarded run returns a result structurally
+//! identical to the unguarded [`eval`](crate::eval()).
 //!
-//! By default the budgets come from the analyzer's cost pass
-//! ([`dco_analysis::cost::suggested_limits_for_formula`]); callers that
-//! own a wall clock add a deadline on top.
+//! Preflight and planning stay the caller's steps
+//! (`dco_analysis::{preflight_formula, plan_formula}`): `evaluate` runs
+//! the formula as given.
 
-use crate::eval::{eval_domain, Domain, EvalError, QueryResult};
+use crate::eval::{eval_explained, Domain, EvalError, Evaluation};
+use dco_analysis::cost::suggested_limits_for_formula;
+use dco_analysis::stats::DbStats;
 use dco_core::guard::{run_guarded, EvalError as GuardError, GuardLimits, Guarded};
-use dco_core::prelude::{GeneralizedTuple, Relation};
-use dco_logic::{parse_formula, Formula, ParseError};
+use dco_core::prelude::{Database, Relation};
+use dco_logic::Formula;
 use std::fmt;
 
-/// Why a fault-tolerant evaluation did not produce a result.
+/// Why a guarded evaluation did not produce a result.
 #[derive(Debug)]
 pub enum TryEvalError {
-    /// The query text did not parse (string entry point only).
-    Parse(ParseError),
     /// A semantic error independent of resources (unknown predicate,
-    /// arity mismatch, not in the dense-order fragment).
+    /// arity mismatch, not in the domain's fragment).
     Invalid(EvalError),
     /// The guard tripped or a panic was contained; carries the typed fault
     /// and the partial-progress statistics.
@@ -36,7 +36,6 @@ pub enum TryEvalError {
 impl fmt::Display for TryEvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TryEvalError::Parse(e) => write!(f, "parse error: {e}"),
             TryEvalError::Invalid(e) => write!(f, "invalid query: {e}"),
             TryEvalError::Fault(e) => write!(f, "evaluation fault: {e}"),
         }
@@ -45,59 +44,59 @@ impl fmt::Display for TryEvalError {
 
 impl std::error::Error for TryEvalError {}
 
-/// Evaluate under the analyzer-suggested default budgets.
-pub fn try_eval(db: &dco_core::prelude::Database, formula: &Formula) -> TryResult {
-    try_eval_with(db, formula, default_limits(db, formula))
+/// How [`evaluate`] runs a formula.
+#[derive(Debug, Clone, Default)]
+pub struct Options<'s> {
+    /// The guard's limits; `None` means the analyzer's default budgets for
+    /// the formula over the database's constants, with no deadline.
+    pub limits: Option<GuardLimits>,
+    /// Record the measured plan ([`Evaluation::plan`]), each node's
+    /// estimate taken under these statistics (the store passes the
+    /// snapshot it planned with).
+    pub explain: Option<&'s DbStats>,
 }
 
-/// Shorthand for the result of the `try_*` entry points.
-pub type TryResult<R = dco_core::prelude::GeneralizedRelation> =
-    Result<Guarded<QueryResult<R>>, TryEvalError>;
+/// Evaluate `formula` over the constraint domain `D` under the guard:
+/// FO is `evaluate::<GeneralizedTuple>`, FO+ `evaluate::<LinTuple>`.
+pub fn evaluate<D: Domain>(
+    db: &Database,
+    formula: &Formula,
+    options: &Options<'_>,
+) -> Result<Guarded<Evaluation<Relation<D>>>, TryEvalError> {
+    let limits = options
+        .limits
+        .clone()
+        .unwrap_or_else(|| suggested_limits_for_formula(formula, db.constants()));
+    let guarded = run_guarded(limits, || eval_explained(db, formula, options.explain))
+        .map_err(TryEvalError::Fault)?;
+    Ok(Guarded {
+        value: guarded.value.map_err(TryEvalError::Invalid)?,
+        stats: guarded.stats,
+    })
+}
 
-/// Evaluate under explicit guard limits.
+/// [`evaluate`] of a dense-order formula under explicit limits. Kept for
+/// the benchmark adapter, which calls it; it goes when the adapter moves
+/// to [`evaluate`].
 pub fn try_eval_with(
-    db: &dco_core::prelude::Database,
+    db: &Database,
     formula: &Formula,
     limits: GuardLimits,
-) -> TryResult {
-    try_eval_domain_with::<GeneralizedTuple>(db, formula, limits)
-}
-
-/// [`try_eval_with`] over the constraint domain `D`.
-pub fn try_eval_domain_with<D: Domain>(
-    db: &dco_core::prelude::Database,
-    formula: &Formula,
-    limits: GuardLimits,
-) -> TryResult<Relation<D>> {
-    match run_guarded(limits, || eval_domain::<D>(db, formula)) {
-        Ok(guarded) => match guarded.value {
-            Ok(value) => Ok(Guarded {
-                value,
-                stats: guarded.stats,
-            }),
-            Err(e) => Err(TryEvalError::Invalid(e)),
-        },
-        Err(fault) => Err(TryEvalError::Fault(fault)),
-    }
-}
-
-/// Parse, then evaluate under the analyzer-suggested default budgets.
-pub fn try_eval_str(db: &dco_core::prelude::Database, src: &str) -> TryResult {
-    let formula = parse_formula(src).map_err(TryEvalError::Parse)?;
-    try_eval(db, &formula)
-}
-
-/// The default guard limits for `formula` over `db`: budgets from the
-/// static cost pass, no deadline.
-pub fn default_limits(db: &dco_core::prelude::Database, formula: &Formula) -> GuardLimits {
-    dco_analysis::cost::suggested_limits_for_formula(formula, db.constants())
+) -> Result<Guarded<Evaluation>, TryEvalError> {
+    let options = Options {
+        limits: Some(limits),
+        explain: None,
+    };
+    evaluate(db, formula, &options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval;
     use dco_core::guard::EvalErrorKind;
     use dco_core::prelude::*;
+    use dco_logic::parse_formula;
     use std::time::Duration;
 
     fn db() -> Database {
@@ -112,49 +111,104 @@ mod tests {
         Database::new(Schema::new().with("R", 2)).with("R", tri)
     }
 
+    fn fault(formula: &str, limits: GuardLimits) -> GuardError {
+        let formula = parse_formula(formula).unwrap();
+        let options = Options {
+            limits: Some(limits),
+            explain: None,
+        };
+        match evaluate::<GeneralizedTuple>(&db(), &formula, &options) {
+            Err(TryEvalError::Fault(f)) => f,
+            other => panic!("expected a guard fault, got {other:?}"),
+        }
+    }
+
+    fn explained(db: &Database, formula: &str) -> Result<Evaluation, TryEvalError> {
+        let stats = DbStats::of_database(db);
+        let options = Options {
+            limits: None,
+            explain: Some(&stats),
+        };
+        evaluate(db, &parse_formula(formula).unwrap(), &options).map(|g| g.value)
+    }
+
     #[test]
     fn fault_free_guarded_run_matches_unguarded() {
-        let src = "exists y . (R(x, y) & x < y)";
-        let unguarded = crate::eval_str(&db(), src).unwrap();
-        let guarded = try_eval_str(&db(), src).unwrap();
+        let f = parse_formula("exists y . (R(x, y) & x < y)").unwrap();
+        let unguarded: Evaluation = eval(&db(), &f).unwrap();
+        let guarded = evaluate::<GeneralizedTuple>(&db(), &f, &Options::default()).unwrap();
         assert_eq!(guarded.value.columns, unguarded.columns);
         assert_eq!(guarded.value.relation, unguarded.relation);
+        assert!(guarded.value.plan.is_none());
         assert!(guarded.stats.probes > 0, "evaluation must hit probes");
     }
 
     #[test]
     fn tight_budget_returns_typed_error_with_stats() {
-        let formula = dco_logic::parse_formula("!(R(x, y) | R(y, x) | x < y)").unwrap();
-        let err =
-            try_eval_with(&db(), &formula, GuardLimits::none().with_max_tuples(1)).unwrap_err();
-        let TryEvalError::Fault(f) = err else {
-            panic!("expected a guard fault");
-        };
+        let f = fault(
+            "!(R(x, y) | R(y, x) | x < y)",
+            GuardLimits::none().with_max_tuples(1),
+        );
         assert!(matches!(f.kind, EvalErrorKind::BudgetExceeded { .. }));
         assert!(f.stats.tuples_materialized >= 2);
     }
 
     #[test]
     fn zero_deadline_trips_fast() {
-        let formula = dco_logic::parse_formula("!(R(x, y) | R(y, x))").unwrap();
-        let err = try_eval_with(
-            &db(),
-            &formula,
-            GuardLimits::none().with_deadline(Duration::ZERO),
-        )
-        .unwrap_err();
-        let TryEvalError::Fault(f) = err else {
-            panic!("expected a guard fault");
-        };
+        let limits = GuardLimits::none().with_deadline(Duration::ZERO);
+        let f = fault("!(R(x, y) | R(y, x))", limits);
         assert!(matches!(f.kind, EvalErrorKind::DeadlineExceeded { .. }));
     }
 
     #[test]
     fn semantic_errors_stay_typed_not_faults() {
-        let err = try_eval_str(&db(), "Zap(x)").unwrap_err();
+        let f = parse_formula("Zap(x)").unwrap();
+        let err = evaluate::<GeneralizedTuple>(&db(), &f, &Options::default()).unwrap_err();
         assert!(matches!(
             err,
             TryEvalError::Invalid(EvalError::UnknownPredicate(_))
+        ));
+    }
+
+    #[test]
+    fn every_node_carries_actual_cardinality() {
+        let ex = explained(&db(), "forall y . (R(x, y) -> y >= 5)").unwrap();
+        let plan = ex.plan.expect("explained");
+        assert!(
+            plan.root.fully_measured(),
+            "unmeasured node in:\n{}",
+            plan.render()
+        );
+        for line in plan.render().lines().skip(1) {
+            assert!(line.contains("est=") && line.contains("act="), "{line}");
+        }
+    }
+
+    #[test]
+    fn negated_conjunct_keeps_its_not_node() {
+        // `A ∧ ¬B` evaluates as `A ∖ B`; the plan still shows `not` over
+        // its operand, measured as the width left after the subtraction.
+        let plan = explained(&db(), "R(x, y) & !(x < 3)")
+            .unwrap()
+            .plan
+            .unwrap();
+        let root = &plan.root;
+        assert_eq!(root.label, "and");
+        let labels: Vec<&str> = root.children.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["pred", "not"]);
+        let not = &root.children[1];
+        assert_eq!(not.children.len(), 1);
+        assert_eq!(not.children[0].label, "compare");
+        assert_eq!(not.actual, root.actual);
+        assert!(root.fully_measured(), "{}", plan.render());
+    }
+
+    #[test]
+    fn explain_errors_match_eval_errors() {
+        let db = Database::new(Schema::new());
+        assert!(matches!(
+            explained(&db, "Zap(x)"),
+            Err(TryEvalError::Invalid(EvalError::UnknownPredicate(_)))
         ));
     }
 }

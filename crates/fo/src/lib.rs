@@ -6,12 +6,14 @@
 //! evaluation strategy of \[KKR90\] that gives FO its AC⁰ data complexity).
 //!
 //! The evaluator is generic over a constraint [`Domain`]; dense order is
-//! the default, and `dco-linear` instantiates it for FO+ (see
-//! [`eval_domain`], [`try_eval_domain_with`], [`explain_domain`]).
+//! FO, and `dco-linear`'s `LinTuple` is FO+. [`evaluate`] is the one
+//! guarded entry point (limits, EXPLAIN); [`eval()`] is the unguarded
+//! reference it agrees with.
 //!
 //! ```
 //! use dco_core::prelude::*;
-//! use dco_fo::eval_str;
+//! use dco_fo::{evaluate, Options};
+//! use dco_logic::parse_formula;
 //!
 //! // The paper's triangle: R = { (x, y) | 0 ≤ x ≤ y ≤ 10 }.
 //! let tri = GeneralizedRelation::from_raw(2, vec![
@@ -22,21 +24,17 @@
 //! let db = Database::new(Schema::new().with("R", 2)).with("R", tri);
 //!
 //! // "is the order dense on R's projection?" — a true sentence.
-//! let q = eval_str(&db, "forall x y . ((R(x, x) & R(y, y) & x < y) -> exists z . (x < z & z < y))").unwrap();
-//! assert_eq!(q.as_bool(), Some(true));
+//! let f = parse_formula("forall x y . ((R(x, x) & R(y, y) & x < y) -> exists z . (x < z & z < y))").unwrap();
+//! let q = evaluate::<GeneralizedTuple>(&db, &f, &Options::default()).unwrap();
+//! assert_eq!(q.value.as_bool(), Some(true));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod eval;
-pub mod explain;
 pub mod generic;
 pub mod guarded;
 
-pub use eval::{eval, eval_domain, eval_in_ctx, eval_str, Domain, EvalError, QueryResult};
-pub use explain::{explain, explain_domain, explain_planned, Explained};
+pub use eval::{eval, eval_in_ctx, Domain, EvalError, Evaluation};
 pub use generic::{check_generic, check_generic_fixing, sample_automorphism, GenericityOutcome};
-pub use guarded::{
-    default_limits, try_eval, try_eval_domain_with, try_eval_str, try_eval_with, TryEvalError,
-    TryResult,
-};
+pub use guarded::{evaluate, try_eval_with, Options, TryEvalError};

@@ -7,11 +7,13 @@
 //! and uniform AC⁰ over inputs defined with integers (Theorem 4.1); the E1
 //! experiment measures the latter's scaling shape on this evaluator.
 //!
-//! There is no FO+ recursion here: [`LinTuple`] is a [`Domain`] of
-//! `dco-fo`'s evaluator, which brings the planner's conjunct order, EXPLAIN,
-//! the guard and `A ∧ ¬B` as `A ∖ B`. This module supplies the two hooks —
-//! a comparison compiles to one linear atom (two for `≠`), a stored
-//! dense-order tuple lifts atom by atom — and the entry points.
+//! There is no FO+ recursion or entry point here: [`LinTuple`] is a
+//! [`Domain`] of `dco-fo`'s evaluator, so FO+ is
+//! `dco_fo::evaluate::<LinTuple>` (and `dco_fo::eval::<LinTuple>`
+//! unguarded), with the planner's conjunct order, EXPLAIN, the guard and
+//! `A ∧ ¬B` as `A ∖ B`. This module supplies the two hooks: a comparison
+//! compiles to one linear atom (two for `≠`), and a stored dense-order
+//! tuple lifts atom by atom.
 //!
 //! The paper also notes FO+ mappings need not be *queries* (closed under
 //! automorphisms of Q) — e.g. `x + y = 1` is not automorphism-invariant;
@@ -20,13 +22,9 @@
 use crate::atom::{LinAtom, NormalizedAtom};
 use crate::relation::{lift_dense, LinRelation};
 use crate::tuple::LinTuple;
-use dco_analysis::cost::suggested_limits_with_stats;
-use dco_analysis::{plan_formula, DbStats};
-use dco_core::prelude::{
-    CompOp, Conjunction, Database, GeneralizedTuple, GuardLimits, Rational, RawOp,
-};
-use dco_fo::{Domain, EvalError, Explained, QueryResult, TryEvalError, TryResult};
-use dco_logic::{parse_formula, Formula, LinExpr};
+use dco_core::prelude::{CompOp, Conjunction, GeneralizedTuple, Rational, RawOp};
+use dco_fo::Domain;
+use dco_logic::LinExpr;
 
 impl Domain for LinTuple {
     /// `l op r` as `l - r op 0`: one linear atom, two for `≠`. Every
@@ -71,69 +69,33 @@ impl Domain for LinTuple {
     }
 }
 
-/// Evaluate an FO+ formula; output columns are free variables sorted.
-pub fn eval_linear(
-    db: &Database,
-    formula: &Formula,
-) -> Result<QueryResult<LinRelation>, EvalError> {
-    dco_fo::eval_domain(db, formula)
-}
-
-/// Parse + evaluate.
-pub fn eval_linear_str(
-    db: &Database,
-    src: &str,
-) -> Result<QueryResult<LinRelation>, Box<dyn std::error::Error>> {
-    Ok(eval_linear(db, &parse_formula(src)?)?)
-}
-
-/// Plan `formula` under statistics collected from `db`, then evaluate it
-/// with plan capture on (see [`dco_fo::explain()`]).
-pub fn explain_linear(
-    db: &Database,
-    formula: &Formula,
-) -> Result<Explained<LinRelation>, EvalError> {
-    dco_fo::explain_domain(db, formula)
-}
-
-/// Evaluate under the analyzer-suggested default budgets, with the
-/// statistics-driven planner choosing the conjunct and elimination order
-/// (an equivalence-preserving rewrite) and sizing the guard budgets from
-/// its cardinality estimate.
-pub fn try_eval_linear(db: &Database, formula: &Formula) -> TryResult<LinRelation> {
-    let stats = DbStats::of_database(db);
-    let limits = suggested_limits_with_stats(formula, &stats, db.constants());
-    try_eval_linear_with(db, &plan_formula(formula, &stats), limits)
-}
-
-/// Evaluate under explicit guard limits: a fault-free run is structurally
-/// identical to [`eval_linear`]; a trip, an `i128` overflow in
-/// Fourier–Motzkin or a contained panic is a typed fault.
-pub fn try_eval_linear_with(
-    db: &Database,
-    formula: &Formula,
-    limits: GuardLimits,
-) -> TryResult<LinRelation> {
-    dco_fo::try_eval_domain_with(db, formula, limits)
-}
-
-/// Parse, then evaluate under the analyzer-suggested default budgets.
-pub fn try_eval_linear_str(db: &Database, src: &str) -> TryResult<LinRelation> {
-    try_eval_linear(db, &parse_formula(src).map_err(TryEvalError::Parse)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::relation::to_dense;
+    use dco_analysis::DbStats;
     use dco_core::prelude::*;
+    use dco_fo::{eval, evaluate, EvalError, Evaluation, Options, TryEvalError};
+    use dco_logic::parse_formula;
 
     fn pt(v: &[i64]) -> Vec<Rational> {
         v.iter().map(|&x| rat(x as i128, 1)).collect()
     }
 
-    fn run(db: &Database, src: &str) -> QueryResult<LinRelation> {
-        eval_linear_str(db, src).unwrap()
+    fn run(db: &Database, src: &str) -> Evaluation<LinRelation> {
+        eval(db, &parse_formula(src).unwrap()).unwrap()
+    }
+
+    fn guarded(
+        db: &Database,
+        src: &str,
+        limits: Option<GuardLimits>,
+    ) -> Result<Guarded<Evaluation<LinRelation>>, TryEvalError> {
+        let options = Options {
+            limits,
+            explain: None,
+        };
+        evaluate(db, &parse_formula(src).unwrap(), &options)
     }
 
     fn empty_db() -> Database {
@@ -221,15 +183,15 @@ mod tests {
         let db = Database::new(Schema::new().with("R", 2)).with("R", tri);
         let src = "exists y . (R(x, y) & x < y)";
         let lin = to_dense(&run(&db, src).relation).expect("order query");
-        let fo = dco_fo::eval_str(&db, src).unwrap().relation;
+        let fo: GeneralizedRelation = eval(&db, &parse_formula(src).unwrap()).unwrap().relation;
         assert!(lin.equivalent(&fo));
     }
 
     #[test]
     fn unknown_pred_error() {
-        let f = dco_logic::parse_formula("Zap(x)").unwrap();
+        let f = parse_formula("Zap(x)").unwrap();
         assert!(matches!(
-            eval_linear(&empty_db(), &f),
+            eval::<LinTuple>(&empty_db(), &f),
             Err(EvalError::UnknownPredicate(_))
         ));
     }
@@ -237,8 +199,8 @@ mod tests {
     #[test]
     fn fault_free_guarded_run_matches_unguarded() {
         let src = "forall x y . exists m . m + m = x + y";
-        let unguarded = eval_linear_str(&empty_db(), src).unwrap();
-        let guarded = try_eval_linear_str(&empty_db(), src).unwrap();
+        let unguarded = run(&empty_db(), src);
+        let guarded = guarded(&empty_db(), src, None).unwrap();
         assert_eq!(guarded.value.as_bool(), unguarded.as_bool());
         assert!(guarded.stats.probes > 0, "FM steps must hit probes");
     }
@@ -253,8 +215,7 @@ mod tests {
         for i in 3..=8 {
             src.push_str(&format!(" & x{i} = {big} * x{}", i - 1));
         }
-        let formula = dco_logic::parse_formula(&src).expect("parses");
-        match try_eval_linear_with(&empty_db(), &formula, GuardLimits::none()) {
+        match guarded(&empty_db(), &src, Some(GuardLimits::none())) {
             Err(TryEvalError::Fault(f)) => {
                 assert!(
                     matches!(f.kind, GuardErrorKind::Overflow(_)),
@@ -269,7 +230,7 @@ mod tests {
 
     #[test]
     fn semantic_errors_stay_typed() {
-        let err = try_eval_linear_str(&empty_db(), "Zap(x)").unwrap_err();
+        let err = guarded(&empty_db(), "Zap(x)", None).unwrap_err();
         assert!(matches!(
             err,
             TryEvalError::Invalid(EvalError::UnknownPredicate(_))
@@ -301,11 +262,17 @@ mod tests {
     #[test]
     fn explain_records_a_linear_plan_with_subtraction() {
         let db = triangle_and_interval_db();
-        let f = dco_logic::parse_formula("exists y . (R(x, y) & x + y <= 3 & not S(x))").unwrap();
-        let ex = explain_linear(&db, &f).unwrap();
-        let root = &ex.plan.root;
-        assert!(root.fully_measured(), "{}", ex.plan.render());
-        assert_eq!(root.actual, Some(ex.result.relation.len() as u64));
+        let f = parse_formula("exists y . (R(x, y) & x + y <= 3 & not S(x))").unwrap();
+        let stats = DbStats::of_database(&db);
+        let options = Options {
+            limits: None,
+            explain: Some(&stats),
+        };
+        let ex = evaluate::<LinTuple>(&db, &f, &options).unwrap().value;
+        let plan = ex.plan.expect("explained");
+        let root = &plan.root;
+        assert!(root.fully_measured(), "{}", plan.render());
+        assert_eq!(root.actual, Some(ex.relation.len() as u64));
         // `∃y` over the conjunction; its `not` conjunct is the subtraction
         // step, measured as the width left after it.
         assert_eq!(root.label, "exists");
@@ -319,10 +286,10 @@ mod tests {
         assert_eq!(not.children[0].label, "pred");
         assert_eq!(not.actual, and.actual);
         // x ∈ [0, 3/2] (so y ≥ x fits under x + y ≤ 3) minus [2, 4].
-        let answer = &ex.result.relation;
+        let answer = &ex.relation;
         assert!(answer.contains_point(&pt(&[1])));
         assert!(!answer.contains_point(&pt(&[2])));
         assert!(!answer.contains_point(&pt(&[-1])));
-        assert!(answer.equivalent(&eval_linear(&db, &f).unwrap().relation));
+        assert!(answer.equivalent(&eval::<LinTuple>(&db, &f).unwrap().relation));
     }
 }

@@ -13,20 +13,20 @@
 //! [`LinRelation`] is the dense-order relation layer's
 //! [`Relation`](dco_core::relation::Relation) over linear tuples, with the
 //! same subtraction, complement, box pruning and subsumption; and it is a
-//! [`dco_fo::Domain`], so FO+ queries run through `dco-fo`'s one evaluator
-//! (planner order, EXPLAIN, guard). [`eval_linear`], [`try_eval_linear`]
-//! and [`explain_linear`] only instantiate that evaluator, and errors are
-//! `dco-fo`'s [`EvalError`](dco_fo::EvalError) and
-//! [`TryEvalError`](dco_fo::TryEvalError).
+//! [`dco_fo::Domain`], so FO+ has no entry point of its own: it is
+//! [`dco_fo::evaluate`]`::<LinTuple>` (planner order, EXPLAIN, guard),
+//! with `dco-fo`'s errors.
 //!
 //! ```
 //! use dco_core::prelude::*;
-//! use dco_linear::eval_linear_str;
+//! use dco_fo::{evaluate, Options};
+//! use dco_linear::LinTuple;
 //!
 //! let db = Database::new(Schema::new());
 //! // Density of Q in FO+ clothing: every pair has a midpoint.
-//! let q = eval_linear_str(&db, "forall x y . exists m . m + m = x + y").unwrap();
-//! assert_eq!(q.as_bool(), Some(true));
+//! let f = dco_logic::parse_formula("forall x y . exists m . m + m = x + y").unwrap();
+//! let q = evaluate::<LinTuple>(&db, &f, &Options::default()).unwrap();
+//! assert_eq!(q.value.as_bool(), Some(true));
 //! ```
 
 #![warn(missing_docs)]
@@ -37,9 +37,5 @@ pub mod relation;
 pub mod tuple;
 
 pub use atom::{LinAtom, NormalizedAtom};
-pub use eval::{
-    eval_linear, eval_linear_str, explain_linear, try_eval_linear, try_eval_linear_str,
-    try_eval_linear_with,
-};
 pub use relation::{from_dense, to_dense, LinRelation};
 pub use tuple::LinTuple;

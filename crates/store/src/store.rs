@@ -61,7 +61,7 @@ use dco_analysis::{cost, plan_formula, preflight_formula, AnalysisOptions, Diagn
 use dco_core::guard::{self, EvalErrorKind, GuardLimits, GuardStats, Guarded, ProbeSite};
 use dco_core::intern::{fold, mix64};
 use dco_core::prelude::{Database, GeneralizedRelation, Schema};
-use dco_fo::{eval, explain_planned, QueryResult};
+use dco_fo::{Evaluation, TryEvalError};
 use dco_logic::{parse_formula, Formula};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -1548,47 +1548,43 @@ impl Store {
             dco_obs::trace::child("plan", phase.elapsed());
         }
         let phase = Instant::now();
-        let guarded = guard::run_guarded(limits, || {
-            if explain {
-                explain_planned(&generation.db, &planned, &generation.stats)
-                    .map(|e| (e.result, Some(e.plan)))
-            } else {
-                eval(&generation.db, &planned).map(|r| (r, None))
-            }
-        });
+        let options = dco_fo::Options {
+            limits: Some(limits),
+            explain: explain.then_some(&generation.stats),
+        };
+        let evaluated = dco_fo::evaluate(&generation.db, &planned, &options);
         let eval_elapsed = phase.elapsed();
         obs.h_eval.record_duration(eval_elapsed);
         if traced {
             dco_obs::trace::child("eval", eval_elapsed);
         }
-        let outcome = match guarded {
-            Ok(Guarded {
-                value: Ok(value),
-                stats,
-            }) => Ok((value, stats)),
-            Ok(Guarded { value: Err(e), .. }) => Err(StoreError::Invalid(e.to_string())),
-            Err(f) => Err(match f.kind {
-                EvalErrorKind::DeadlineExceeded {
-                    elapsed_ms,
-                    limit_ms,
-                } => StoreError::DeadlineExceeded {
-                    elapsed_ms,
-                    limit_ms,
-                },
-                _ => StoreError::Fault(f.to_string()),
-            }),
-        };
-        let ((result, plan), stats) = match outcome {
+        let Guarded { value, stats } = match evaluated {
             Ok(done) => done,
             Err(e) => {
                 // A failed evaluation is still worth a slow-log entry
                 // (deadline trips are the classic slow query).
                 self.finish_query_trace(traced, started, Some((&planned, &generation, None)));
-                return Err(e);
+                return Err(match e {
+                    TryEvalError::Invalid(e) => StoreError::Invalid(e.to_string()),
+                    TryEvalError::Fault(f) => match f.kind {
+                        EvalErrorKind::DeadlineExceeded {
+                            elapsed_ms,
+                            limit_ms,
+                        } => StoreError::DeadlineExceeded {
+                            elapsed_ms,
+                            limit_ms,
+                        },
+                        _ => StoreError::Fault(f.to_string()),
+                    },
+                });
             }
         };
 
-        let QueryResult { columns, relation } = result;
+        let Evaluation {
+            columns,
+            relation,
+            plan,
+        } = value;
         if !explain {
             plock(&self.inner.prepared).put(key, Arc::new((columns.clone(), relation.clone())));
         }

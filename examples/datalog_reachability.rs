@@ -26,10 +26,11 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     let db = Database::new(Schema::new().with("e", 2)).with("e", edges);
-    let fix = run_datalog(&program, &db).unwrap();
+    let options = DatalogOptions::default();
+    let fix = evaluate_datalog(&program, &db, &options).unwrap().value;
     println!("transitive closure of the 6-vertex path:");
-    println!("  stages to fixpoint: {}", fix.stats.stages);
-    println!("  body evaluations:   {}", fix.stats.body_evals);
+    println!("  stages to fixpoint: {}", fix.stats[0].stages);
+    println!("  body evaluations:   {}", fix.stats[0].body_evals);
     let tc = fix.database.get("tc").unwrap();
     println!(
         "  (1 → 6) derived? {}",
@@ -55,12 +56,12 @@ fn main() {
         ],
     );
     let db = Database::new(Schema::new().with("e", 2)).with("e", dense_edges.clone());
-    let fix = run_datalog(&program, &db).unwrap();
+    let fix = evaluate_datalog(&program, &db, &options).unwrap().value;
     let tc = fix.database.get("tc").unwrap();
     println!("\ntransitive closure of an infinite dense relation:");
     println!(
         "  converged in {} stages; closed form: {}",
-        fix.stats.stages, tc
+        fix.stats[0].stages, tc
     );
     println!(
         "  equals the input (already transitive)? {}",

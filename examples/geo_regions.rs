@@ -77,7 +77,8 @@ fn main() {
     //    which x-coordinates of the figure receive the isolated stations?
     // ------------------------------------------------------------------
     let db = Database::new(Schema::new().with("region", 2)).with("region", fig.relation().clone());
-    let q = dco::fo::eval_str(&db, "exists y . (region(x, y) & y > 4)").unwrap();
+    let f = parse_formula("exists y . (region(x, y) & y > 4)").unwrap();
+    let q: Evaluation = evaluate_fo(&db, &f, &FoOptions::default()).unwrap().value;
     println!(
         "\nx-coordinates with region points above y = 4: {}",
         q.relation

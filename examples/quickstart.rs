@@ -6,8 +6,16 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dco::fo::{check_generic, eval_str, GenericityOutcome};
+use dco::fo::{check_generic, GenericityOutcome};
 use dco::prelude::*;
+
+/// Parse `src` and evaluate it over `db` under the default guard.
+fn query(db: &Database, src: &str) -> Evaluation {
+    let formula = parse_formula(src).unwrap();
+    evaluate_fo(db, &formula, &FoOptions::default())
+        .unwrap()
+        .value
+}
 
 fn main() {
     // ------------------------------------------------------------------
@@ -47,16 +55,15 @@ fn main() {
             "forall y . (R(x, y) -> y >= 5)",
         ),
     ] {
-        let q = eval_str(&db, src).unwrap();
+        let q = query(&db, src);
         println!("\n  {desc}:\n    {src}\n    = {}", q.relation);
     }
 
     // Boolean sentences (arity-0 answers):
-    let dense = eval_str(
+    let dense = query(
         &db,
         "forall x y . ((R(x, x) & R(y, y) & x < y) -> exists z . (x < z & z < y))",
-    )
-    .unwrap();
+    );
     println!("\n  density sentence holds? {:?}", dense.as_bool());
 
     // ------------------------------------------------------------------
@@ -72,12 +79,9 @@ fn main() {
     // ------------------------------------------------------------------
     // 4. Closure feeding composition: use an answer as the next input.
     // ------------------------------------------------------------------
-    let shadow = eval_str(&db, "exists y . R(x, y)")
-        .unwrap()
-        .relation
-        .narrow(1);
+    let shadow = query(&db, "exists y . R(x, y)").relation.narrow(1);
     let db2 = Database::new(Schema::new().with("S", 1)).with("S", shadow);
-    let filtered = eval_str(&db2, "S(x) & x > 5").unwrap();
+    let filtered = query(&db2, "S(x) & x > 5");
     println!(
         "\n  composed query over the previous answer: {}",
         filtered.relation

@@ -113,6 +113,20 @@ fn geo_region() -> dco::geo::Region {
     dco::geo::Region::closed_box(0, 1, 0, 1).union(&dco::geo::Region::closed_box(3, 4, 3, 4))
 }
 
+/// `evaluate` of `src` over `db` in the domain `D`, under `limits`.
+fn evaluate_under<D: dco::fo::Domain>(
+    db: &Database,
+    src: &str,
+    limits: GuardLimits,
+) -> Result<Guarded<Evaluation<Relation<D>>>, TryEvalError> {
+    let formula = parse_formula(src).expect("scenario parses");
+    let options = FoOptions {
+        limits: Some(limits),
+        explain: None,
+    };
+    evaluate_fo(db, &formula, &options)
+}
+
 /// Run one scenario under `limits`; `Ok(true)` means the guarded result is
 /// structurally identical to the unguarded baseline.
 fn run_scenario(s: Scenario, limits: GuardLimits) -> Result<bool, GuardError> {
@@ -120,37 +134,36 @@ fn run_scenario(s: Scenario, limits: GuardLimits) -> Result<bool, GuardError> {
         Scenario::Fo => {
             let db = fo_db();
             let formula = parse_formula(FO_SRC).expect("fo scenario parses");
-            let baseline = dco::fo::eval(&db, &formula).expect("fo baseline");
-            match dco::fo::try_eval_with(&db, &formula, limits) {
+            let baseline: Evaluation = dco::fo::eval(&db, &formula).expect("fo baseline");
+            match evaluate_under(&db, FO_SRC, limits) {
                 Ok(g) => Ok(g.value.relation.equivalent(&baseline.relation)
                     && g.value.columns == baseline.columns),
-                Err(dco::fo::TryEvalError::Fault(f)) => Err(f),
+                Err(TryEvalError::Fault(f)) => Err(f),
                 Err(e) => panic!("fo scenario is semantically valid, got {e}"),
             }
         }
         Scenario::Linear => {
             let db = Database::new(Schema::new());
             let formula = parse_formula(LIN_SRC).expect("linear scenario parses");
-            let baseline = eval_linear(&db, &formula).expect("linear baseline");
-            match dco::linear::try_eval_linear_with(&db, &formula, limits) {
+            let baseline = dco::fo::eval::<LinTuple>(&db, &formula).expect("linear baseline");
+            match evaluate_under::<LinTuple>(&db, LIN_SRC, limits) {
                 Ok(g) => Ok(g.value.as_bool() == baseline.as_bool()),
-                Err(dco::fo::TryEvalError::Fault(f)) => Err(f),
+                Err(TryEvalError::Fault(f)) => Err(f),
                 Err(e) => panic!("linear scenario is semantically valid, got {e}"),
             }
         }
         Scenario::Datalog => {
             let db = datalog_db();
             let program = parse_program(DATALOG_SRC).expect("datalog scenario parses");
-            let baseline = run_datalog(&program, &db).expect("datalog baseline");
-            match dco::datalog::try_run_with(
-                &program,
-                &db,
-                &dco::datalog::EngineConfig::default(),
-                limits,
-            ) {
+            let baseline = dco::datalog::run(&program, &db).expect("datalog baseline");
+            let options = DatalogOptions {
+                limits: Some(limits),
+                ..DatalogOptions::default()
+            };
+            match evaluate_datalog(&program, &db, &options) {
                 Ok(g) => Ok(g.value.database.equivalent(&baseline.database)
-                    && g.value.stats.stages == baseline.stats.stages),
-                Err(dco::datalog::TryRunError::Fault(f)) => Err(f),
+                    && g.value.stats == baseline.stats),
+                Err(TryRunError::Fault(f)) => Err(f),
                 Err(e) => panic!("datalog scenario is semantically valid, got {e}"),
             }
         }
@@ -189,6 +202,7 @@ fn seeded_injection_sweep() {
     }
     let mut state = seed();
     let mut outcomes = [0u64; 3]; // [identical result, typed fault, fault never fired]
+    let mut delays = 0u64;
     for case in 0..CASES {
         let s = SCENARIOS[(splitmix(&mut state) % SCENARIOS.len() as u64) as usize];
         let pool = site_pool(s);
@@ -203,8 +217,13 @@ fn seeded_injection_sweep() {
         let plan = FaultPlan::new(site, at, fault);
         let mut limits = GuardLimits::none().with_fault(plan);
         if matches!(fault, InjectedFault::Delay(_)) {
-            // A delay only becomes a fault through a deadline.
-            limits = limits.with_deadline(DELAY_DEADLINE);
+            // A delay only becomes a fault through a deadline. Every
+            // other one runs without, so it fires and the result must
+            // come back identical.
+            delays += 1;
+            if delays.is_multiple_of(2) {
+                limits = limits.with_deadline(DELAY_DEADLINE);
+            }
         }
         let plan_ref = limits.fault_plan.clone().expect("armed");
 
@@ -260,13 +279,15 @@ fn seeded_injection_sweep() {
             }
         }
     }
-    // The sweep is only meaningful if both halves of the invariant are
-    // actually exercised.
-    assert!(outcomes[1] > 0, "no case tripped a fault: {outcomes:?}");
+    // The sweep is only meaningful if every outcome is actually
+    // exercised: a fault that fired and left the result exact (an
+    // undeadlined delay), a typed fault, and a plan that never fired.
     assert!(
-        outcomes[0] + outcomes[2] > 0,
-        "no case completed: {outcomes:?}"
+        outcomes[0] > 0,
+        "no fired fault left the result identical: {outcomes:?}"
     );
+    assert!(outcomes[1] > 0, "no case tripped a fault: {outcomes:?}");
+    assert!(outcomes[2] > 0, "every armed fault fired: {outcomes:?}");
     eprintln!(
         "chaos sweep (seed {:#x}): {} identical-after-fire, {} typed faults, {} never fired",
         seed(),
@@ -291,12 +312,11 @@ fn aborted_evaluation_leaves_memo_cache_consistent() {
 
     cache.reset();
     let plan = FaultPlan::new(Some(ProbeSite::FourierMotzkin), 2, InjectedFault::Cancel);
-    let aborted =
-        dco::linear::try_eval_linear_with(&db, &formula, GuardLimits::none().with_fault(plan));
+    let aborted = evaluate_under::<LinTuple>(&db, LIN_SRC, GuardLimits::none().with_fault(plan));
     assert!(
         matches!(
             aborted,
-            Err(dco::fo::TryEvalError::Fault(GuardError {
+            Err(TryEvalError::Fault(GuardError {
                 kind: GuardErrorKind::Cancelled,
                 ..
             }))
@@ -311,10 +331,10 @@ fn aborted_evaluation_leaves_memo_cache_consistent() {
     );
 
     // Warm run on whatever the aborted evaluation left in the cache.
-    let warm = eval_linear(&db, &formula).expect("warm run");
+    let warm = dco::fo::eval::<LinTuple>(&db, &formula).expect("warm run");
     // Cold run with the cache wiped.
     cache.reset();
-    let cold = eval_linear(&db, &formula).expect("cold run");
+    let cold = dco::fo::eval::<LinTuple>(&db, &formula).expect("cold run");
     assert!(
         warm.relation.equivalent(&cold.relation),
         "aborted evaluation poisoned the memo cache"

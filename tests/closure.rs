@@ -2,7 +2,9 @@
 //! finitely representable relations ([KKR90], recalled in §4) — checked by
 //! re-encoding every output and decoding it back.
 
+use dco::datalog::run as run_datalog;
 use dco::encoding::{decode, encode};
+use dco::fo::eval;
 use dco::prelude::*;
 
 fn reencode_roundtrip(rel: &GeneralizedRelation, name: &str) {
@@ -59,7 +61,7 @@ fn fo_outputs_are_closed() {
         "forall y . (R(x, y) -> y >= 5)",
         "!(exists y . (R(x, y) & y < 3))",
     ] {
-        let q = dco::fo::eval_str(&db, src).unwrap();
+        let q = eval::<GeneralizedTuple>(&db, &parse_formula(src).unwrap()).unwrap();
         reencode_roundtrip(&q.relation, src);
     }
 }
@@ -91,7 +93,8 @@ fn no_new_constants_invented() {
     // query occurs in the input or the query — the finite-lattice fact the
     // Datalog termination proof rests on.
     let db = Database::new(Schema::new().with("R", 2)).with("R", triangle());
-    let q = dco::fo::eval_str(&db, "exists y . (R(x, y) & y < 7)").unwrap();
+    let q = eval::<GeneralizedTuple>(&db, &parse_formula("exists y . (R(x, y) & y < 7)").unwrap())
+        .unwrap();
     let mut allowed = db.constants();
     allowed.insert(rat(7, 1));
     for c in q.relation.constants() {

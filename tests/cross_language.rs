@@ -3,6 +3,8 @@
 //! Datalog¬ on reachability.
 
 use dco::complex::{CCalc, CFormula, RatTerm, SetRef};
+use dco::datalog::run as run_datalog;
+use dco::fo::eval;
 use dco::prelude::*;
 
 fn triangle_db() -> Database {
@@ -28,8 +30,8 @@ fn fo_and_foplus_agree_on_order_queries() {
         "exists y z . (R(y, z) & y < x & x < z)",
     ] {
         let f = parse_formula(src).unwrap();
-        let fo = eval_fo(&db, &f).unwrap().relation;
-        let lin = dco::linear::to_dense(&eval_linear(&db, &f).unwrap().relation)
+        let fo = eval::<GeneralizedTuple>(&db, &f).unwrap().relation;
+        let lin = dco::linear::to_dense(&eval::<LinTuple>(&db, &f).unwrap().relation)
             .unwrap_or_else(|| panic!("{src}: FO+ left the order fragment"));
         assert!(fo.equivalent(&lin), "{src}: engines disagree");
     }
@@ -42,10 +44,11 @@ fn fo_and_datalog_agree_on_nonrecursive_programs() {
     let program = parse_program("q(x) :- R(x, y), y < 7.\n").unwrap();
     let fix = run_datalog(&program, &db).unwrap();
     let datalog_q = fix.database.get("q").unwrap().clone();
-    let fo_q = dco::fo::eval_str(&db, "exists y . (R(x, y) & y < 7)")
-        .unwrap()
-        .relation
-        .narrow(1);
+    let fo_q =
+        eval::<GeneralizedTuple>(&db, &parse_formula("exists y . (R(x, y) & y < 7)").unwrap())
+            .unwrap()
+            .relation
+            .narrow(1);
     assert!(datalog_q.equivalent(&fo_q));
 }
 
@@ -71,10 +74,13 @@ fn ccalc_height0_agrees_with_fo_on_sentences() {
     );
     let mut ev = CCalc::new(&db);
     let c_answer = ev.eval_sentence(&ccalc).unwrap();
-    let fo_answer = dco::fo::eval_str(&db, "exists x . forall y . !e(y, x)")
-        .unwrap()
-        .as_bool()
-        .unwrap();
+    let fo_answer = eval::<GeneralizedTuple>(
+        &db,
+        &parse_formula("exists x . forall y . !e(y, x)").unwrap(),
+    )
+    .unwrap()
+    .as_bool()
+    .unwrap();
     assert_eq!(c_answer, fo_answer);
     assert!(c_answer);
 }
@@ -159,7 +165,7 @@ fn parser_and_builder_formulas_agree() {
             Formula::cmp_vars("x", RawOp::Lt, "y"),
         ),
     );
-    let a = eval_fo(&db, &parsed).unwrap().relation;
-    let b = eval_fo(&db, &built).unwrap().relation;
+    let a = eval::<GeneralizedTuple>(&db, &parsed).unwrap().relation;
+    let b = eval::<GeneralizedTuple>(&db, &built).unwrap().relation;
     assert!(a.equivalent(&b));
 }

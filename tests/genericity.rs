@@ -2,7 +2,7 @@
 //! defines *queries* — mappings closed under order automorphisms of Q.
 
 use dco::datalog::{parse_program, run as run_datalog};
-use dco::fo::{check_generic, check_generic_fixing, eval as eval_fo, GenericityOutcome};
+use dco::fo::{check_generic, check_generic_fixing, eval, GenericityOutcome};
 use dco::linear::to_dense;
 use dco::prelude::*;
 
@@ -27,7 +27,7 @@ fn fo_queries_are_generic() {
         "!R(x, x)",
     ] {
         let f = parse_formula(src).unwrap();
-        let out = check_generic(&db, 6, 0xBEEF, |d| eval_fo(d, &f).unwrap().relation);
+        let out = check_generic(&db, 6, 0xBEEF, |d| eval(d, &f).unwrap().relation);
         assert_eq!(out, GenericityOutcome::Generic, "query {src}");
     }
     // A query mentioning the constant 5 is C-generic: closed under
@@ -35,10 +35,10 @@ fn fo_queries_are_generic() {
     // both directions checked).
     let f = parse_formula("forall y . (R(x, y) -> y >= 5)").unwrap();
     let out = check_generic_fixing(&db, &[rat(5, 1)], 6, 0xBEEF, |d| {
-        eval_fo(d, &f).unwrap().relation
+        eval(d, &f).unwrap().relation
     });
     assert_eq!(out, GenericityOutcome::Generic, "C-generic query");
-    let out = check_generic(&db, 8, 0xBEEF, |d| eval_fo(d, &f).unwrap().relation);
+    let out = check_generic(&db, 8, 0xBEEF, |d| eval(d, &f).unwrap().relation);
     assert!(matches!(out, GenericityOutcome::Violation(_)));
 }
 
@@ -76,7 +76,7 @@ fn foplus_order_fragment_is_generic() {
     let db = triangle_db();
     let f = parse_formula("exists y . (R(x, y) & x < y)").unwrap();
     let out = check_generic(&db, 5, 99, |d| {
-        to_dense(&eval_linear(d, &f).expect("evaluates").relation).expect("order fragment")
+        to_dense(&eval::<LinTuple>(d, &f).expect("evaluates").relation).expect("order fragment")
     });
     assert_eq!(out, GenericityOutcome::Generic);
 }
@@ -88,7 +88,7 @@ fn genuine_arithmetic_breaks_genericity() {
     let db = triangle_db();
     let f = parse_formula("R(x, x) & x + x = 1").unwrap();
     let out = check_generic(&db, 10, 3, |d| {
-        to_dense(&eval_linear(d, &f).expect("evaluates").relation)
+        to_dense(&eval::<LinTuple>(d, &f).expect("evaluates").relation)
             .unwrap_or_else(|| GeneralizedRelation::from_points(1, vec![vec![rat(1, 2)]]))
     });
     assert!(matches!(out, GenericityOutcome::Violation(_)));

@@ -3,7 +3,9 @@
 //! a rational dense-order database, with the answer mapped back — the
 //! constructive content of "Datalog¬ = PTIME over dense-order databases".
 
+use dco::datalog::run as run_datalog;
 use dco::encoding::integerize;
+use dco::fo::eval;
 use dco::prelude::*;
 
 /// A rational-constant edge relation (a path through non-integer points).
@@ -67,7 +69,7 @@ fn fixpoint_stage_count_is_polynomial() {
     let mut stages = Vec::new();
     for n in [3usize, 5, 7, 9] {
         let db = rational_path(n);
-        stages.push(run_datalog(&program, &db).unwrap().stats.stages);
+        stages.push(run_datalog(&program, &db).unwrap().stats[0].stages);
     }
     // monotone, and bounded by n (not exponential)
     assert!(stages.windows(2).all(|w| w[0] <= w[1]));
@@ -80,9 +82,9 @@ fn order_queries_survive_the_encoding() {
     // restriction" remark of §4).
     let db = rational_path(4);
     let f = parse_formula("exists y . e(x, y)").unwrap();
-    let direct = eval_fo(&db, &f).unwrap().relation;
+    let direct = eval::<GeneralizedTuple>(&db, &f).unwrap().relation;
     let (idb, map) = integerize(&db);
-    let encoded = eval_fo(&idb, &f).unwrap().relation;
+    let encoded = eval::<GeneralizedTuple>(&idb, &f).unwrap().relation;
     let back = map.inverse().to_automorphism().apply_relation(&encoded);
     assert!(back.equivalent(&direct));
 }
